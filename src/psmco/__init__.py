@@ -11,8 +11,6 @@ from .core import (
     CostModel,
     DegenerateWeightsError,
     EvaluationError,
-    LogWeightVector,
-    MiniBatchSchedule,
     SearchSpace,
     build_schedule,
     clip_to_space,
@@ -20,7 +18,7 @@ from .core import (
     log_potentials,
     normalize_log_weights,
 )
-from .kde import KernelDensitySpec, bandwidth_rule, kde_eval, kde_log_eval, map_estimate
+from .kde import KernelDensitySpec, bandwidth_rule, kde_log_eval, map_estimate
 from .parallel import (
     MinimumEstimate,
     NoViableWorkerError,
@@ -49,8 +47,6 @@ __all__ = [
     "EvaluationError",
     "JitterKernelSpec",
     "KernelDensitySpec",
-    "LogWeightVector",
-    "MiniBatchSchedule",
     "MinimumEstimate",
     "NoViableWorkerError",
     "OptimizerConfig",
@@ -64,7 +60,6 @@ __all__ = [
     "draw_ancestors",
     "init_particles",
     "jitter",
-    "kde_eval",
     "kde_log_eval",
     "log_potential",
     "log_potentials",

@@ -46,9 +46,13 @@ def _fmt(x) -> str:
 # trace and summary serialization
 
 
+def _theta_columns(dim: int) -> List[str]:
+    return [f"theta_{j}" for j in range(dim)]
+
+
 def psmco_trace_lines(record: RunRecord) -> List[str]:
     m = record.config.m_workers
-    header = ["problem", "t", "m_star", "f_value", "theta_0", "theta_1"]
+    header = ["problem", "t", "m_star", "f_value"] + _theta_columns(record.final.theta.size)
     header += [f"log_z_{j}" for j in range(m)]
     lines = [",".join(header)]
     for row in record.rows:
@@ -56,6 +60,18 @@ def psmco_trace_lines(record: RunRecord) -> List[str]:
         cells += [_fmt(v) for v in row.theta]
         cells += [_fmt(v) for v in row.log_z]
         lines.append(",".join(cells))
+    return lines
+
+
+def particles_lines(record: RunRecord) -> List[str]:
+    """One row per final particle of every worker; needs a record that
+    kept its final particles."""
+    workers, n_particles, dim = record.final_particles.shape
+    lines = [",".join(["worker", "particle"] + _theta_columns(dim))]
+    for w in range(workers):
+        for p in range(n_particles):
+            theta = record.final_particles[w, p]
+            lines.append(f"{w},{p}," + ",".join(_fmt(v) for v in theta))
     return lines
 
 
@@ -104,13 +120,7 @@ def run_and_persist(config: RunConfig, out_dir: str) -> None:
         )
         particles = None
         if record.final_particles is not None:
-            particles = ["worker,particle,theta_0,theta_1"]
-            for w in range(record.final_particles.shape[0]):
-                for p in range(record.final_particles.shape[1]):
-                    theta = record.final_particles[w, p]
-                    particles.append(
-                        f"{w},{p}," + ",".join(_fmt(v) for v in theta)
-                    )
+            particles = particles_lines(record)
         wall = record.wall_time
     else:
         record = run_psgd_baseline(problem, to_psgd_config(config))

@@ -36,7 +36,6 @@ COMMON_KEYS = REQUIRED_KEYS + (
     "half_width",
     "epsilon",
     "estimate_every",
-    "threads",
     "seed",
     "init_point",
     "init_var",
@@ -66,7 +65,6 @@ class RunConfig:
     half_width: float
     epsilon: Optional[float]
     estimate_every: Optional[int]
-    threads: int
     seed: int
     init_point: Optional[Tuple[float, ...]]
     init_var: float
@@ -97,7 +95,6 @@ PROFILES: Dict[str, dict] = {
         "jitter_var": 0.5,
         "epsilon": None,
         "estimate_every": 1,
-        "threads": 1,
         "seed": 0,
         "init_point": None,
         "init_var": 0.0,
@@ -120,7 +117,6 @@ PROFILES: Dict[str, dict] = {
         "jitter_var": 1000.0,
         "epsilon": None,
         "estimate_every": 1,
-        "threads": 1,
         "seed": 0,
         "init_point": (-190.0, 0.0),
         "init_var": 1e-8,
@@ -218,9 +214,6 @@ def parse_config(doc: dict) -> RunConfig:
         estimate_every = _as_int("estimate_every", estimate_every)
         if estimate_every < 1:
             raise ConfigError("estimate_every must be positive")
-    threads = _as_int("threads", doc.get("threads", 1))
-    if threads < 1:
-        raise ConfigError("threads must be positive")
     seed = _as_int("seed", doc.get("seed", 0))
     data_seed = _as_int("data_seed", doc.get("data_seed", 0))
     init_point = doc.get("init_point")
@@ -270,7 +263,6 @@ def parse_config(doc: dict) -> RunConfig:
         jitter_var=jitter_var,
         epsilon=epsilon,
         estimate_every=estimate_every,
-        threads=threads,
         seed=seed,
         data_seed=data_seed,
         half_width=half_width,
@@ -296,7 +288,6 @@ def emit_config(config: RunConfig) -> dict:
         "jitter_var": config.jitter_var,
         "epsilon": config.epsilon,
         "estimate_every": config.estimate_every,
-        "threads": config.threads,
         "seed": config.seed,
         "init_point": list(config.init_point) if config.init_point is not None else None,
         "init_var": config.init_var,
@@ -391,7 +382,6 @@ def to_optimizer_config(config: RunConfig) -> OptimizerConfig:
         epsilon=config.epsilon,
         seed=config.seed,
         estimate_every=config.estimate_every,
-        threads=config.threads,
         init_point=config.init_point,
         init_std=math.sqrt(config.init_var),
         keep_final_particles=config.keep_final_particles,

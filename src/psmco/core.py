@@ -7,8 +7,8 @@ max before exponentiating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,13 +76,9 @@ class SearchSpace:
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, theta: np.ndarray) -> bool:
-        """True if theta (a single point) lies inside the box, bounds included."""
-        t = np.asarray(theta, dtype=float)
-        return bool((t >= self.lower).all() and (t <= self.upper).all())
-
-    def contains_all(self, thetas: np.ndarray) -> bool:
-        """True if every row of thetas lies inside the box."""
+    def contains(self, thetas: np.ndarray) -> bool:
+        """True if the point, or every row of an array of points, lies
+        inside the box, bounds included."""
         t = np.asarray(thetas, dtype=float)
         return bool((t >= self.lower).all() and (t <= self.upper).all())
 
@@ -131,52 +127,20 @@ class CostModel:
         return np.array([self.total_cost(t) for t in thetas])
 
 
-@dataclass(frozen=True)
-class MiniBatchSchedule:
-    """Disjoint mini-batches covering all component indices exactly once.
-
-    batches[t] has size K for t < T-1; the last batch holds the
-    remainder n - K*(T-1), so it may be shorter.
-    """
-
-    n: int
-    batch_size: int
-    batches: tuple
-
-    def __post_init__(self):
-        if self.batch_size < 1 or self.batch_size > self.n:
-            raise ValueError("batch size must be in [1, n]")
-        seen = np.concatenate([np.asarray(b) for b in self.batches])
-        if seen.size != self.n or not np.array_equal(np.sort(seen), np.arange(self.n)):
-            raise ValueError("batches must partition the index set exactly")
-        t = len(self.batches)
-        expected_t = -(-self.n // self.batch_size)  # ceil division
-        if t != expected_t:
-            raise ValueError(f"expected {expected_t} batches, got {t}")
-        for b in self.batches[:-1]:
-            if len(b) != self.batch_size:
-                raise ValueError("every batch but the last must have the full size")
-        if len(self.batches[-1]) != self.n - self.batch_size * (t - 1):
-            raise ValueError("last batch has the wrong size")
-
-    @property
-    def num_batches(self) -> int:
-        return len(self.batches)
-
-    def __iter__(self):
-        return iter(self.batches)
-
-
-def build_schedule(n: int, batch_size: int, rng: np.random.Generator) -> MiniBatchSchedule:
+def build_schedule(
+    n: int, batch_size: int, rng: np.random.Generator
+) -> Tuple[np.ndarray, ...]:
     """Chunk a uniformly random permutation of the n indices into batches.
 
-    Raises ValueError when batch_size is 0, negative, or larger than n.
+    Returns the tuple of T = ceil(n / batch_size) index arrays: every
+    batch holds batch_size indices except the last, which holds the
+    remainder.  Raises ValueError when batch_size is 0, negative, or
+    larger than n.
     """
     if batch_size < 1 or batch_size > n:
         raise ValueError(f"batch size must be in [1, n]; got {batch_size} with n={n}")
     perm = rng.permutation(n)
-    batches = tuple(perm[start:start + batch_size] for start in range(0, n, batch_size))
-    return MiniBatchSchedule(n=n, batch_size=batch_size, batches=batches)
+    return tuple(perm[start:start + batch_size] for start in range(0, n, batch_size))
 
 
 def log_potential(model: CostModel, batch: Sequence[int], theta: np.ndarray) -> float:
@@ -225,41 +189,14 @@ def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray) -> n
     return -sums
 
 
-@dataclass
-class LogWeightVector:
-    """Log-weights for a particle system.
+def normalize_log_weights(log_w: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Normalize log-weights by the max-shift trick.
 
-    normalized=True asserts that exp(log_values) sums to 1 (within
-    1e-12).  Construction never exponentiates; normalize() subtracts the
-    running max first.
-    """
-
-    log_values: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self):
-        lv = np.asarray(self.log_values, dtype=float)
-        if lv.ndim != 1 or lv.size < 1:
-            raise ValueError("log-weights must be a non-empty 1-d array")
-        if np.isnan(lv).any() or (lv == np.inf).any():
-            raise ValueError("log-weights must be in [-inf, inf)")
-        self.log_values = lv
-
-    def normalize(self) -> "LogWeightVector":
-        return LogWeightVector(normalize_log_weights(self.log_values), normalized=True)
-
-    def probabilities(self) -> np.ndarray:
-        """Plain-domain weights; only meaningful once normalized."""
-        if not self.normalized:
-            return self.normalize().probabilities()
-        return np.exp(self.log_values)
-
-
-def normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
-    """Shift by the max and renormalize so that exp sums to one.
-
-    Shift-invariant by construction.  Raises DegenerateWeightsError when
-    every entry is -inf.
+    With m = max(log_w) and log_norm = log(sum(exp(log_w - m))), returns
+    (m + log_norm, (log_w - m) - log_norm): the log of the plain-domain
+    total, and log-weights whose exp sums to one.  Shift-invariant by
+    construction.  Raises DegenerateWeightsError when every entry is
+    -inf, and ValueError on NaN or +inf.
     """
     log_w = np.asarray(log_w, dtype=float)
     if np.isnan(log_w).any() or (log_w == np.inf).any():
@@ -268,6 +205,5 @@ def normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
     if m == -np.inf:
         raise DegenerateWeightsError("all log-weights are -inf")
     shifted = log_w - m
-    # log of the normalizer, computed from the shifted values
     log_norm = np.log(np.sum(np.exp(shifted)))
-    return shifted - log_norm
+    return m + log_norm, shifted - log_norm

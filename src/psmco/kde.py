@@ -18,15 +18,12 @@ class KernelDensitySpec:
 
     dim: int
     bandwidth: float
-    kernel: str = "gaussian"
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
         if not (self.bandwidth > 0.0 and math.isfinite(self.bandwidth)):
             raise ValueError("bandwidth must be positive and finite")
-        if self.kernel != "gaussian":
-            raise ValueError(f"unsupported kernel {self.kernel!r}")
 
 
 def bandwidth_rule(n_particles: int, dim: int) -> float:
@@ -72,11 +69,6 @@ def kde_log_eval(
         sq = np.einsum("pnd,pnd->pn", diff, diff)
         out[start:start + block.shape[0]] = logsumexp_last(-sq / (2.0 * h * h))
     return out + const
-
-
-def kde_eval(spec: KernelDensitySpec, particles: np.ndarray, point: np.ndarray) -> float:
-    """Density value at a single point."""
-    return float(np.exp(kde_log_eval(spec, particles, np.asarray(point)[None, :])[0]))
 
 
 def map_estimate(spec: KernelDensitySpec, particles: np.ndarray) -> Tuple[int, np.ndarray]:

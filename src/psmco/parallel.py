@@ -3,16 +3,14 @@ normalizer estimates, with the point estimate read off the best worker.
 
 Workers never exchange particles.  Each one owns an RNG stream spawned
 from the master seed, builds its own mini-batch schedule, and runs the
-same number of steps; results are therefore identical whatever the
-thread count.
+same number of steps; a worker's trajectory therefore depends only on
+the seed and its index.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,9 +38,9 @@ class OptimizerConfig:
     """Knobs for a full multi-worker run.
 
     estimate_every=None emits a single estimate at the final step;
-    estimate_every=1 emits one per step.  worker_seeds overrides the
-    per-worker streams (normally spawned from `seed`), mainly for
-    isolation experiments.
+    estimate_every=1 emits one per step.  Worker m draws from child m of
+    SeedSequence(seed).spawn(m_workers), which does not depend on
+    m_workers.
     """
 
     m_workers: int
@@ -52,23 +50,17 @@ class OptimizerConfig:
     epsilon: Optional[float] = None
     seed: int = 0
     estimate_every: Optional[int] = None
-    threads: int = 1
     init_point: Optional[Tuple[float, ...]] = None
     init_std: float = 0.0
     keep_final_particles: bool = False
-    worker_seeds: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         if self.m_workers < 1:
             raise ValueError("need at least one worker")
         if self.n_particles < 1:
             raise ValueError("need at least one particle")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
         if self.estimate_every is not None and self.estimate_every < 1:
             raise ValueError("estimate_every must be positive")
-        if self.worker_seeds is not None and len(self.worker_seeds) != self.m_workers:
-            raise ValueError("worker_seeds must list one seed per worker")
 
 
 @dataclass(frozen=True)
@@ -130,11 +122,8 @@ def run_psmco(
     """
     start = time.perf_counter()
     m_workers = config.m_workers
-    if config.worker_seeds is not None:
-        rngs = [np.random.default_rng(s) for s in config.worker_seeds]
-    else:
-        seq = np.random.SeedSequence(config.seed)
-        rngs = [np.random.default_rng(child) for child in seq.spawn(m_workers)]
+    seq = np.random.SeedSequence(config.seed)
+    rngs = [np.random.default_rng(child) for child in seq.spawn(m_workers)]
 
     init_point = None
     if config.init_point is not None:
@@ -148,29 +137,25 @@ def run_psmco(
         n_particles=config.n_particles,
         epsilon=config.epsilon,
     )
-    for m, rng in enumerate(rngs):
+    for rng in rngs:
         schedules.append(build_schedule(model.n, config.batch_size, rng))
         systems.append(
             init_particles(
                 space,
                 config.n_particles,
                 rng,
-                worker_id=m,
                 init_point=init_point,
                 init_std=config.init_std,
             )
         )
 
-    total_steps = schedules[0].num_batches
+    total_steps = len(schedules[0])
     stride = config.estimate_every if config.estimate_every is not None else total_steps
     log_z_by_step = np.empty((total_steps, m_workers))
     rows: List[EstimateRow] = []
     kde_spec = KernelDensitySpec(
         dim=space.dim, bandwidth=bandwidth_rule(config.n_particles, space.dim)
     )
-
-    def one_step(t: int, m: int) -> float:
-        return sampler_step(systems[m], model, schedules[m].batches[t], kernel)
 
     def emit(iteration: int) -> None:
         cumulative = tuple(s.log_z_cumulative for s in systems)
@@ -192,20 +177,11 @@ def run_psmco(
             )
         )
 
-    pool = ThreadPoolExecutor(config.threads) if config.threads > 1 else None
-    try:
-        for t in range(total_steps):
-            if pool is None:
-                for m in range(m_workers):
-                    log_z_by_step[t, m] = one_step(t, m)
-            else:
-                for m, value in enumerate(pool.map(partial(one_step, t), range(m_workers))):
-                    log_z_by_step[t, m] = value
-            if (t + 1) % stride == 0 or t + 1 == total_steps:
-                emit(t + 1)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for t in range(total_steps):
+        for m in range(m_workers):
+            log_z_by_step[t, m] = sampler_step(systems[m], model, schedules[m][t], kernel)
+        if (t + 1) % stride == 0 or t + 1 == total_steps:
+            emit(t + 1)
 
     last = rows[-1]
     final = MinimumEstimate(

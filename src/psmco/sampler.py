@@ -17,10 +17,10 @@ import numpy as np
 from .core import (
     CostModel,
     DegenerateWeightsError,
-    LogWeightVector,
     SearchSpace,
     clip_to_space,
     log_potentials,
+    normalize_log_weights,
 )
 
 
@@ -69,7 +69,6 @@ class ParticleSystem:
     particles: np.ndarray
     space: SearchSpace
     rng: np.random.Generator
-    worker_id: int = 0
     iteration: int = 0
     log_z_cumulative: float = 0.0
     log_z_steps: list = field(default_factory=list)
@@ -83,7 +82,6 @@ def init_particles(
     space: SearchSpace,
     n_particles: int,
     rng: np.random.Generator,
-    worker_id: int = 0,
     init_point: Optional[np.ndarray] = None,
     init_std: float = 0.0,
 ) -> ParticleSystem:
@@ -107,7 +105,7 @@ def init_particles(
             raise ValueError("init_point has the wrong dimension")
         pts = center + rng.normal(0.0, init_std, size=(n_particles, d))
         pts = clip_to_space(pts, space)
-    return ParticleSystem(particles=pts, space=space, rng=rng, worker_id=worker_id)
+    return ParticleSystem(particles=pts, space=space, rng=rng)
 
 
 def jitter(system: ParticleSystem, kernel: JitterKernelSpec) -> int:
@@ -127,52 +125,47 @@ def jitter(system: ParticleSystem, kernel: JitterKernelSpec) -> int:
 
 def weight_and_accumulate(
     system: ParticleSystem, model: CostModel, batch: np.ndarray
-) -> LogWeightVector:
-    """Weight the population by the batch potential.
+) -> np.ndarray:
+    """Weight the population by the batch potential; returns the
+    normalized log-weights.
 
     Records the per-step normalizer estimate, the mean potential
     log Z_t = log((1/N) sum_i G(theta_i)), and adds it to the running
-    total before any normalization, so a degenerate step still counts
-    toward the cumulative value.  Raises DegenerateWeightsError when
-    every potential is -inf.
-
-    The max-shift and exp-sum are shared between the normalizer and the
-    normalized weights, matching core.normalize_log_weights bit for bit.
+    total.  When every potential is -inf the step records -inf, so it
+    still counts toward the cumulative value, and DegenerateWeightsError
+    is raised.
     """
     log_g = log_potentials(model, batch, system.particles)
-    n = system.n_particles
-    m = np.max(log_g)
-    if m == -np.inf:
+    try:
+        log_total, log_w = normalize_log_weights(log_g)
+    except DegenerateWeightsError:
         system.log_z_steps.append(-math.inf)
         system.log_z_cumulative += -math.inf
-        raise DegenerateWeightsError("all batch potentials are -inf")
-    shifted = log_g - m
-    log_norm = np.log(np.sum(np.exp(shifted)))
-    log_z_t = float(m + log_norm - math.log(n))
+        raise
+    log_z_t = float(log_total - math.log(system.n_particles))
     system.log_z_steps.append(log_z_t)
     system.log_z_cumulative += log_z_t
-    return LogWeightVector(shifted - log_norm, normalized=True)
+    return log_w
 
 
 def draw_ancestors(
-    weights: LogWeightVector, n_draws: int, rng: np.random.Generator
+    log_w: np.ndarray, n_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """n_draws iid categorical indices from the normalized weights.
+    """n_draws iid categorical indices from normalized log-weights.
 
     Inverse-CDF draws: u lands in the first slot whose cumulative weight
     reaches it, so a u exactly on a boundary selects the lower index.
     """
-    if not weights.normalized:
-        weights = weights.normalize()
-    cum = np.cumsum(weights.probabilities())
+    cum = np.cumsum(np.exp(log_w))
     cum[-1] = 1.0  # guard against round-off shortfall at the top
     u = rng.random(n_draws)
     return np.searchsorted(cum, u, side="left")
 
 
-def resample_multinomial(system: ParticleSystem, weights: LogWeightVector) -> None:
-    """Replace the population with N draws from the weighted one."""
-    idx = draw_ancestors(weights, system.n_particles, system.rng)
+def resample_multinomial(system: ParticleSystem, log_w: np.ndarray) -> None:
+    """Replace the population with N draws from the weighted one, given
+    its normalized log-weights."""
+    idx = draw_ancestors(log_w, system.n_particles, system.rng)
     system.particles = system.particles[idx].copy()
 
 
@@ -191,10 +184,10 @@ def sampler_step(
     """
     jitter(system, kernel)
     try:
-        weights = weight_and_accumulate(system, model, batch)
+        log_w = weight_and_accumulate(system, model, batch)
     except DegenerateWeightsError:
-        system.iteration += 1
-        return system.log_z_steps[-1]
-    resample_multinomial(system, weights)
+        pass
+    else:
+        resample_multinomial(system, log_w)
     system.iteration += 1
     return system.log_z_steps[-1]

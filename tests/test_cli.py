@@ -190,18 +190,15 @@ def test_run_mixture_end_to_end(tmp_path):
     assert float(summary["f_final"]) == float(rows[-1][3])
 
 
-def test_run_is_byte_deterministic_and_thread_invariant(tmp_path):
+def test_run_is_byte_deterministic(tmp_path):
     dirs = []
-    for name, extra in (("a", []), ("b", []), ("c", ["--override", "threads=3"])):
+    for name in ("a", "b", "c"):
         out = tmp_path / name
-        assert run_cli(*MIX_ARGS, *extra, "--out", str(out)) == 0
+        assert run_cli(*MIX_ARGS, "--out", str(out)) == 0
         dirs.append(out)
-    base_trace = (dirs[0] / "trace.csv").read_bytes()
-    assert (dirs[1] / "trace.csv").read_bytes() == base_trace
-    assert (dirs[2] / "trace.csv").read_bytes() == base_trace
-    assert (dirs[0] / "config.json").read_bytes() == (dirs[1] / "config.json").read_bytes()
-    # the threads knob is part of the echoed config, so only traces match
-    assert (dirs[0] / "summary.txt").read_bytes() == (dirs[2] / "summary.txt").read_bytes()
+    for f in ("trace.csv", "summary.txt", "config.json"):
+        base = (dirs[0] / f).read_bytes()
+        assert all((d / f).read_bytes() == base for d in dirs[1:])
 
 
 def test_run_seed_changes_trace(tmp_path):
@@ -223,6 +220,28 @@ def test_run_writes_particles_when_kept(tmp_path):
     assert {int(r[0]) for r in rows} == {0, 1, 2}
     for r in rows:
         assert abs(float(r[2])) <= 50.0 and abs(float(r[3])) <= 50.0
+
+
+def test_trace_and_particles_headers_follow_dimension():
+    """A 3-d library run: one theta_j column per coordinate in both files."""
+    from psmco.cli import particles_lines, psmco_trace_lines
+    from psmco.core import CostModel, SearchSpace
+    from psmco.parallel import OptimizerConfig, run_psmco
+
+    space = SearchSpace(np.full(3, -2.0), np.full(3, 2.0))
+    model = CostModel(n=6, component_eval=lambda i, th: float(th @ th))
+    cfg = OptimizerConfig(m_workers=2, n_particles=5, batch_size=2, proposal_std=0.3,
+                          estimate_every=1, keep_final_particles=True)
+    _, record = run_psmco(model, space, cfg)
+    thetas = ["theta_0", "theta_1", "theta_2"]
+    trace = [ln.split(",") for ln in psmco_trace_lines(record)]
+    assert trace[0] == ["problem", "t", "m_star", "f_value", *thetas, "log_z_0", "log_z_1"]
+    assert len(trace) == 1 + 3
+    assert all(len(row) == len(trace[0]) for row in trace[1:])
+    particles = [ln.split(",") for ln in particles_lines(record)]
+    assert particles[0] == ["worker", "particle", *thetas]
+    assert len(particles) == 1 + 2 * 5
+    assert all(len(row) == len(particles[0]) for row in particles[1:])
 
 
 SIG_ARGS = [
@@ -285,6 +304,15 @@ def test_run_exit_codes(tmp_path, capsys):
     assert "epsilon" in capsys.readouterr().err
     assert run_cli(*MIX_ARGS, "--seed", "-3", "--out", str(tmp_path / "s")) == 2
     assert "non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_with_threads_key_rejected(tmp_path, capsys):
+    doc = dict(load_profile("mixture-5.1"), n=20, m_workers=3, n_particles=9, threads=1)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+    assert "unknown keys: threads" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

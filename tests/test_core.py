@@ -8,7 +8,6 @@ from psmco.core import (
     CostModel,
     DegenerateWeightsError,
     EvaluationError,
-    LogWeightVector,
     SearchSpace,
     build_schedule,
     clip_to_space,
@@ -33,6 +32,8 @@ def test_space_basic():
     assert s.contains(np.array([0.0, 0.0]))
     assert s.contains(np.array([50.0, -50.0]))  # boundary included
     assert not s.contains(np.array([50.1, 0.0]))
+    assert s.contains(np.array([[0.0, 0.0], [50.0, -50.0]]))  # every row
+    assert not s.contains(np.array([[0.0, 0.0], [50.1, 0.0]]))
 
 
 def test_space_rejects_degenerate_box():
@@ -69,9 +70,9 @@ def test_clip_to_space():
 
 def test_schedule_small_example():
     sched = build_schedule(5, 2, np.random.default_rng(0))
-    sizes = [len(b) for b in sched.batches]
+    sizes = [len(b) for b in sched]
     assert sizes == [2, 2, 1]
-    union = np.sort(np.concatenate(sched.batches))
+    union = np.sort(np.concatenate(sched))
     np.testing.assert_array_equal(union, np.arange(5))
 
 
@@ -80,11 +81,11 @@ def test_schedule_partition_exhaustive():
     n = 10_000
     for k in (1, 7, 100, 9_999, 10_000):
         sched = build_schedule(n, k, np.random.default_rng(k))
-        t = sched.num_batches
+        t = len(sched)
         assert t == -(-n // k)
-        assert all(len(b) == k for b in sched.batches[:-1])
-        assert len(sched.batches[-1]) == n - k * (t - 1)
-        union = np.sort(np.concatenate(sched.batches))
+        assert all(len(b) == k for b in sched[:-1])
+        assert len(sched[-1]) == n - k * (t - 1)
+        union = np.sort(np.concatenate(sched))
         np.testing.assert_array_equal(union, np.arange(n))
 
 
@@ -101,11 +102,11 @@ def test_schedule_invalid_batch_size():
 def test_schedule_deterministic_given_stream():
     a = build_schedule(100, 7, np.random.default_rng(42))
     b = build_schedule(100, 7, np.random.default_rng(42))
-    for x, y in zip(a.batches, b.batches):
+    for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
     c = build_schedule(100, 7, np.random.default_rng(43))
     assert any(
-        not np.array_equal(x, y) for x, y in zip(a.batches, c.batches)
+        not np.array_equal(x, y) for x, y in zip(a, c)
     )
 
 
@@ -220,7 +221,7 @@ def test_schedule_sum_equals_negative_total_cost():
     for k in (1, 3, 500):
         sched = build_schedule(500, k, np.random.default_rng(k))
         for theta in rng.normal(size=(4, 1)):
-            total = sum(log_potential(model, b, theta) for b in sched.batches)
+            total = sum(log_potential(model, b, theta) for b in sched)
             assert total == pytest.approx(-model.total_cost(theta), rel=1e-9)
 
 
@@ -229,26 +230,28 @@ def test_schedule_sum_equals_negative_total_cost():
 
 
 def test_normalize_uniform_over_equal_weights():
-    out = normalize_log_weights(np.zeros(4))
+    _, out = normalize_log_weights(np.zeros(4))
     np.testing.assert_allclose(np.exp(out), 0.25, rtol=1e-12)
 
 
 def test_normalize_extreme_magnitude():
-    out = normalize_log_weights(np.array([-1000.0, -1000.0]))
+    log_total, out = normalize_log_weights(np.array([-1000.0, -1000.0]))
     np.testing.assert_allclose(np.exp(out), [0.5, 0.5], rtol=1e-12)
+    assert log_total == pytest.approx(-1000.0 + math.log(2.0), rel=1e-15)
 
 
 def test_normalize_hand_computed_example():
-    out = normalize_log_weights(np.log([1.0, 3.0]))
+    log_total, out = normalize_log_weights(np.log([1.0, 3.0]))
     np.testing.assert_allclose(np.exp(out), [0.25, 0.75], rtol=1e-12)
+    assert log_total == pytest.approx(math.log(4.0), rel=1e-15)
 
 
 def test_normalize_shift_invariant():
     rng = np.random.default_rng(9)
     logw = rng.normal(size=16)
-    base = np.exp(normalize_log_weights(logw))
+    base = np.exp(normalize_log_weights(logw)[1])
     for c in (-1e6, 0.0, 1e6):
-        shifted = np.exp(normalize_log_weights(logw + c))
+        shifted = np.exp(normalize_log_weights(logw + c)[1])
         np.testing.assert_allclose(shifted, base, atol=1e-9)
 
 
@@ -256,7 +259,7 @@ def test_normalize_sums_to_one():
     rng = np.random.default_rng(13)
     for _ in range(20):
         logw = rng.normal(scale=30.0, size=64)
-        assert np.exp(normalize_log_weights(logw)).sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.exp(normalize_log_weights(logw)[1]).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_normalize_all_minus_inf_degenerate():
@@ -269,19 +272,6 @@ def test_normalize_rejects_nan_and_plus_inf():
         normalize_log_weights(np.array([0.0, np.nan]))
     with pytest.raises(ValueError):
         normalize_log_weights(np.array([0.0, np.inf]))
-
-
-def test_log_weight_vector():
-    w = LogWeightVector(np.log([1.0, 3.0]))
-    assert not w.normalized
-    p = w.probabilities()
-    np.testing.assert_allclose(p, [0.25, 0.75], rtol=1e-12)
-    wn = w.normalize()
-    assert wn.normalized
-    with pytest.raises(ValueError):
-        LogWeightVector(np.array([[0.0]]))
-    with pytest.raises(ValueError):
-        LogWeightVector(np.array([np.nan]))
 
 
 # ---------------------------------------------------------------------------

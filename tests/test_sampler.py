@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from psmco.core import CostModel, DegenerateWeightsError, LogWeightVector, SearchSpace
+from psmco.core import CostModel, DegenerateWeightsError, SearchSpace, normalize_log_weights
 from psmco.sampler import (
     JitterKernelSpec,
     draw_ancestors,
@@ -63,7 +63,7 @@ def test_init_uniform_moments_and_containment():
     s = box(-50, 50)
     ps = init_particles(s, 1000, np.random.default_rng(0))
     assert ps.particles.shape == (1000, 2)
-    assert s.contains_all(ps.particles)
+    assert s.contains(ps.particles)
     # CLT bound on the empirical mean, widened to +-5
     assert np.abs(ps.particles.mean(axis=0)).max() < 5.0
     assert ps.iteration == 0
@@ -73,7 +73,7 @@ def test_init_uniform_moments_and_containment():
 def test_init_two_particles_contained():
     s = box(2, 3, d=3)
     ps = init_particles(s, 2, np.random.default_rng(1))
-    assert s.contains_all(ps.particles)
+    assert s.contains(ps.particles)
 
 
 def test_init_invalid_count():
@@ -91,14 +91,14 @@ def test_init_gaussian_around_point():
     s = box(-200, 200)
     center = np.array([-190.0, 0.0])
     ps = init_particles(s, 500, np.random.default_rng(2), init_point=center, init_std=1e-4)
-    assert s.contains_all(ps.particles)
+    assert s.contains(ps.particles)
     assert np.abs(ps.particles - center).max() < 1e-3
 
 
 def test_init_gaussian_clipped_into_box():
     s = box(-1, 1)
     ps = init_particles(s, 100, np.random.default_rng(3), init_point=np.array([5.0, 0.0]), init_std=0.01)
-    assert s.contains_all(ps.particles)
+    assert s.contains(ps.particles)
     assert (ps.particles[:, 0] == 1.0).all()
 
 
@@ -115,7 +115,7 @@ def test_jitter_moved_count_binomial_band():
     assert 50 <= moved <= 150
     changed = int((ps.particles != before).any(axis=1).sum())
     assert changed == moved
-    assert s.contains_all(ps.particles)
+    assert s.contains(ps.particles)
 
 
 def test_jitter_zero_std_is_identity():
@@ -132,7 +132,7 @@ def test_jitter_clips_to_box():
     ps = init_particles(s, 1000, np.random.default_rng(7))
     k = JitterKernelSpec(space=s, proposal_std=100.0, n_particles=1000, epsilon=1 / math.sqrt(1000))
     jitter(ps, k)
-    assert s.contains_all(ps.particles)
+    assert s.contains(ps.particles)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def test_weights_constant_potential():
     ps = init_particles(s, 8, np.random.default_rng(8))
     model = CostModel(n=3, component_eval=lambda i, th: 2.5)
     w = weight_and_accumulate(ps, model, np.array([1]))
-    np.testing.assert_allclose(w.probabilities(), 1 / 8, rtol=1e-12)
+    np.testing.assert_allclose(np.exp(w), 1 / 8, rtol=1e-12)
     assert ps.log_z_cumulative == pytest.approx(-2.5, rel=1e-12)
     assert len(ps.log_z_steps) == 1
 
@@ -156,7 +156,7 @@ def test_weights_hand_computed_example():
     ps.particles = np.array([[0.0], [1.0]])
     model = CostModel(n=1, component_eval=lambda i, th: float(-math.log(3.0) * th[0]))
     w = weight_and_accumulate(ps, model, np.array([0]))
-    np.testing.assert_allclose(w.probabilities(), [0.25, 0.75], rtol=1e-12)
+    np.testing.assert_allclose(np.exp(w), [0.25, 0.75], rtol=1e-12)
     assert ps.log_z_cumulative == pytest.approx(math.log(2.0), rel=1e-12)
 
 
@@ -164,7 +164,7 @@ def test_weights_empty_batch_neutral():
     ps = init_particles(box(-1, 1), 4, np.random.default_rng(10))
     model = CostModel(n=2, component_eval=lambda i, th: 7.0)
     w = weight_and_accumulate(ps, model, np.array([], dtype=int))
-    np.testing.assert_allclose(w.probabilities(), 0.25, rtol=1e-12)
+    np.testing.assert_allclose(np.exp(w), 0.25, rtol=1e-12)
     assert ps.log_z_cumulative == 0.0
 
 
@@ -204,7 +204,7 @@ class FixedUniforms:
 def test_resample_point_mass():
     ps = init_particles(box(-1, 1), 3, np.random.default_rng(13))
     target = ps.particles[0].copy()
-    w = LogWeightVector(np.log([1.0, 1e-300, 1e-300])).normalize()
+    w = normalize_log_weights(np.log([1.0, 1e-300, 1e-300]))[1]
     resample_multinomial(ps, w)
     # weight ~1 on the first particle: every draw lands there
     assert (ps.particles == target).all()
@@ -213,14 +213,14 @@ def test_resample_point_mass():
 def test_draw_ancestors_uniform_mean_counts():
     # 10^4 replicates of 4 draws from uniform weights: mean count per
     # ancestor is 1 within +-0.05
-    w = LogWeightVector(np.zeros(4)).normalize()
+    w = normalize_log_weights(np.zeros(4))[1]
     idx = draw_ancestors(w, 4 * 10_000, np.random.default_rng(14))
     counts = np.bincount(idx, minlength=4) / 10_000
     np.testing.assert_allclose(counts, 1.0, atol=0.05)
 
 
 def test_draw_ancestors_skewed_frequency_band():
-    w = LogWeightVector(np.log([0.25, 0.75])).normalize()
+    w = normalize_log_weights(np.log([0.25, 0.75]))[1]
     idx = draw_ancestors(w, 100_000, np.random.default_rng(15))
     freq = (idx == 1).mean()
     assert 0.74 <= freq <= 0.76
@@ -228,7 +228,7 @@ def test_draw_ancestors_skewed_frequency_band():
 
 def test_draw_ancestors_unbiased_within_three_se():
     probs = np.array([0.1, 0.2, 0.3, 0.4])
-    w = LogWeightVector(np.log(probs)).normalize()
+    w = normalize_log_weights(np.log(probs))[1]
     total = 40_000
     idx = draw_ancestors(w, total, np.random.default_rng(16))
     freq = np.bincount(idx, minlength=4) / total
@@ -239,7 +239,7 @@ def test_draw_ancestors_unbiased_within_three_se():
 def test_draw_ancestors_tie_convention():
     # inverse CDF with cumulative (0.5, 1.0): u exactly on a boundary
     # selects the lower index
-    w = LogWeightVector(np.log([0.5, 0.5]), normalized=True)
+    w = np.log([0.5, 0.5])
     idx = draw_ancestors(w, 4, FixedUniforms([0.0, 0.5, 0.5 + 1e-12, 0.999]))
     np.testing.assert_array_equal(idx, [0, 0, 1, 1])
 
@@ -258,7 +258,7 @@ def test_step_single_particle_is_jittered_input():
     k = JitterKernelSpec(space=s, proposal_std=0.5, n_particles=1, epsilon=1.0)
     sampler_step(ps, quadratic_model(), np.array([0]), k)
     assert ps.iteration == 1
-    assert s.contains_all(ps.particles)
+    assert s.contains(ps.particles)
 
 
 def test_step_constant_cost_keeps_log_z_zero():
@@ -280,7 +280,7 @@ def test_step_containment_and_telescoping():
     k = JitterKernelSpec(space=s, proposal_std=1.0, n_particles=40)
     for t in range(8):
         sampler_step(ps, model, np.array([t]), k)
-        assert s.contains_all(ps.particles)
+        assert s.contains(ps.particles)
     assert ps.log_z_cumulative == sum(ps.log_z_steps)
 
 
