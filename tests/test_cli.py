@@ -110,6 +110,20 @@ def test_constraint_violations():
     with pytest.raises(ConfigError, match="problem"):
         parse_config(dict(base, problem="quadratic"))
 
+    # one case per single-key range rule; the message names the key
+    sig = load_profile("sigmoid-5.2")
+    cases = [
+        (base, "n", 0), (base, "m_workers", 0), (base, "n_particles", 0),
+        (base, "jitter_var", -1), (base, "init_var", -1), (base, "step_size", -1),
+        (base, "estimate_every", 0), (base, "half_width", 0),
+        (base, "lam", 0), (base, "r", 0), (base, "mean_var", -1),
+        (sig, "x_low", 2.5), (sig, "noise_std", -1),
+        (sig, "theta_true", [1.0, -2.0, 0.0]), (sig, "init_point", [-190.0, 0.0, 0.0]),
+    ]
+    for doc, key, value in cases:
+        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+            parse_config(dict(doc, **{key: value}))
+
 
 def test_epsilon_at_cap_accepted():
     base = load_profile("mixture-5.1")
