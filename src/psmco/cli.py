@@ -180,9 +180,14 @@ def _read_trace(path: str) -> Tuple[str, dict]:
     values = {}
     for ln in lines[1:]:
         cells = ln.split(",")
+        try:
+            if len(cells) != len(header):
+                raise ValueError(f"{len(cells)} cells under a {len(header)}-column header")
+            values[int(cells[t_col])] = float(cells[f_col])
+        except ValueError as e:
+            raise ConfigError(f"{path}: malformed row {ln!r}: {e}") from None
         if problem is None:
             problem = cells[p_col]
-        values[int(cells[t_col])] = float(cells[f_col])
     if problem is None or not values:
         raise ConfigError(f"{path}: trace has a header but no rows")
     return problem, values
@@ -305,8 +310,6 @@ def _config_for_run(args) -> RunConfig:
             raise ConfigError(f"config is not valid JSON: {e}") from None
     doc = apply_overrides(doc, args.override)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be non-negative")
         doc["seed"] = args.seed
     return parse_config(doc)
 
@@ -322,12 +325,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:  # gen-data
             doc = load_profile(args.profile)
             if args.seed is not None:
-                if args.seed < 0:
-                    raise ConfigError("seed must be non-negative")
                 doc["data_seed"] = args.seed
             config = parse_config(doc)
             write_dataset(config, args.out)
-    except (ConfigError, ValueError) as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RuntimeError as e:

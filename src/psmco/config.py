@@ -1,23 +1,27 @@
 """Run configuration: named profiles, JSON parsing and canonical emission.
 
-A config document is a flat JSON object.  Two named profiles cover the
-stock benchmarks; any key can be overridden from the command line.
-parse_config(emit_config(c)) returns a config equal to c.
+A config document is a flat JSON object whose keys are the fields of
+RunConfig.  Each key is declared once: a problem key (n, data_seed,
+half_width and the problem's data parameters) takes its JSON type and
+default from the problem spec dataclass, every other key from RunConfig.
+Range rules live with the object that owns the value; parse_config
+builds those objects and reports their complaints as ConfigError.  Two
+named profiles cover the stock benchmarks, and any key can be overridden
+from the command line.  parse_config(emit_config(c)) returns a config
+equal to c.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import MISSING, dataclass, fields
+from typing import Dict, Optional, Tuple, get_args, get_origin, get_type_hints
 
 from .parallel import OptimizerConfig
 from .problems import (
-    MixtureProblem,
     MixtureProblemSpec,
     PSGDConfig,
-    SigmoidProblem,
     SigmoidProblemSpec,
     make_mixture_problem,
     make_sigmoid_problem,
@@ -25,32 +29,17 @@ from .problems import (
 
 
 class ConfigError(ValueError):
-    """Bad configuration document: missing, unknown, or invalid keys."""
-
-
-REQUIRED_KEYS = ("problem", "n", "m_workers", "n_particles", "batch_size", "jitter_var")
-
-COMMON_KEYS = REQUIRED_KEYS + (
-    "algorithm",
-    "data_seed",
-    "half_width",
-    "epsilon",
-    "estimate_every",
-    "seed",
-    "init_point",
-    "init_var",
-    "keep_final_particles",
-    "step_size",
-)
-MIXTURE_KEYS = ("lam", "r", "mean_var")
-SIGMOID_KEYS = ("x_low", "x_high", "theta_true", "noise_std")
+    """Bad configuration or input document: missing, unknown, or invalid
+    keys, or a malformed file."""
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one benchmark run needs, in plain scalars and tuples.
 
-    Problem-specific fields are None when they do not apply, so two
+    Fields without a default are the required keys.  The problem fields,
+    from data_seed on, take their types and defaults from the problem
+    spec; they are None when they do not apply to the problem, so two
     configs compare equal exactly when they describe the same run.
     """
 
@@ -60,16 +49,16 @@ class RunConfig:
     n_particles: int
     batch_size: int
     jitter_var: float
-    algorithm: str
-    data_seed: int
-    half_width: float
-    epsilon: Optional[float]
-    estimate_every: Optional[int]
-    seed: int
-    init_point: Optional[Tuple[float, ...]]
-    init_var: float
-    keep_final_particles: bool
-    step_size: float
+    algorithm: str = "psmco"
+    epsilon: Optional[float] = None
+    estimate_every: Optional[int] = 1
+    seed: int = 0
+    init_point: Optional[Tuple[float, ...]] = None
+    init_var: float = 0.0
+    keep_final_particles: bool = False
+    step_size: float = 0.5
+    data_seed: Optional[int] = None
+    half_width: Optional[float] = None
     lam: Optional[float] = None
     r: Optional[float] = None
     mean_var: Optional[float] = None
@@ -79,49 +68,25 @@ class RunConfig:
     noise_std: Optional[float] = None
 
 
+# Only the required keys and the values that differ from the defaults.
 PROFILES: Dict[str, dict] = {
     "mixture-5.1": {
         "problem": "mixture",
-        "algorithm": "psmco",
         "n": 1000,
-        "data_seed": 0,
-        "lam": 10.0,
-        "r": 0.2,
-        "mean_var": 0.5,
-        "half_width": 50.0,
         "m_workers": 100,
         "n_particles": 50,
         "batch_size": 1,
         "jitter_var": 0.5,
-        "epsilon": None,
-        "estimate_every": 1,
-        "seed": 0,
-        "init_point": None,
-        "init_var": 0.0,
-        "keep_final_particles": False,
-        "step_size": 0.5,
     },
     "sigmoid-5.2": {
         "problem": "sigmoid",
-        "algorithm": "psmco",
         "n": 100000,
-        "data_seed": 0,
-        "x_low": -2.5,
-        "x_high": 2.5,
-        "theta_true": (1.0, -2.0),
-        "noise_std": 0.0,
-        "half_width": 200.0,
         "m_workers": 25,
         "n_particles": 40,
         "batch_size": 100,
         "jitter_var": 1000.0,
-        "epsilon": None,
-        "estimate_every": 1,
-        "seed": 0,
         "init_point": (-190.0, 0.0),
         "init_var": 1e-8,
-        "keep_final_particles": False,
-        "step_size": 0.5,
     },
 }
 
@@ -157,153 +122,110 @@ def _as_point(key, value) -> Tuple[float, ...]:
     return tuple(_as_float(key, v) for v in value)
 
 
+def _json_type(hint):
+    """(converter, nullable) for a dataclass field's type hint."""
+    args = get_args(hint)
+    nullable = type(None) in args
+    if nullable:
+        (hint,) = [a for a in args if a is not type(None)]
+    if get_origin(hint) is tuple:
+        return _as_point, nullable
+    if hint is str:  # problem and algorithm, checked against their choices
+        return (lambda key, value: value), nullable
+    return {int: _as_int, float: _as_float, bool: _as_bool}[hint], nullable
+
+
+_PROBLEMS = {
+    "mixture": (MixtureProblemSpec, make_mixture_problem),
+    "sigmoid": (SigmoidProblemSpec, make_sigmoid_problem),
+}
+_SPEC_NAMES = {"data_seed": "seed"}  # config key -> spec field, where they differ
+_RUN_FIELDS = {f.name: f for f in fields(RunConfig)}
+# problem -> the config keys that are fields of its spec
+_PROBLEM_KEYS = {
+    problem: tuple(
+        k for k in _RUN_FIELDS if _SPEC_NAMES.get(k, k) in {f.name for f in fields(spec)}
+    )
+    for problem, (spec, _) in _PROBLEMS.items()
+}
+REQUIRED_KEYS = tuple(k for k, f in _RUN_FIELDS.items() if f.default is MISSING)
+
+
+def _schema(problem: str) -> dict:
+    """key -> (converter, nullable, default) for one problem's documents,
+    in RunConfig field order; a required key's default is MISSING."""
+    spec = _PROBLEMS[problem][0]
+    spec_hints, run_hints = get_type_hints(spec), get_type_hints(RunConfig)
+    spec_defaults = {f.name: f.default for f in fields(spec)}
+    schema = {}
+    for key, f in _RUN_FIELDS.items():
+        if key in _PROBLEM_KEYS[problem]:
+            name = _SPEC_NAMES.get(key, key)
+            hint, default = spec_hints[name], spec_defaults[name]
+        elif any(key in keys for keys in _PROBLEM_KEYS.values()):
+            continue  # another problem's key
+        else:
+            hint, default = run_hints[key], f.default
+        schema[key] = (*_json_type(hint), MISSING if f.default is MISSING else default)
+    return schema
+
+
+_SCHEMAS = {problem: _schema(problem) for problem in _PROBLEMS}
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Validate a config document and fill in defaults.
 
     Empty documents raise with the list of required keys; keys outside
-    the schema for the document's problem are rejected by name.
+    the schema for the document's problem are rejected by name.  Each
+    value is checked by the object that owns it: the problem spec, the
+    OptimizerConfig and the PSGDConfig the config describes.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     if not doc:
-        raise ConfigError(
-            "empty config; required keys: " + ", ".join(REQUIRED_KEYS)
-        )
+        raise ConfigError("empty config; required keys: " + ", ".join(REQUIRED_KEYS))
     missing = [k for k in REQUIRED_KEYS if k not in doc]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
 
     problem = doc["problem"]
-    if problem not in ("mixture", "sigmoid"):
-        raise ConfigError(f"problem must be 'mixture' or 'sigmoid', got {problem!r}")
-    allowed = set(COMMON_KEYS) | set(MIXTURE_KEYS if problem == "mixture" else SIGMOID_KEYS)
-    unknown = sorted(set(doc) - allowed)
+    if not isinstance(problem, str) or problem not in _SCHEMAS:
+        choices = " or ".join(repr(p) for p in _SCHEMAS)
+        raise ConfigError(f"problem must be {choices}, got {problem!r}")
+    schema = _SCHEMAS[problem]
+    unknown = sorted(set(doc) - set(schema))
     if unknown:
         raise ConfigError("unknown keys: " + ", ".join(unknown))
+    values = {key: default for key, (_, _, default) in schema.items()}
+    for key, value in doc.items():
+        convert, nullable, _ = schema[key]
+        values[key] = None if value is None and nullable else convert(key, value)
+    config = RunConfig(**values)
 
-    algorithm = doc.get("algorithm", "psmco")
-    if algorithm not in ("psmco", "psgd"):
-        raise ConfigError(f"algorithm must be 'psmco' or 'psgd', got {algorithm!r}")
-    if algorithm == "psgd" and problem != "sigmoid":
+    if config.algorithm not in ("psmco", "psgd"):
+        raise ConfigError(f"algorithm must be 'psmco' or 'psgd', got {config.algorithm!r}")
+    if config.algorithm == "psgd" and problem != "sigmoid":
         raise ConfigError("the gradient baseline is only defined for the sigmoid problem")
-
-    n = _as_int("n", doc["n"])
-    if n < 1:
-        raise ConfigError("n must be at least 1")
-    m_workers = _as_int("m_workers", doc["m_workers"])
-    n_particles = _as_int("n_particles", doc["n_particles"])
-    batch_size = _as_int("batch_size", doc["batch_size"])
-    if m_workers < 1 or n_particles < 1:
-        raise ConfigError("m_workers and n_particles must be at least 1")
-    if batch_size < 1 or batch_size > n:
-        raise ConfigError(f"batch_size must be in [1, n={n}], got {batch_size}")
-    jitter_var = _as_float("jitter_var", doc["jitter_var"])
-    if jitter_var < 0:
-        raise ConfigError("jitter_var must be non-negative")
-
-    epsilon = doc.get("epsilon")
-    if epsilon is not None:
-        epsilon = _as_float("epsilon", epsilon)
-        cap = 1.0 / math.sqrt(n_particles)
-        if not (0.0 < epsilon <= 1.0) or epsilon > cap:
-            raise ConfigError(
-                f"epsilon must lie in (0, min(1, 1/sqrt(n_particles)={cap:.6g})]"
-            )
-    estimate_every = doc.get("estimate_every", 1)
-    if estimate_every is not None:
-        estimate_every = _as_int("estimate_every", estimate_every)
-        if estimate_every < 1:
-            raise ConfigError("estimate_every must be positive")
-    seed = _as_int("seed", doc.get("seed", 0))
-    data_seed = _as_int("data_seed", doc.get("data_seed", 0))
-    init_point = doc.get("init_point")
-    if init_point is not None:
-        init_point = _as_point("init_point", init_point)
-        if len(init_point) != 2:
-            raise ConfigError("init_point must have 2 coordinates")
-    init_var = _as_float("init_var", doc.get("init_var", 0.0))
-    if init_var < 0:
-        raise ConfigError("init_var must be non-negative")
-    keep = _as_bool("keep_final_particles", doc.get("keep_final_particles", False))
-    step_size = _as_float("step_size", doc.get("step_size", 0.5))
-    if step_size < 0:
-        raise ConfigError("step_size must be non-negative")
-
-    if problem == "mixture":
-        half_width = _as_float("half_width", doc.get("half_width", 50.0))
-        lam = _as_float("lam", doc.get("lam", 10.0))
-        r = _as_float("r", doc.get("r", 0.2))
-        mean_var = _as_float("mean_var", doc.get("mean_var", 0.5))
-        if lam <= 0 or r <= 0 or mean_var < 0:
-            raise ConfigError("need lam > 0, r > 0, mean_var >= 0")
-        extra = dict(lam=lam, r=r, mean_var=mean_var)
-    else:
-        half_width = _as_float("half_width", doc.get("half_width", 200.0))
-        x_low = _as_float("x_low", doc.get("x_low", -2.5))
-        x_high = _as_float("x_high", doc.get("x_high", 2.5))
-        if not x_low < x_high:
-            raise ConfigError("need x_low < x_high")
-        theta_true = _as_point("theta_true", doc.get("theta_true", (1.0, -2.0)))
-        if len(theta_true) != 2:
-            raise ConfigError("theta_true must have 2 coordinates")
-        noise_std = _as_float("noise_std", doc.get("noise_std", 0.0))
-        if noise_std < 0:
-            raise ConfigError("noise_std must be non-negative")
-        extra = dict(x_low=x_low, x_high=x_high, theta_true=theta_true, noise_std=noise_std)
-    if half_width <= 0:
-        raise ConfigError("half_width must be positive")
-
-    return RunConfig(
-        problem=problem,
-        algorithm=algorithm,
-        n=n,
-        m_workers=m_workers,
-        n_particles=n_particles,
-        batch_size=batch_size,
-        jitter_var=jitter_var,
-        epsilon=epsilon,
-        estimate_every=estimate_every,
-        seed=seed,
-        data_seed=data_seed,
-        half_width=half_width,
-        init_point=init_point,
-        init_var=init_var,
-        keep_final_particles=keep,
-        step_size=step_size,
-        **extra,
-    )
+    if not 1 <= config.batch_size <= config.n:
+        raise ConfigError(
+            f"batch_size must be in [1, n={config.n}], got {config.batch_size}"
+        )
+    try:
+        spec = problem_spec(config)
+        to_optimizer_config(config)
+        to_psgd_config(config)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    if config.init_point is not None and len(config.init_point) != spec.dim:
+        raise ConfigError(f"init_point must have {spec.dim} coordinates")
+    return config
 
 
 def emit_config(config: RunConfig) -> dict:
     """Canonical document for a config: every applicable key, no others."""
-    doc = {
-        "problem": config.problem,
-        "algorithm": config.algorithm,
-        "n": config.n,
-        "data_seed": config.data_seed,
-        "half_width": config.half_width,
-        "m_workers": config.m_workers,
-        "n_particles": config.n_particles,
-        "batch_size": config.batch_size,
-        "jitter_var": config.jitter_var,
-        "epsilon": config.epsilon,
-        "estimate_every": config.estimate_every,
-        "seed": config.seed,
-        "init_point": list(config.init_point) if config.init_point is not None else None,
-        "init_var": config.init_var,
-        "keep_final_particles": config.keep_final_particles,
-        "step_size": config.step_size,
-    }
-    if config.problem == "mixture":
-        doc.update(lam=config.lam, r=config.r, mean_var=config.mean_var)
-    else:
-        doc.update(
-            x_low=config.x_low,
-            x_high=config.x_high,
-            theta_true=list(config.theta_true),
-            noise_std=config.noise_std,
-        )
-    return doc
+    doc = {key: getattr(config, key) for key in _SCHEMAS[config.problem]}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
 
 
 def config_to_json(config: RunConfig) -> str:
@@ -347,30 +269,24 @@ def apply_overrides(doc: dict, overrides) -> dict:
     return out
 
 
+def problem_spec(config: RunConfig):
+    """The problem spec dataclass a config describes."""
+    spec = _PROBLEMS[config.problem][0]
+    keys = _PROBLEM_KEYS[config.problem]
+    return spec(**{_SPEC_NAMES.get(k, k): getattr(config, k) for k in keys})
+
+
 def build_problem(config: RunConfig):
     """Instantiate the dataset for a config; returns the problem object."""
-    if config.problem == "mixture":
-        return make_mixture_problem(
-            MixtureProblemSpec(
-                n=config.n,
-                lam=config.lam,
-                r=config.r,
-                mean_var=config.mean_var,
-                seed=config.data_seed,
-                half_width=config.half_width,
-            )
-        )
-    return make_sigmoid_problem(
-        SigmoidProblemSpec(
-            n=config.n,
-            x_low=config.x_low,
-            x_high=config.x_high,
-            theta_true=tuple(config.theta_true),
-            noise_std=config.noise_std,
-            seed=config.data_seed,
-            half_width=config.half_width,
-        )
-    )
+    return _PROBLEMS[config.problem][1](problem_spec(config))
+
+
+def _std(key: str, variance: float) -> float:
+    """Standard deviation for a variance key (only configs use variances)."""
+    try:
+        return math.sqrt(variance)
+    except ValueError:
+        raise ConfigError(f"{key} must be non-negative, got {variance!r}") from None
 
 
 def to_optimizer_config(config: RunConfig) -> OptimizerConfig:
@@ -378,12 +294,12 @@ def to_optimizer_config(config: RunConfig) -> OptimizerConfig:
         m_workers=config.m_workers,
         n_particles=config.n_particles,
         batch_size=config.batch_size,
-        proposal_std=math.sqrt(config.jitter_var),
+        proposal_std=_std("jitter_var", config.jitter_var),
         epsilon=config.epsilon,
         seed=config.seed,
         estimate_every=config.estimate_every,
         init_point=config.init_point,
-        init_std=math.sqrt(config.init_var),
+        init_std=_std("init_var", config.init_var),
         keep_final_particles=config.keep_final_particles,
     )
 
@@ -394,7 +310,7 @@ def to_psgd_config(config: RunConfig) -> PSGDConfig:
         n_chains=config.m_workers,
         step_size=config.step_size,
         init_point=tuple(config.init_point) if config.init_point is not None else (0.0, 0.0),
-        init_std=math.sqrt(config.init_var),
+        init_std=_std("init_var", config.init_var),
         batch_size=config.batch_size,
         iterations=iterations,
         seed=config.seed,

@@ -138,7 +138,7 @@ def build_schedule(
     larger than n.
     """
     if batch_size < 1 or batch_size > n:
-        raise ValueError(f"batch size must be in [1, n]; got {batch_size} with n={n}")
+        raise ValueError(f"batch_size must be in [1, n={n}], got {batch_size}")
     perm = rng.permutation(n)
     return tuple(perm[start:start + batch_size] for start in range(0, n, batch_size))
 

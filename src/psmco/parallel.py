@@ -9,6 +9,7 @@ the seed and its index.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -17,7 +18,7 @@ import numpy as np
 
 from .core import CostModel, SearchSpace, build_schedule
 from .kde import KernelDensitySpec, bandwidth_rule, map_estimate
-from .sampler import JitterKernelSpec, ParticleSystem, init_particles, sampler_step
+from .sampler import JitterKernelSpec, ParticleSystem, init_particles, jitter_epsilon, sampler_step
 
 
 class NoViableWorkerError(RuntimeError):
@@ -40,7 +41,8 @@ class OptimizerConfig:
     estimate_every=None emits a single estimate at the final step;
     estimate_every=1 emits one per step.  Worker m draws from child m of
     SeedSequence(seed).spawn(m_workers), which does not depend on
-    m_workers.
+    m_workers.  The jitter settings are checked by jitter_epsilon, the
+    same rule the run's JitterKernelSpec applies.
     """
 
     m_workers: int
@@ -56,11 +58,12 @@ class OptimizerConfig:
 
     def __post_init__(self):
         if self.m_workers < 1:
-            raise ValueError("need at least one worker")
-        if self.n_particles < 1:
-            raise ValueError("need at least one particle")
+            raise ValueError("m_workers must be at least 1")
+        jitter_epsilon(self.proposal_std, self.n_particles, self.epsilon)
         if self.estimate_every is not None and self.estimate_every < 1:
             raise ValueError("estimate_every must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,8 @@ def run_psmco(
     batches.  At each emission the workers are ranked by cumulative
     log-normalizer, the winner's particle cloud is summarized by its
     KDE mode (bandwidth from the population-size rule), and the full
-    cost is evaluated there.
+    cost is evaluated there.  RunFailureError is raised at the first
+    step after which every worker's cumulative log Z is -inf.
     """
     start = time.perf_counter()
     m_workers = config.m_workers
@@ -159,13 +163,7 @@ def run_psmco(
 
     def emit(iteration: int) -> None:
         cumulative = tuple(s.log_z_cumulative for s in systems)
-        try:
-            winner = select_best_worker(cumulative)
-        except NoViableWorkerError:
-            raise RunFailureError(
-                f"every worker degenerated by iteration {iteration}",
-                log_z_by_step[:iteration],
-            ) from None
+        winner = select_best_worker(cumulative)
         _, theta = map_estimate(kde_spec, systems[winner].particles)
         rows.append(
             EstimateRow(
@@ -177,9 +175,16 @@ def run_psmco(
             )
         )
 
+    # one -inf step normalizer pins a worker's cumulative log Z at -inf
+    dead = set()
     for t in range(total_steps):
         for m in range(m_workers):
-            log_z_by_step[t, m] = sampler_step(systems[m], model, schedules[m][t], kernel)
+            log_z = log_z_by_step[t, m] = sampler_step(systems[m], model, schedules[m][t], kernel)
+            if log_z == -math.inf:
+                dead.add(m)
+        if len(dead) == m_workers:
+            message = f"every worker degenerated by iteration {t + 1}"
+            raise RunFailureError(message, log_z_by_step[:t + 1])
         if (t + 1) % stride == 0 or t + 1 == total_steps:
             emit(t + 1)
 

@@ -19,6 +19,16 @@ from scipy.special import expit
 from .core import CostModel, SearchSpace, logsumexp_last
 
 
+def _check_common(spec) -> None:
+    """Rules shared by both problem specs: n, half_width and the data seed."""
+    if spec.n < 1:
+        raise ValueError("n must be at least 1")
+    if not 0.0 < spec.half_width < math.inf:
+        raise ValueError("half_width must be positive and finite")
+    if spec.seed < 0:
+        raise ValueError("the data seed must be non-negative")
+
+
 # ---------------------------------------------------------------------------
 # four-well Gaussian mixture cost
 
@@ -44,10 +54,10 @@ class MixtureProblemSpec:
     )
     seed: int = 0
     half_width: float = 50.0
+    dim = 2  # the normalizer in make_mixture_problem is the 2-d one
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one component")
+        _check_common(self)
         if self.lam <= 0 or self.r <= 0 or self.mean_var < 0:
             raise ValueError("lam and r must be positive, mean_var non-negative")
 
@@ -153,12 +163,14 @@ class SigmoidProblemSpec:
     noise_std: float = 0.0
     seed: int = 0
     half_width: float = 200.0
+    dim = 2  # theta = (intercept, slope)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one component")
+        _check_common(self)
         if not self.x_low < self.x_high:
             raise ValueError("need x_low < x_high")
+        if len(self.theta_true) != self.dim:
+            raise ValueError(f"theta_true must have {self.dim} coordinates")
         if self.noise_std < 0:
             raise ValueError("noise_std must be non-negative")
 

@@ -24,15 +24,32 @@ from .core import (
 )
 
 
+def jitter_epsilon(proposal_std: float, n_particles: int, epsilon: Optional[float]) -> float:
+    """The move probability of a valid jitter setting: epsilon, or the cap
+    1/sqrt(n_particles) when epsilon is None.  epsilon may not exceed the
+    cap, which keeps the per-step perturbation small enough for the
+    population size; an invalid setting raises ValueError naming it."""
+    if n_particles < 1:
+        raise ValueError("n_particles must be at least 1")
+    if not (proposal_std >= 0.0 and math.isfinite(proposal_std)):
+        raise ValueError("proposal_std must be finite and non-negative")
+    cap = 1.0 / math.sqrt(n_particles)
+    eps = cap if epsilon is None else epsilon
+    if not 0.0 < eps <= min(1.0, cap):
+        raise ValueError(
+            f"epsilon must lie in (0, min(1, 1/sqrt(n_particles)={cap:.6g})], got {eps}"
+        )
+    return eps
+
+
 @dataclass(frozen=True)
 class JitterKernelSpec:
     """Sticky Gaussian move: keep the particle with probability 1-epsilon,
     otherwise add isotropic N(0, proposal_std**2 I) noise and clip back
     into the box.
 
-    epsilon may not exceed 1/sqrt(n_particles); that cap keeps the
-    per-step perturbation small enough for the population size.  When
-    epsilon is omitted it defaults to the cap itself.
+    The settings obey jitter_epsilon; an omitted epsilon becomes the cap
+    1/sqrt(n_particles) itself.
     """
 
     space: SearchSpace
@@ -41,21 +58,8 @@ class JitterKernelSpec:
     epsilon: Optional[float] = None
 
     def __post_init__(self):
-        if self.n_particles < 1:
-            raise ValueError("need at least one particle")
-        if not (self.proposal_std >= 0.0 and math.isfinite(self.proposal_std)):
-            raise ValueError("proposal_std must be finite and non-negative")
-        cap = 1.0 / math.sqrt(self.n_particles)
-        eps = self.epsilon
-        if eps is None:
-            eps = cap
-            object.__setattr__(self, "epsilon", eps)
-        if not (0.0 < eps <= 1.0):
-            raise ValueError("epsilon must lie in (0, 1]")
-        if eps > cap:
-            raise ValueError(
-                f"epsilon={eps} exceeds 1/sqrt(N)={cap} for N={self.n_particles}"
-            )
+        eps = jitter_epsilon(self.proposal_std, self.n_particles, self.epsilon)
+        object.__setattr__(self, "epsilon", eps)
 
 
 @dataclass

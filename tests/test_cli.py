@@ -318,6 +318,11 @@ def test_run_exit_codes(tmp_path, capsys):
     assert "epsilon" in capsys.readouterr().err
     assert run_cli(*MIX_ARGS, "--seed", "-3", "--out", str(tmp_path / "s")) == 2
     assert "non-negative" in capsys.readouterr().err
+    # values that only fail once a run starts are still configuration errors
+    for override in ("seed=-1", "data_seed=-1", "half_width=Infinity", "jitter_var=NaN"):
+        assert run_cli(*MIX_ARGS, "--override", override, "--out", str(tmp_path / "o")) == 2
+    assert run_cli("gen-data", "--profile", "mixture-5.1", "--seed", "-1",
+                   "--out", str(tmp_path / "o")) == 2
     assert not (tmp_path / "o").exists()
 
 
@@ -339,6 +344,17 @@ def test_run_failure_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_psmco", boom)
     assert run_cli(*MIX_ARGS, "--out", str(tmp_path / "f")) == 3
+
+
+def test_value_error_inside_run_is_not_a_config_error(tmp_path, monkeypatch):
+    from psmco import cli
+
+    def boom(*a, **kw):
+        raise ValueError("bug inside a run")
+
+    monkeypatch.setattr(cli, "run_psmco", boom)
+    with pytest.raises(ValueError, match="bug inside a run"):
+        run_cli(*MIX_ARGS, "--out", str(tmp_path / "f"))  # never exit 2
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +453,18 @@ def test_compare_error_cases(tmp_path, capsys):
         "--psgd", str(tmp_path / "x2.csv"),
         "--out", str(out),
     ) == 2  # at most two baselines
+
+
+def test_compare_malformed_rows(tmp_path, capsys):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    write_trace(good, "sigmoid", [(1, 2.0)])
+    out = tmp_path / "never.csv"
+    for row in ("sigmoid,1", "sigmoid,one,2.0", "sigmoid,1,2.0,3.0"):
+        bad.write_text(f"problem,t,f_best\n{row}\n")
+        for argv in (["--psmco", str(bad)], ["--psmco", str(good), "--psgd", str(bad)]):
+            assert run_cli("compare", *argv, "--out", str(out)) == 2
+            assert str(bad) in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
