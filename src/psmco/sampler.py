@@ -35,10 +35,8 @@ def jitter_epsilon(proposal_std: float, n_particles: int, epsilon: Optional[floa
         raise ValueError("proposal_std must be finite and non-negative")
     cap = 1.0 / math.sqrt(n_particles)
     eps = cap if epsilon is None else epsilon
-    if not 0.0 < eps <= min(1.0, cap):
-        raise ValueError(
-            f"epsilon must lie in (0, min(1, 1/sqrt(n_particles)={cap:.6g})], got {eps}"
-        )
+    if not 0.0 < eps <= cap:  # cap <= 1, so eps is a probability
+        raise ValueError(f"epsilon must lie in (0, 1/sqrt(n_particles)={cap:.6g}], got {eps}")
     return eps
 
 
