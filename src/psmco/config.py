@@ -309,7 +309,7 @@ def to_psgd_config(config: RunConfig) -> PSGDConfig:
     return PSGDConfig(
         n_chains=config.m_workers,
         step_size=config.step_size,
-        init_point=tuple(config.init_point) if config.init_point is not None else (0.0, 0.0),
+        init_point=config.init_point or (0.0, 0.0),
         init_std=_std("init_var", config.init_var),
         batch_size=config.batch_size,
         iterations=iterations,
