@@ -283,10 +283,9 @@ def build_problem(config: RunConfig):
 
 def _std(key: str, variance: float) -> float:
     """Standard deviation for a variance key (only configs use variances)."""
-    try:
-        return math.sqrt(variance)
-    except ValueError:
-        raise ConfigError(f"{key} must be non-negative, got {variance!r}") from None
+    if not (variance >= 0 and math.isfinite(variance)):
+        raise ConfigError(f"{key} must be finite and non-negative, got {variance!r}")
+    return math.sqrt(variance)
 
 
 def to_optimizer_config(config: RunConfig) -> OptimizerConfig:

@@ -96,6 +96,10 @@ class CostModel:
     0-based internally.  batch_eval, when given, takes (indices, thetas)
     with thetas of shape (P, d) and returns the (P,) array of summed
     component values over the batch; it must agree with component_eval.
+    stacked=True declares that batch_eval also takes the stacked form,
+    indices (W, K) and thetas (W, N, d) -> (W, N), whose row w equals
+    batch_eval(indices[w], thetas[w]) bit for bit; log_potentials then
+    evaluates all workers in one call instead of one call per worker.
     Evaluations must be deterministic.
     """
 
@@ -103,6 +107,7 @@ class CostModel:
     component_eval: Callable[[int, np.ndarray], float]
     batch_eval: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     name: str = "cost"
+    stacked: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -160,50 +165,64 @@ def log_potential(model: CostModel, batch: Sequence[int], theta: np.ndarray) -> 
 
 
 def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Vectorized log G over the rows of thetas, shape (P,).
+    """Vectorized log G, stacked over workers: batch (W, K) and thetas
+    (W, N, d) give the (W, N) array whose row w is worker w's batch
+    potential at its particles.  The single-worker form, batch (K,) and
+    thetas (P, d), gives (P,).
 
-    Uses the model's batch_eval fast path when available; a non-finite
-    batch sum triggers a scalar rescan to locate the offending component.
+    A stacked model is evaluated in one batch_eval call, any other
+    batch_eval one worker at a time, and a model without one point by
+    point.  A non-finite batch sum triggers a scalar rescan to locate the
+    offending component.
     """
     batch = np.asarray(batch)
     thetas = np.asarray(thetas, dtype=float)
+    if batch.ndim == 1:
+        return log_potentials(model, batch[None], thetas[None])[0]
     if model.batch_eval is None:
-        return np.array([log_potential(model, batch, t) for t in thetas])
-    sums = np.asarray(model.batch_eval(batch, thetas), dtype=float)
+        return np.array([[log_potential(model, b, t) for t in pts] for b, pts in zip(batch, thetas)])
+    if model.stacked:
+        sums = np.asarray(model.batch_eval(batch, thetas), dtype=float)
+    else:
+        sums = np.array([model.batch_eval(b, pts) for b, pts in zip(batch, thetas)], dtype=float)
     bad = ~np.isfinite(sums)
     if bad.any():
-        # Rescan component-by-component at the first bad point to attribute
-        # the failure.  A batch sum of +inf with every component finite is
-        # plain overflow; represent it as log G = -inf instead of an error.
-        for p in np.nonzero(bad)[0]:
-            for i in batch:
-                v = float(model.component_eval(int(i), thetas[p]))
+        # Rescan component-by-component at the bad points, in worker then
+        # particle order, to attribute the failure.  A batch sum of +inf
+        # with every component finite is plain overflow; represent it as
+        # log G = -inf instead of an error.
+        for w, p in zip(*np.nonzero(bad)):
+            for i in batch[w]:
+                v = float(model.component_eval(int(i), thetas[w, p]))
                 if not np.isfinite(v):
-                    raise EvaluationError(int(i), thetas[p], v)
+                    raise EvaluationError(int(i), thetas[w, p], v)
         sums = sums.copy()
         sums[bad & (sums > 0)] = np.inf
         still_bad = ~np.isfinite(sums) & ~(sums == np.inf)
         if still_bad.any():
-            p = int(np.nonzero(still_bad)[0][0])
-            raise EvaluationError(-1, thetas[p], float(sums[p]))
+            w, p = (int(a[0]) for a in np.nonzero(still_bad))
+            raise EvaluationError(-1, thetas[w, p], float(sums[w, p]))
     return -sums
 
 
-def normalize_log_weights(log_w: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Normalize log-weights by the max-shift trick.
+def normalize_log_weights(log_w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Normalize log-weights over the last axis by the max-shift trick.
 
-    With m = max(log_w) and log_norm = log(sum(exp(log_w - m))), returns
-    (m + log_norm, (log_w - m) - log_norm): the log of the plain-domain
-    total, and log-weights whose exp sums to one.  Shift-invariant by
-    construction.  Raises DegenerateWeightsError when every entry is
-    -inf, and ValueError on NaN or +inf.
+    With m = max(log_w) and log_norm = log(sum(exp(log_w - m))) per row,
+    returns (m + log_norm, (log_w - m) - log_norm): the log of each row's
+    plain-domain total, and log-weights whose exp sums to one along the
+    row.  Shift-invariant by construction.  A row that is all -inf is
+    degenerate: its total is -inf and its log-weights stay -inf.  Raises
+    DegenerateWeightsError when every row is degenerate, and ValueError
+    on NaN or +inf.
     """
     log_w = np.asarray(log_w, dtype=float)
     if np.isnan(log_w).any() or (log_w == np.inf).any():
         raise ValueError("log-weights must be in [-inf, inf)")
-    m = np.max(log_w)
-    if m == -np.inf:
+    m = np.max(log_w, axis=-1, keepdims=True)
+    live = m > -np.inf
+    if not live.any():
         raise DegenerateWeightsError("all log-weights are -inf")
-    shifted = log_w - m
-    log_norm = np.log(np.sum(np.exp(shifted)))
-    return m + log_norm, shifted - log_norm
+    shifted = log_w - np.where(live, m, 0.0)  # degenerate rows stay -inf
+    log_norm = np.log(np.where(live, np.sum(np.exp(shifted), axis=-1, keepdims=True), 1.0))
+    return np.where(live, m + log_norm, -np.inf)[..., 0], shifted - log_norm

@@ -4,7 +4,9 @@ normalizer estimates, with the point estimate read off the best worker.
 Workers never exchange particles.  Each one owns an RNG stream spawned
 from the master seed, builds its own mini-batch schedule, and runs the
 same number of steps; a worker's trajectory therefore depends only on
-the seed and its index.
+the seed and its index.  All workers advance together: their states are
+stacked into one ParticleSystem and each step is one sampler_step over
+the (M, K) batches of that step.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .core import CostModel, SearchSpace, build_schedule
 from .kde import KernelDensitySpec, bandwidth_rule, map_estimate
-from .sampler import JitterKernelSpec, ParticleSystem, init_particles, jitter_epsilon, sampler_step
+from .sampler import JitterKernelSpec, init_particles, jitter_epsilon, sampler_step
 
 
 class NoViableWorkerError(RuntimeError):
@@ -60,6 +62,10 @@ class OptimizerConfig:
         if self.m_workers < 1:
             raise ValueError("m_workers must be at least 1")
         jitter_epsilon(self.proposal_std, self.n_particles, self.epsilon)
+        if not (self.init_std >= 0 and math.isfinite(self.init_std)):
+            raise ValueError("init_std must be finite and non-negative")
+        if self.init_point is not None and not all(math.isfinite(v) for v in self.init_point):
+            raise ValueError("init_point must be finite")
         if self.estimate_every is not None and self.estimate_every < 1:
             raise ValueError("estimate_every must be positive")
         if self.seed < 0:
@@ -133,56 +139,55 @@ def run_psmco(
     if config.init_point is not None:
         init_point = np.asarray(config.init_point, dtype=float)
 
-    systems: List[ParticleSystem] = []
-    schedules = []
     kernel = JitterKernelSpec(
         space=space,
         proposal_std=config.proposal_std,
         n_particles=config.n_particles,
         epsilon=config.epsilon,
     )
-    for rng in rngs:
-        schedules.append(build_schedule(model.n, config.batch_size, rng))
-        systems.append(
-            init_particles(
-                space,
-                config.n_particles,
-                rng,
-                init_point=init_point,
-                init_std=config.init_std,
-            )
-        )
+    # row m is worker m's permutation; step t's batches are its columns
+    # [t*K, (t+1)*K), the last step taking the remainder
+    schedule = np.empty((m_workers, model.n), dtype=np.intp)
+    for row, rng in zip(schedule, rngs):
+        np.concatenate(build_schedule(model.n, config.batch_size, rng), out=row)
+    system = init_particles(
+        space, config.n_particles, rngs, init_point=init_point, init_std=config.init_std
+    )
 
-    total_steps = len(schedules[0])
+    batch_size = config.batch_size
+    total_steps = -(-model.n // batch_size)
     stride = config.estimate_every if config.estimate_every is not None else total_steps
     log_z_by_step = np.empty((total_steps, m_workers))
     rows: List[EstimateRow] = []
     kde_spec = KernelDensitySpec(
         dim=space.dim, bandwidth=bandwidth_rule(config.n_particles, space.dim)
     )
+    costs = {}  # theta bytes -> full cost; emissions repeat thetas often
 
     def emit(iteration: int) -> None:
-        cumulative = tuple(s.log_z_cumulative for s in systems)
+        cumulative = tuple(system.log_z_cumulative.tolist())
         winner = select_best_worker(cumulative)
-        _, theta = map_estimate(kde_spec, systems[winner].particles)
+        _, theta = map_estimate(kde_spec, system.particles[winner])
+        key = theta.tobytes()
+        if key not in costs:
+            costs[key] = model.total_cost(theta)
         rows.append(
             EstimateRow(
                 iteration=iteration,
                 worker=winner,
                 log_z=cumulative,
                 theta=theta,
-                f_value=model.total_cost(theta),
+                f_value=costs[key],
             )
         )
 
     # one -inf step normalizer pins a worker's cumulative log Z at -inf
-    dead = set()
+    dead = np.zeros(m_workers, dtype=bool)
     for t in range(total_steps):
-        for m in range(m_workers):
-            log_z = log_z_by_step[t, m] = sampler_step(systems[m], model, schedules[m][t], kernel)
-            if log_z == -math.inf:
-                dead.add(m)
-        if len(dead) == m_workers:
+        batches = schedule[:, t * batch_size:(t + 1) * batch_size]
+        log_z = log_z_by_step[t] = sampler_step(system, model, batches, kernel)
+        dead |= log_z == -math.inf
+        if dead.all():
             message = f"every worker degenerated by iteration {t + 1}"
             raise RunFailureError(message, log_z_by_step[:t + 1])
         if (t + 1) % stride == 0 or t + 1 == total_steps:
@@ -196,9 +201,7 @@ def run_psmco(
         log_z=last.log_z[last.worker],
         f_value=last.f_value,
     )
-    final_particles = None
-    if config.keep_final_particles:
-        final_particles = np.stack([s.particles for s in systems])
+    final_particles = system.particles if config.keep_final_particles else None
     record = RunRecord(
         problem=problem_name,
         config=config,

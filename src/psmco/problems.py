@@ -18,6 +18,45 @@ from scipy.special import expit
 
 from .core import CostModel, SearchSpace, logsumexp_last
 
+# Elements in one temporary of a stacked kernel call: workers are
+# evaluated in blocks of as many as fit, and at least one.
+STACK_BUDGET = 1 << 18
+
+
+def _batch_kernel(block_eval, chunk_budget: int, per_pair: int):
+    """A batch_eval over block_eval((..., K), (..., P, d)) -> (..., P),
+    whose temporaries hold per_pair elements per (point, index) pair.
+
+    Single-worker input, (K,) and (P, d), is evaluated in chunks of at
+    most chunk_budget elements per temporary; stacked input, (W, K) and
+    (W, N, d), in blocks of workers under STACK_BUDGET, a worker too big
+    for a block on its own going through the single-worker chunks.
+    """
+
+    def chunked(indices: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        out = np.empty(thetas.shape[0])
+        chunk = max(1, chunk_budget // (per_pair * max(1, indices.size)))
+        for start in range(0, thetas.shape[0], chunk):
+            out[start:start + chunk] = block_eval(indices, thetas[start:start + chunk])
+        return out
+
+    def batch_eval(indices: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        indices = np.asarray(indices)
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim == 2:
+            return chunked(indices, thetas)
+        out = np.empty(thetas.shape[:2])
+        per_worker = thetas.shape[1] * per_pair * max(1, indices.shape[1])
+        step = max(1, STACK_BUDGET // max(1, per_worker))
+        for w in range(0, thetas.shape[0], step):
+            if step == 1:
+                out[w] = chunked(indices[w], thetas[w])
+            else:
+                out[w:w + step] = block_eval(indices[w:w + step], thetas[w:w + step])
+        return out
+
+    return batch_eval
+
 
 def _check_common(spec) -> None:
     """Rules shared by both problem specs: n, half_width and the data seed."""
@@ -58,8 +97,10 @@ class MixtureProblemSpec:
 
     def __post_init__(self):
         _check_common(self)
-        if self.lam <= 0 or self.r <= 0 or self.mean_var < 0:
-            raise ValueError("lam and r must be positive, mean_var non-negative")
+        if not all(v > 0 and math.isfinite(v) for v in (self.lam, self.r)):
+            raise ValueError("lam and r must be positive and finite")
+        if not (self.mean_var >= 0 and math.isfinite(self.mean_var)):
+            raise ValueError("mean_var must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -86,22 +127,19 @@ def make_mixture_problem(spec: MixtureProblemSpec) -> MixtureProblem:
         sq = np.einsum("kd,kd->k", diff, diff)
         return float(-(logsumexp_last(-sq * inv_two_r) - log_norm) / spec.lam)
 
-    def batch_eval(indices: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        indices = np.asarray(indices)
-        thetas = np.asarray(thetas, dtype=float)
-        m = means[indices]  # (K, 4, 2)
-        out = np.empty(thetas.shape[0])
-        chunk = max(1, (1 << 22) // max(1, m.shape[0] * k_parts * d))
-        for start in range(0, thetas.shape[0], chunk):
-            block = thetas[start:start + chunk]
-            diff = block[:, None, None, :] - m[None, :, :, :]  # (P, K, 4, 2)
-            sq = np.einsum("pkcd,pkcd->pkc", diff, diff)
-            inner = logsumexp_last(-sq * inv_two_r) - log_norm  # (P, K)
-            out[start:start + block.shape[0]] = -inner.sum(axis=1) / spec.lam
-        return out
+    def block_eval(indices: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        m = means[indices][..., None, :, :, :]  # (..., 1, K, 4, 2)
+        diff = thetas[..., None, None, :] - m  # (..., P, K, 4, 2)
+        sq = np.einsum("...kcd,...kcd->...kc", diff, diff)
+        inner = logsumexp_last(-sq * inv_two_r) - log_norm  # (..., P, K)
+        return -inner.sum(axis=-1) / spec.lam
 
     model = CostModel(
-        n=spec.n, component_eval=component_eval, batch_eval=batch_eval, name="mixture"
+        n=spec.n,
+        component_eval=component_eval,
+        batch_eval=_batch_kernel(block_eval, 1 << 22, k_parts * d),
+        name="mixture",
+        stacked=True,
     )
     space = SearchSpace(
         lower=np.full(d, -spec.half_width), upper=np.full(d, spec.half_width)
@@ -167,12 +205,14 @@ class SigmoidProblemSpec:
 
     def __post_init__(self):
         _check_common(self)
-        if not self.x_low < self.x_high:
-            raise ValueError("need x_low < x_high")
+        if not (math.isfinite(self.x_low) and math.isfinite(self.x_high) and self.x_low < self.x_high):
+            raise ValueError("need finite x_low < x_high")
         if len(self.theta_true) != self.dim:
             raise ValueError(f"theta_true must have {self.dim} coordinates")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
+        if not all(math.isfinite(v) for v in self.theta_true):
+            raise ValueError("theta_true must be finite")
+        if not (self.noise_std >= 0 and math.isfinite(self.noise_std)):
+            raise ValueError("noise_std must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -206,22 +246,19 @@ def make_sigmoid_problem(spec: SigmoidProblemSpec) -> SigmoidProblem:
         g = expit(theta[0] + theta[1] * x[i])
         return float((y[i] - g) ** 2)
 
-    def batch_eval(indices: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        indices = np.asarray(indices)
-        thetas = np.asarray(thetas, dtype=float)
-        xb = x[indices]
-        yb = y[indices]
-        out = np.empty(thetas.shape[0])
-        chunk = max(1, (1 << 23) // max(1, xb.size))
-        for start in range(0, thetas.shape[0], chunk):
-            block = thetas[start:start + chunk]
-            z = block[:, 0][:, None] + block[:, 1][:, None] * xb[None, :]
-            resid = yb[None, :] - expit(z)
-            out[start:start + block.shape[0]] = np.einsum("pk,pk->p", resid, resid)
-        return out
+    def block_eval(indices: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        xb = x[indices][..., None, :]  # (..., 1, K)
+        yb = y[indices][..., None, :]
+        z = thetas[..., 0, None] + thetas[..., 1, None] * xb  # (..., P, K)
+        resid = yb - expit(z)
+        return np.einsum("...k,...k->...", resid, resid)
 
     model = CostModel(
-        n=spec.n, component_eval=component_eval, batch_eval=batch_eval, name="sigmoid"
+        n=spec.n,
+        component_eval=component_eval,
+        batch_eval=_batch_kernel(block_eval, 1 << 23, 1),
+        name="sigmoid",
+        stacked=True,
     )
     space = SearchSpace(
         lower=np.full(2, -spec.half_width), upper=np.full(2, spec.half_width)
@@ -258,10 +295,12 @@ class PSGDConfig:
             raise ValueError("batch size must be positive")
         if self.iterations < 0:
             raise ValueError("iterations must be non-negative")
-        if self.step_size < 0:
-            raise ValueError("step_size must be non-negative")
-        if self.init_std < 0:
-            raise ValueError("init_std must be non-negative")
+        if not (self.step_size >= 0 and math.isfinite(self.step_size)):
+            raise ValueError("step_size must be finite and non-negative")
+        if not (self.init_std >= 0 and math.isfinite(self.init_std)):
+            raise ValueError("init_std must be finite and non-negative")
+        if not all(math.isfinite(v) for v in self.init_point):
+            raise ValueError("init_point must be finite")
 
 
 @dataclass

@@ -1,0 +1,149 @@
+"""Reference sampler: one worker at a time, in plain loops.
+
+This is the single-worker jitter / weight / resample step the stacked
+engine in psmco.sampler replaced, kept as a test oracle.  It shares no
+code with the engine's phases: the engine must reproduce it bit for bit,
+consuming each worker's random stream in the same order.  `run` drives
+M of these samplers exactly as psmco.parallel.run_psmco documents.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from psmco.core import (
+    CostModel,
+    DegenerateWeightsError,
+    EvaluationError,
+    SearchSpace,
+    build_schedule,
+    clip_to_space,
+    log_potential,
+)
+from psmco.kde import KernelDensitySpec, bandwidth_rule, map_estimate
+from psmco.parallel import OptimizerConfig, RunFailureError, select_best_worker
+from psmco.sampler import JitterKernelSpec
+
+
+@dataclass
+class ParticleSystem:
+    particles: np.ndarray  # (N, d)
+    space: SearchSpace
+    rng: np.random.Generator
+    iteration: int = 0
+    log_z_cumulative: float = 0.0
+    log_z_steps: list = field(default_factory=list)
+
+
+def init_particles(space, n_particles, rng, init_point=None, init_std=0.0) -> ParticleSystem:
+    d = space.dim
+    if init_point is None:
+        pts = space.lower + rng.random((n_particles, d)) * (space.upper - space.lower)
+    else:
+        pts = np.asarray(init_point, dtype=float) + rng.normal(0.0, init_std, size=(n_particles, d))
+        pts = clip_to_space(pts, space)
+    return ParticleSystem(particles=pts, space=space, rng=rng)
+
+
+def jitter(system: ParticleSystem, kernel: JitterKernelSpec) -> int:
+    n, d = system.particles.shape
+    move = system.rng.random(n) < kernel.epsilon
+    noise = system.rng.normal(0.0, kernel.proposal_std, size=(n, d))
+    out = system.particles.copy()
+    out[move] += noise[move]
+    system.particles = clip_to_space(out, system.space)
+    return int(move.sum())
+
+
+def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """log G at each row of thetas, through the model's single-worker
+    batch_eval when it has one."""
+    if model.batch_eval is None:
+        return np.array([log_potential(model, batch, t) for t in thetas])
+    sums = np.asarray(model.batch_eval(batch, thetas), dtype=float)
+    bad = ~np.isfinite(sums)
+    if bad.any():
+        for p in np.nonzero(bad)[0]:
+            for i in batch:
+                v = float(model.component_eval(int(i), thetas[p]))
+                if not np.isfinite(v):
+                    raise EvaluationError(int(i), thetas[p], v)
+        sums = sums.copy()
+        sums[bad & (sums > 0)] = np.inf
+    return -sums
+
+
+def normalize_log_weights(log_w: np.ndarray):
+    m = np.max(log_w)
+    if m == -np.inf:
+        raise DegenerateWeightsError("all log-weights are -inf")
+    shifted = log_w - m
+    log_norm = np.log(np.sum(np.exp(shifted)))
+    return m + log_norm, shifted - log_norm
+
+
+def weight_and_accumulate(system: ParticleSystem, model: CostModel, batch: np.ndarray) -> np.ndarray:
+    log_g = log_potentials(model, batch, system.particles)
+    try:
+        log_total, log_w = normalize_log_weights(log_g)
+    except DegenerateWeightsError:
+        system.log_z_steps.append(-math.inf)
+        system.log_z_cumulative += -math.inf
+        raise
+    log_z_t = float(log_total - math.log(system.particles.shape[0]))
+    system.log_z_steps.append(log_z_t)
+    system.log_z_cumulative += log_z_t
+    return log_w
+
+
+def draw_ancestors(log_w: np.ndarray, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+    cum = np.cumsum(np.exp(log_w))
+    cum[-1] = 1.0
+    return np.searchsorted(cum, rng.random(n_draws), side="left")
+
+
+def resample_multinomial(system: ParticleSystem, log_w: np.ndarray) -> None:
+    idx = draw_ancestors(log_w, system.particles.shape[0], system.rng)
+    system.particles = system.particles[idx].copy()
+
+
+def sampler_step(system, model, batch, kernel) -> float:
+    jitter(system, kernel)
+    try:
+        log_w = weight_and_accumulate(system, model, batch)
+    except DegenerateWeightsError:
+        pass
+    else:
+        resample_multinomial(system, log_w)
+    system.iteration += 1
+    return system.log_z_steps[-1]
+
+
+def run(model: CostModel, space: SearchSpace, config: OptimizerConfig):
+    """(log_z_by_step (T, M), final particles (M, N, d), emission rows as
+    (iteration, worker, log_z tuple, theta, f_value)) of a run_psmco run."""
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(config.seed).spawn(config.m_workers)]
+    kernel = JitterKernelSpec(space, config.proposal_std, config.n_particles, config.epsilon)
+    schedules, systems = [], []
+    for rng in rngs:
+        schedules.append(build_schedule(model.n, config.batch_size, rng))
+        systems.append(init_particles(space, config.n_particles, rng, config.init_point, config.init_std))
+    total = len(schedules[0])
+    stride = config.estimate_every or total
+    kde = KernelDensitySpec(dim=space.dim, bandwidth=bandwidth_rule(config.n_particles, space.dim))
+    log_z_by_step = np.empty((total, config.m_workers))
+    rows = []
+    for t in range(total):
+        for m, system in enumerate(systems):
+            log_z_by_step[t, m] = sampler_step(system, model, schedules[m][t], kernel)
+        if (log_z_by_step[:t + 1] == -math.inf).any(axis=0).all():
+            raise RunFailureError("every worker degenerated", log_z_by_step[:t + 1])
+        if (t + 1) % stride == 0 or t + 1 == total:
+            cumulative = tuple(s.log_z_cumulative for s in systems)
+            winner = select_best_worker(cumulative)
+            _, theta = map_estimate(kde, systems[winner].particles)
+            rows.append((t + 1, winner, cumulative, theta, model.total_cost(theta)))
+    return log_z_by_step, np.stack([s.particles for s in systems]), rows

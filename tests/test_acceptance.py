@@ -136,9 +136,9 @@ def test_criterion_3_monte_carlo_rate(capsys):
         errs = np.empty(200)
         for run in range(200):
             rng = np.random.default_rng(np.random.SeedSequence((3, n_particles, run)))
-            system = init_particles(space, n_particles, rng)
-            w = weight_and_accumulate(system, model, np.array([0]))
-            errs[run] = np.exp(w) @ system.particles[:, 0]
+            system = init_particles(space, n_particles, [rng])  # one worker
+            w = weight_and_accumulate(system, model, np.array([[0]]))
+            errs[run] = np.exp(w[0]) @ system.particles[0, :, 0]
         return float(np.sqrt(np.mean(errs**2)))
 
     ratio = rmse(250) / rmse(1000)
@@ -211,7 +211,7 @@ def test_criterion_7_jitter_move_probability_bound(capsys):
     hits = 0
     counts = []
     for rep in range(20):
-        system = init_particles(space, 10000, np.random.default_rng(500 + rep))
+        system = init_particles(space, 10000, [np.random.default_rng(500 + rep)])  # one worker
         moved = jitter(system, kernel)
         counts.append(moved)
         hits += int(lo <= moved <= hi)

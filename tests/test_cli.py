@@ -119,6 +119,13 @@ def test_constraint_violations():
         (base, "lam", 0), (base, "r", 0), (base, "mean_var", -1),
         (sig, "x_low", 2.5), (sig, "noise_std", -1),
         (sig, "theta_true", [1.0, -2.0, 0.0]), (sig, "init_point", [-190.0, 0.0, 0.0]),
+        # non-finite values, which JSON documents and overrides can carry
+        (base, "lam", math.nan), (base, "r", math.nan), (base, "mean_var", math.inf),
+        (base, "init_var", math.nan), (base, "init_var", math.inf), (base, "jitter_var", math.nan),
+        (sig, "noise_std", math.nan), (sig, "noise_std", math.inf),
+        (sig, "step_size", math.nan), (sig, "step_size", math.inf),
+        (sig, "x_low", -math.inf), (sig, "x_high", math.inf),
+        (sig, "theta_true", [math.nan, -2.0]), (sig, "init_point", [math.nan, 0.0]),
     ]
     for doc, key, value in cases:
         with pytest.raises(ConfigError, match=rf"\b{key}\b"):
@@ -319,7 +326,8 @@ def test_run_exit_codes(tmp_path, capsys):
     assert run_cli(*MIX_ARGS, "--seed", "-3", "--out", str(tmp_path / "s")) == 2
     assert "non-negative" in capsys.readouterr().err
     # values that only fail once a run starts are still configuration errors
-    for override in ("seed=-1", "data_seed=-1", "half_width=Infinity", "jitter_var=NaN"):
+    for override in ("seed=-1", "data_seed=-1", "half_width=Infinity", "jitter_var=NaN",
+                     "lam=NaN", "mean_var=Infinity", "init_var=NaN"):
         assert run_cli(*MIX_ARGS, "--override", override, "--out", str(tmp_path / "o")) == 2
     assert run_cli("gen-data", "--profile", "mixture-5.1", "--seed", "-1",
                    "--out", str(tmp_path / "o")) == 2

@@ -177,6 +177,30 @@ def test_log_potentials_nonfinite_rescan_attributes_component():
     assert exc.value.index == 2
 
 
+def test_stacked_log_potentials_attribute_bad_component_to_its_worker():
+    """Stacked batches (W, K): a non-finite component inside worker 1's
+    batch is reported with its index and worker 1's point."""
+    def comp(i, th):
+        return math.nan if i == 5 and th[0] > 0 else float(th @ th)
+
+    def batch(idx, thetas):
+        idx = np.asarray(idx)
+        out = idx.shape[-1] * np.einsum("...d,...d->...", thetas, thetas)
+        bad = (idx == 5).any(axis=-1)[..., None] & (thetas[..., 0] > 0)
+        return np.where(bad, np.nan, out)
+
+    thetas = np.array([[[1.0, 0.0], [2.0, 0.0]], [[-1.0, 0.0], [3.0, 1.0]]])
+    batches = np.array([[0, 1], [4, 5]])
+    for stacked in (True, False):
+        model = CostModel(n=6, component_eval=comp, batch_eval=batch, stacked=stacked)
+        with pytest.raises(EvaluationError) as exc:
+            log_potentials(model, batches, thetas)
+        assert exc.value.index == 5
+        np.testing.assert_array_equal(exc.value.theta, [3.0, 1.0])
+    fine = log_potentials(model, np.array([[0, 1], [2, 3]]), thetas)
+    np.testing.assert_array_equal(fine, -2 * np.einsum("wpd,wpd->wp", thetas, thetas))
+
+
 def test_log_potentials_overflowing_sum_of_finite_components():
     # each component is finite but the batch sum overflows; that is a
     # legitimate log G = -inf, not an evaluation failure
@@ -265,6 +289,17 @@ def test_normalize_sums_to_one():
 def test_normalize_all_minus_inf_degenerate():
     with pytest.raises(DegenerateWeightsError):
         normalize_log_weights(np.full(4, -np.inf))
+
+
+def test_normalize_rows_independently_with_degenerate_row():
+    rows = np.array([np.log([1.0, 3.0]), [-np.inf, -np.inf], [-1000.0, -1000.0]])
+    log_total, out = normalize_log_weights(rows)
+    for r in (0, 2):
+        want_total, want = normalize_log_weights(rows[r])
+        assert log_total[r] == want_total
+        assert out[r].tobytes() == want.tobytes()
+    assert log_total[1] == -np.inf
+    assert (out[1] == -np.inf).all()
 
 
 def test_normalize_rejects_nan_and_plus_inf():

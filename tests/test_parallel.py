@@ -117,15 +117,15 @@ def test_single_worker_reduces_to_plain_sampler():
 
     rng = np.random.default_rng(np.random.SeedSequence(11).spawn(1)[0])
     sched = build_schedule(24, 2, rng)
-    system = init_particles(prob.space, 20, rng)
+    system = init_particles(prob.space, 20, [rng])
     kernel = JitterKernelSpec(space=prob.space, proposal_std=0.5, n_particles=20)
     for batch in sched:
-        sampler_step(system, prob.model, batch, kernel)
+        sampler_step(system, prob.model, batch[None], kernel)
     spec = KernelDensitySpec(dim=2, bandwidth=bandwidth_rule(20, 2))
-    _, theta = map_estimate(spec, system.particles)
+    _, theta = map_estimate(spec, system.particles[0])
 
     np.testing.assert_array_equal(final.theta, theta)
-    assert final.log_z == system.log_z_cumulative
+    assert final.log_z == system.log_z_cumulative[0]
     assert final.worker == 0
 
 

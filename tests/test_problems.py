@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import psmco.problems as problems
 from psmco.problems import (
     MixtureProblemSpec,
     PSGDConfig,
@@ -140,6 +141,31 @@ def test_sigmoid_batch_eval_matches_components():
         sum(prob.model.component_eval(int(i), t) for i in batch) for t in thetas
     ]
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+STOCK_PROBLEMS = {
+    "mixture": lambda: make_mixture_problem(MixtureProblemSpec(n=300)),
+    "sigmoid": lambda: make_sigmoid_problem(SigmoidProblemSpec(n=300)),
+}
+
+
+@pytest.mark.parametrize("budget", [problems.STACK_BUDGET, 1])
+@pytest.mark.parametrize("name", sorted(STOCK_PROBLEMS))
+def test_stacked_batch_eval_equals_per_worker_calls(name, budget, monkeypatch):
+    """Stacked input, (W, K) indices and (W, N, d) points, gives row w
+    equal bit for bit to the single-worker call on worker w's batch, in
+    one block of workers or one worker per block."""
+    monkeypatch.setattr(problems, "STACK_BUDGET", budget)
+    model = STOCK_PROBLEMS[name]().model
+    assert model.stacked
+    rng = np.random.default_rng(5)
+    for w, n, k in ((5, 9, 40), (3, 1, 1), (1, 12, 7), (4, 20, 300)):
+        indices = np.stack([rng.permutation(300)[:k] for _ in range(w)])
+        thetas = rng.normal(size=(w, n, 2)) * 5
+        got = model.batch_eval(indices, thetas)
+        assert got.shape == (w, n)
+        want = np.stack([model.batch_eval(indices[j], thetas[j]) for j in range(w)])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_sigmoid_gradient_against_finite_differences():
