@@ -121,6 +121,8 @@ def make_mixture_problem(spec: MixtureProblemSpec) -> MixtureProblem:
     )
     inv_two_r = 1.0 / (2.0 * spec.r)
     log_norm = math.log(2.0 * math.pi * spec.r)  # 2-d isotropic normalizer
+    # coordinate-major centers, so the kernel reduces over leading axes
+    by_coord = np.ascontiguousarray(means.transpose(2, 1, 0))  # (d, 4, n)
 
     def component_eval(i: int, theta: np.ndarray) -> float:
         diff = np.asarray(theta, dtype=float)[None, :] - means[i]  # (4, 2)
@@ -128,10 +130,15 @@ def make_mixture_problem(spec: MixtureProblemSpec) -> MixtureProblem:
         return float(-(logsumexp_last(-sq * inv_two_r) - log_norm) / spec.lam)
 
     def block_eval(indices: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        m = means[indices][..., None, :, :, :]  # (..., 1, K, 4, 2)
-        diff = thetas[..., None, None, :] - m  # (..., P, K, 4, 2)
-        sq = np.einsum("...kcd,...kcd->...kc", diff, diff)
-        inner = logsumexp_last(-sq * inv_two_r) - log_norm  # (..., P, K)
+        # (d, 1, ..., P, 1) points against (d, 4, ..., 1, K) centers; every
+        # reduction runs over a leading axis of (..., P, K) slabs
+        points = np.moveaxis(thetas, -1, 0)[:, None, ..., None]
+        diff = points - by_coord[:, :, indices][..., None, :]  # (d, 4, ..., P, K)
+        with np.errstate(over="ignore", divide="ignore"):
+            a = -(diff * diff).sum(axis=0) * inv_two_r  # (4, ..., P, K)
+            m = a.max(axis=0)
+            safe = np.where(np.isfinite(m), m, 0.0)  # all -inf gives -inf, not NaN
+            inner = safe + np.log(np.exp(a - safe).sum(axis=0)) - log_norm
         return -inner.sum(axis=-1) / spec.lam
 
     model = CostModel(

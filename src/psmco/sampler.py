@@ -180,19 +180,31 @@ def inverse_cdf(log_w: np.ndarray, u: np.ndarray) -> np.ndarray:
     u (M, D) against normalized log-weights (M, N).
 
     u lands in the first slot whose cumulative weight reaches it, so a u
-    exactly on a boundary selects the lower index.
+    exactly on a boundary selects the lower index.  Every u must lie on
+    Generator.random's grid, k * 2**-53 with 0 <= k < 2**53; anything
+    else raises ValueError.
     """
-    cum = np.cumsum(np.exp(log_w), axis=-1)
+    probes = u * 2.0**53
+    k = probes.astype(np.int64)
+    if (k != probes).any() or (k >> 53).any():
+        raise ValueError("uniforms must be multiples of 2**-53 in [0, 1)")
+    # u <= c exactly when k <= floor(c * 2**53), so the search runs on
+    # exact int64 keys; a slot before the last may round above 1, and
+    # clipping keeps it out of the next row's key range.
+    cum = np.minimum(np.cumsum(np.exp(log_w), axis=-1), 1.0)
     cum[:, -1] = 1.0  # guard against round-off shortfall at the top
-    # One search over all rows: complex numbers sort by real part, then
-    # imaginary part, so the keys row + 1j * value keep every row in a
-    # block of its own, and each value is kept exactly.
-    rows = np.arange(cum.shape[0])[:, None]
-    keys, probes = np.empty(cum.shape, complex), np.empty(u.shape, complex)
-    keys.real, keys.imag = rows, cum
-    probes.real, probes.imag = rows, u
-    flat = np.searchsorted(keys.ravel(), probes.ravel(), side="left")
-    return flat.reshape(u.shape) - rows * cum.shape[1]
+    keys = (cum * 2.0**53).astype(np.int64)
+    # One search per chunk of rows: row r's keys and probes are offset
+    # by r * (2**53 + 1), which keeps every row in a block of its own;
+    # 1023 rows keep the offsets below 2**63.
+    out = np.empty(u.shape, dtype=np.intp)
+    for start in range(0, len(cum), 1023):
+        rows = np.arange(min(1023, len(cum) - start))[:, None]
+        chunk = slice(start, start + 1023)
+        offset = rows * (2**53 + 1)
+        flat = np.searchsorted((keys[chunk] + offset).ravel(), (k[chunk] + offset).ravel())
+        out[chunk] = flat.reshape(k[chunk].shape) - rows * cum.shape[1]
+    return out
 
 
 def draw_ancestors(

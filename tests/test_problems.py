@@ -154,7 +154,9 @@ STOCK_PROBLEMS = {
 def test_stacked_batch_eval_equals_per_worker_calls(name, budget, monkeypatch):
     """Stacked input, (W, K) indices and (W, N, d) points, gives row w
     equal bit for bit to the single-worker call on worker w's batch, in
-    one block of workers or one worker per block."""
+    one block of workers or one worker per block.  Near the origin, where
+    all four mixture parts contribute, rows agree with summed
+    component_eval; a point whose squared distance overflows costs +inf."""
     monkeypatch.setattr(problems, "STACK_BUDGET", budget)
     model = STOCK_PROBLEMS[name]().model
     assert model.stacked
@@ -166,6 +168,16 @@ def test_stacked_batch_eval_equals_per_worker_calls(name, budget, monkeypatch):
         assert got.shape == (w, n)
         want = np.stack([model.batch_eval(indices[j], thetas[j]) for j in range(w)])
         assert got.tobytes() == want.tobytes()
+    if name != "mixture":
+        return
+    indices = np.stack([rng.permutation(300)[:6] for _ in range(3)])
+    thetas = rng.normal(size=(3, 5, 2)) * np.array([0.01, 0.1, 1.0])[:, None, None]
+    thetas[1, 0] = (1e155, 0.0)
+    got = model.batch_eval(indices, thetas)
+    want = [[sum(model.component_eval(int(i), t) for i in b) for t in pts]
+            for b, pts in zip(indices, thetas)]
+    assert got[1, 0] == want[1][0] == math.inf
+    np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_sigmoid_gradient_against_finite_differences():

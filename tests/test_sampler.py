@@ -249,11 +249,53 @@ def test_draw_ancestors_tie_convention():
 def test_inverse_cdf_rows_match_single_row_search():
     # per row: the same indices as the 1-d search, boundary ties included
     w = normalize_log_weights(np.log([[0.5, 0.5, 1e-300], [0.25, 0.25, 0.5], [1.0, 1e-300, 1e-300]]))[1]
-    u = np.array([[0.0, 0.5, 0.5 + 1e-12, 0.999], [0.25, 0.5, 0.2, 0.75], [0.999, 0.0, 0.3, 0.9]])
+    u = np.array([[0.0, 0.5, 0.5 + 1e-12, 0.999], [0.25, 0.5, 0.1875, 0.75], [0.999, 0.0, 0.3125, 0.9]])
     got = inverse_cdf(w, u)
     want = np.stack([np.searchsorted(np.cumsum(np.exp(w[r])), u[r], side="left") for r in range(3)])
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(got[0], [0, 0, 1, 1])
+
+
+def per_row_search(w, u):
+    return np.stack([np.searchsorted(np.cumsum(np.exp(wr)), ur, side="left") for wr, ur in zip(w, u)])
+
+
+def test_inverse_cdf_matches_per_row_search_on_random_rows():
+    # zero-weight slots, u = 0, u exactly on a boundary, and a cumsum that
+    # rounds above 1 before the last slot, against the plain 1-d search
+    rng = np.random.default_rng(40)
+    log_w = rng.normal(size=(200, 9)) * rng.choice([0.1, 3.0, 30.0], size=(200, 1))
+    log_w[rng.random(log_w.shape) < 0.3] = -np.inf
+    log_w[:, 4] = 0.0
+    w = normalize_log_weights(log_w)[1]
+    u = rng.random((200, 12))
+    u[:, 0] = 0.0
+    cum = np.cumsum(np.exp(w), axis=1)
+    inside = (cum[:, 1] < 1.0) & (cum[:, 1] * 2**53 == np.floor(cum[:, 1] * 2**53))
+    u[inside, 1] = cum[inside, 1]  # on the boundary of slot 1
+    assert inside.sum() > 10
+    np.testing.assert_array_equal(inverse_cdf(w, u), per_row_search(w, u))
+
+    w = normalize_log_weights(np.log([[0.3, 1.0, 0.6, 1e-300]]))[1]
+    assert np.cumsum(np.exp(w))[2] > 1.0  # rounds above 1 before the last slot
+    u = np.array([[1.0 - 2**-53, 0.0, 0.5, 0.75]])
+    np.testing.assert_array_equal(inverse_cdf(w, u), per_row_search(w, u))
+    np.testing.assert_array_equal(inverse_cdf(w, u), [[2, 0, 1, 2]])
+
+
+def test_inverse_cdf_across_row_chunks():
+    # 1100 rows cross the 1023-row search chunk
+    rng = np.random.default_rng(41)
+    w = normalize_log_weights(rng.normal(size=(1100, 5)) * 4)[1]
+    u = rng.random((1100, 6))
+    np.testing.assert_array_equal(inverse_cdf(w, u), per_row_search(w, u))
+
+
+def test_inverse_cdf_rejects_off_grid_uniforms():
+    w = normalize_log_weights(np.zeros((2, 3)))[1]
+    for bad in (0.1 + 2**-60, -2**-53, 1.0):
+        with pytest.raises(ValueError):
+            inverse_cdf(w, np.array([[0.5], [bad]]))
 
 
 def test_resample_skips_degenerate_worker():
