@@ -32,6 +32,7 @@ from .sampler import (
     JitterKernelSpec,
     ParticleSystem,
     draw_ancestors,
+    draw_block,
     init_particles,
     jitter,
     resample_multinomial,
@@ -58,6 +59,7 @@ __all__ = [
     "build_schedule",
     "clip_to_space",
     "draw_ancestors",
+    "draw_block",
     "init_particles",
     "jitter",
     "kde_log_eval",

@@ -6,7 +6,8 @@ from the master seed, builds its own mini-batch schedule, and runs the
 same number of steps; a worker's trajectory therefore depends only on
 the seed and its index.  All workers advance together: their states are
 stacked into one ParticleSystem and each step is one sampler_step over
-the (M, K) batches of that step.
+the (M, K) batches of that step and the step's draws, which step_draws
+takes from the workers' streams a block of steps at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .core import CostModel, SearchSpace, build_schedule
 from .kde import KernelDensitySpec, bandwidth_rule, map_estimate
-from .sampler import JitterKernelSpec, init_particles, jitter_epsilon, sampler_step
+from .sampler import JitterKernelSpec, init_particles, jitter_epsilon, sampler_step, step_draws
 
 
 class NoViableWorkerError(RuntimeError):
@@ -183,9 +184,9 @@ def run_psmco(
 
     # one -inf step normalizer pins a worker's cumulative log Z at -inf
     dead = np.zeros(m_workers, dtype=bool)
-    for t in range(total_steps):
+    for t, draws in enumerate(step_draws(system, kernel, total_steps)):
         batches = schedule[:, t * batch_size:(t + 1) * batch_size]
-        log_z = log_z_by_step[t] = sampler_step(system, model, batches, kernel)
+        log_z = log_z_by_step[t] = sampler_step(system, model, batches, kernel, draws)
         dead |= log_z == -math.inf
         if dead.all():
             message = f"every worker degenerated by iteration {t + 1}"

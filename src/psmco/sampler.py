@@ -4,17 +4,17 @@ A ParticleSystem holds M independent workers' populations in one
 (M, N, d) array.  One step processes one mini-batch per worker: every
 particle is jittered, weighted by its worker's batch potential, and each
 population is resampled from its own normalized weights.  Each phase is
-one array operation over all workers; only the random draws loop over
-workers, each from its own generator, so a worker's stream is consumed
-exactly as if it ran alone.  The per-step normalizer estimates are
-accumulated in the log domain so workers can later be ranked.  A
-single-worker experiment is M=1.
+one array operation over all workers.  The random draws (stream format
+v2) are taken a block of steps at a time by draw_block, each worker from
+its own generator, so a worker's stream never depends on the others.
+The per-step normalizer estimates are accumulated in the log domain so
+workers can later be ranked.  A single-worker experiment is M=1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,9 +70,8 @@ class ParticleSystem:
     """Mutable state of M workers' particle populations.
 
     particles is (M, N, d) and rngs[m] is worker m's stream.
-    log_z_steps holds one (M,) array of step normalizer estimates per
-    step, and log_z_cumulative, of shape (M,), is their running sum,
-    accumulated in step order so it equals sum(log_z_steps) exactly.
+    log_z_cumulative, of shape (M,), is the running sum of the step
+    normalizer estimates, accumulated in step order.
     """
 
     particles: np.ndarray
@@ -80,7 +79,6 @@ class ParticleSystem:
     rngs: Tuple[np.random.Generator, ...]
     iteration: int = 0
     log_z_cumulative: Optional[np.ndarray] = None
-    log_z_steps: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.log_z_cumulative is None:
@@ -129,19 +127,42 @@ def init_particles(
     return ParticleSystem(particles=pts, space=space, rngs=rngs)
 
 
-def jitter(system: ParticleSystem, kernel: JitterKernelSpec) -> int:
-    """Apply the sticky Gaussian move in place; returns how many
-    particles moved, over all workers.
+# Stream format v2: a worker draws its randomness B steps at a time, with
+# B = max(1, BLOCK_ELEMENTS // (N * (d + 2))), which depends on N and d only.
+BLOCK_ELEMENTS = 2**11
 
-    The uniform mask and the full noise matrix are always drawn, so each
-    stream advances identically whatever the mask turns out to be.
-    """
+
+def draw_block(
+    system: ParticleSystem, kernel: JitterKernelSpec, steps: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every worker's draws for the next b = min(B, steps) steps: the
+    jitter uniforms (M, b, N), the jitter noise (M, b, N, d) and the
+    resampling uniforms (M, b, N), drawn in that order from each
+    worker's own stream."""
     m_workers, n, d = system.particles.shape
-    u = np.empty((m_workers, n))
-    noise = np.empty((m_workers, n, d))
-    for u_m, noise_m, rng in zip(u, noise, system.rngs):
-        rng.random(out=u_m)
-        noise_m[:] = rng.normal(0.0, kernel.proposal_std, size=(n, d))
+    b = min(max(1, BLOCK_ELEMENTS // (n * (d + 2))), steps)
+    u_jitter, u_resample = np.empty((m_workers, b, n)), np.empty((m_workers, b, n))
+    noise = np.empty((m_workers, b, n, d))
+    for rng, u_j, z, u_r in zip(system.rngs, u_jitter, noise, u_resample):
+        rng.random(out=u_j)
+        z[:] = rng.normal(0.0, kernel.proposal_std, size=(b, n, d))
+        rng.random(out=u_r)
+    return u_jitter, noise, u_resample
+
+
+def step_draws(system: ParticleSystem, kernel: JitterKernelSpec, steps: int):
+    """Yield the draws of each of the next `steps` steps, as sampler_step
+    takes them, drawing a block at a time with draw_block."""
+    while steps > 0:
+        block = draw_block(system, kernel, steps)
+        steps -= block[0].shape[1]
+        yield from zip(*(np.moveaxis(a, 1, 0) for a in block))
+
+
+def jitter(system: ParticleSystem, kernel: JitterKernelSpec, u: np.ndarray, noise: np.ndarray) -> int:
+    """Apply the sticky Gaussian move in place, given the step's (M, N)
+    uniforms and (M, N, d) noise; returns how many particles moved, over
+    all workers."""
     move = u < kernel.epsilon
     moved = np.where(move[..., None], system.particles + noise, system.particles)
     system.particles = clip_to_space(moved, system.space)
@@ -150,17 +171,17 @@ def jitter(system: ParticleSystem, kernel: JitterKernelSpec) -> int:
 
 def weight_and_accumulate(
     system: ParticleSystem, model: CostModel, batches: np.ndarray
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Weight each population by its worker's batch potential; returns
-    the (M, N) normalized log-weights.  batches is (M, K): row m is
-    worker m's batch.
+    this step's (M,) normalizer estimates and the (M, N) normalized
+    log-weights.  batches is (M, K): row m is worker m's batch.
 
-    Records each worker's normalizer estimate for the step, the mean
-    potential log Z_t = log((1/N) sum_i G(theta_i)), and adds it to the
-    running totals.  A worker whose potentials are all -inf records -inf,
-    so it still counts toward its cumulative value, and keeps log-weights
-    of -inf; when that holds for every worker, DegenerateWeightsError is
-    raised after recording.
+    Each worker's normalizer estimate for the step is the mean potential
+    log Z_t = log((1/N) sum_i G(theta_i)), added to the running totals.
+    A worker whose potentials are all -inf records -inf, so it still
+    counts toward its cumulative value, and keeps log-weights of -inf;
+    when that holds for every worker, DegenerateWeightsError is raised
+    after recording.
     """
     log_g = log_potentials(model, batches, system.particles)
     try:
@@ -168,11 +189,10 @@ def weight_and_accumulate(
     except DegenerateWeightsError:
         log_total, log_w = np.full(system.m_workers, -math.inf), None
     log_z_t = log_total - math.log(system.n_particles)
-    system.log_z_steps.append(log_z_t)
     system.log_z_cumulative = system.log_z_cumulative + log_z_t
     if log_w is None:
         raise DegenerateWeightsError("every worker's potentials are -inf")
-    return log_w
+    return log_z_t, log_w
 
 
 def inverse_cdf(log_w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -184,27 +204,25 @@ def inverse_cdf(log_w: np.ndarray, u: np.ndarray) -> np.ndarray:
     Generator.random's grid, k * 2**-53 with 0 <= k < 2**53; anything
     else raises ValueError.
     """
-    probes = u * 2.0**53
-    k = probes.astype(np.int64)
-    if (k != probes).any() or (k >> 53).any():
+    scaled = u * 2.0**53
+    k = scaled.astype(np.int64)
+    if (k != scaled).any() or (k >> 53).any():
         raise ValueError("uniforms must be multiples of 2**-53 in [0, 1)")
     # u <= c exactly when k <= floor(c * 2**53), so the search runs on
     # exact int64 keys; a slot before the last may round above 1, and
     # clipping keeps it out of the next row's key range.
     cum = np.minimum(np.cumsum(np.exp(log_w), axis=-1), 1.0)
     cum[:, -1] = 1.0  # guard against round-off shortfall at the top
-    keys = (cum * 2.0**53).astype(np.int64)
-    # One search per chunk of rows: row r's keys and probes are offset
-    # by r * (2**53 + 1), which keeps every row in a block of its own;
-    # 1023 rows keep the offsets below 2**63.
+    # One search per chunk of 1023 rows: the r-th row of a chunk has its
+    # keys and probes offset by r * (2**53 + 1), below 2**63, which keeps
+    # every row in a block of its own.
+    offset = np.arange(len(cum))[:, None] % 1023 * (2**53 + 1)
+    keys, probes = (cum * 2.0**53).astype(np.int64) + offset, k + offset
     out = np.empty(u.shape, dtype=np.intp)
-    for start in range(0, len(cum), 1023):
-        rows = np.arange(min(1023, len(cum) - start))[:, None]
-        chunk = slice(start, start + 1023)
-        offset = rows * (2**53 + 1)
-        flat = np.searchsorted((keys[chunk] + offset).ravel(), (k[chunk] + offset).ravel())
-        out[chunk] = flat.reshape(k[chunk].shape) - rows * cum.shape[1]
-    return out
+    for c in range(0, len(cum), 1023):
+        flat = np.searchsorted(keys[c:c + 1023].ravel(), probes[c:c + 1023].ravel())
+        out[c:c + 1023] = flat.reshape(out[c:c + 1023].shape)
+    return out % cum.shape[1]
 
 
 def draw_ancestors(
@@ -215,16 +233,13 @@ def draw_ancestors(
     return inverse_cdf(np.asarray(log_w)[None], rng.random(n_draws)[None])[0]
 
 
-def resample_multinomial(system: ParticleSystem, log_w: np.ndarray) -> None:
+def resample_multinomial(system: ParticleSystem, log_w: np.ndarray, u: np.ndarray) -> None:
     """Replace each population with N draws from its weighted self, given
-    the (M, N) normalized log-weights.  A degenerate worker, whose
-    log-weights are all -inf, keeps its population and draws nothing."""
+    the (M, N) normalized log-weights and the step's (M, N) uniforms.  A
+    degenerate worker, whose log-weights are all -inf, keeps its
+    population; its uniforms go unused."""
     live = np.flatnonzero(log_w.max(axis=1) > -math.inf)
-    n = system.n_particles
-    u = np.empty((live.size, n))
-    for row, m in zip(u, live):
-        system.rngs[m].random(out=row)
-    idx = inverse_cdf(log_w[live], u)
+    idx = inverse_cdf(log_w[live], u[live])
     system.particles[live] = system.particles[live[:, None], idx]
 
 
@@ -233,20 +248,23 @@ def sampler_step(
     model: CostModel,
     batches: np.ndarray,
     kernel: JitterKernelSpec,
+    draws: Tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """One full jitter/weight/resample iteration of every worker; returns
-    this step's (M,) normalizer estimates.  batches is (M, K).
+    this step's (M,) normalizer estimates.  batches is (M, K) and draws
+    the step's (jitter uniforms, noise, resampling uniforms), one step
+    of draw_block's output.
 
     A worker whose potentials all underflow to -inf keeps its population
     as jittered (no resampling) and contributes -inf to its cumulative
     total; the run carries on.
     """
-    jitter(system, kernel)
+    jitter(system, kernel, *draws[:2])
     try:
-        log_w = weight_and_accumulate(system, model, batches)
+        log_z_t, log_w = weight_and_accumulate(system, model, batches)
     except DegenerateWeightsError:
-        pass
+        log_z_t = np.full(system.m_workers, -math.inf)
     else:
-        resample_multinomial(system, log_w)
+        resample_multinomial(system, log_w, draws[2])
     system.iteration += 1
-    return system.log_z_steps[-1]
+    return log_z_t

@@ -3,8 +3,11 @@
 This is the single-worker jitter / weight / resample step the stacked
 engine in psmco.sampler replaced, kept as a test oracle.  It shares no
 code with the engine's phases: the engine must reproduce it bit for bit,
-consuming each worker's random stream in the same order.  `run` drives
-M of these samplers exactly as psmco.parallel.run_psmco documents.
+consuming each worker's random stream in the same order (stream format
+v2: after its schedule and initial draws, a worker draws B steps at a
+time, first the jitter uniforms, then the noise, then the resampling
+uniforms).  `run` drives M of these samplers exactly as
+psmco.parallel.run_psmco documents.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ class ParticleSystem:
     iteration: int = 0
     log_z_cumulative: float = 0.0
     log_z_steps: list = field(default_factory=list)
+    pending: list = field(default_factory=list)  # drawn steps not yet run
 
 
 def init_particles(space, n_particles, rng, init_point=None, init_std=0.0) -> ParticleSystem:
@@ -48,10 +52,21 @@ def init_particles(space, n_particles, rng, init_point=None, init_std=0.0) -> Pa
     return ParticleSystem(particles=pts, space=space, rng=rng)
 
 
-def jitter(system: ParticleSystem, kernel: JitterKernelSpec) -> int:
-    n, d = system.particles.shape
-    move = system.rng.random(n) < kernel.epsilon
-    noise = system.rng.normal(0.0, kernel.proposal_std, size=(n, d))
+def next_draws(system: ParticleSystem, kernel: JitterKernelSpec, steps_left: int):
+    """This step's (jitter uniforms, noise, resampling uniforms).  A block
+    covers B = max(1, 2048 // (N * (d + 2))) steps, or the steps left."""
+    if not system.pending:
+        n, d = system.particles.shape
+        b = min(max(1, 2048 // (n * (d + 2))), steps_left)
+        u_jitter = system.rng.random((b, n))
+        noise = system.rng.normal(0.0, kernel.proposal_std, size=(b, n, d))
+        u_resample = system.rng.random((b, n))
+        system.pending = list(zip(u_jitter, noise, u_resample))
+    return system.pending.pop(0)
+
+
+def jitter(system: ParticleSystem, kernel: JitterKernelSpec, u, noise) -> int:
+    move = u < kernel.epsilon
     out = system.particles.copy()
     out[move] += noise[move]
     system.particles = clip_to_space(out, system.space)
@@ -99,25 +114,26 @@ def weight_and_accumulate(system: ParticleSystem, model: CostModel, batch: np.nd
     return log_w
 
 
-def draw_ancestors(log_w: np.ndarray, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+def draw_ancestors(log_w: np.ndarray, u: np.ndarray) -> np.ndarray:
     cum = np.cumsum(np.exp(log_w))
     cum[-1] = 1.0
-    return np.searchsorted(cum, rng.random(n_draws), side="left")
+    return np.searchsorted(cum, u, side="left")
 
 
-def resample_multinomial(system: ParticleSystem, log_w: np.ndarray) -> None:
-    idx = draw_ancestors(log_w, system.particles.shape[0], system.rng)
+def resample_multinomial(system: ParticleSystem, log_w: np.ndarray, u: np.ndarray) -> None:
+    idx = draw_ancestors(log_w, u)
     system.particles = system.particles[idx].copy()
 
 
-def sampler_step(system, model, batch, kernel) -> float:
-    jitter(system, kernel)
+def sampler_step(system, model, batch, kernel, steps_left) -> float:
+    u_jitter, noise, u_resample = next_draws(system, kernel, steps_left)
+    jitter(system, kernel, u_jitter, noise)
     try:
         log_w = weight_and_accumulate(system, model, batch)
     except DegenerateWeightsError:
-        pass
+        pass  # the resampling uniforms are drawn all the same
     else:
-        resample_multinomial(system, log_w)
+        resample_multinomial(system, log_w, u_resample)
     system.iteration += 1
     return system.log_z_steps[-1]
 
@@ -138,7 +154,7 @@ def run(model: CostModel, space: SearchSpace, config: OptimizerConfig):
     rows = []
     for t in range(total):
         for m, system in enumerate(systems):
-            log_z_by_step[t, m] = sampler_step(system, model, schedules[m][t], kernel)
+            log_z_by_step[t, m] = sampler_step(system, model, schedules[m][t], kernel, total - t)
         if (log_z_by_step[:t + 1] == -math.inf).any(axis=0).all():
             raise RunFailureError("every worker degenerated", log_z_by_step[:t + 1])
         if (t + 1) % stride == 0 or t + 1 == total:

@@ -26,7 +26,14 @@ from psmco.problems import (
     run_psgd_baseline,
 )
 from psmco.problems import SigmoidProblemSpec
-from psmco.sampler import JitterKernelSpec, draw_ancestors, init_particles, jitter, weight_and_accumulate
+from psmco.sampler import (
+    JitterKernelSpec,
+    draw_ancestors,
+    draw_block,
+    init_particles,
+    jitter,
+    weight_and_accumulate,
+)
 
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -137,7 +144,7 @@ def test_criterion_3_monte_carlo_rate(capsys):
         for run in range(200):
             rng = np.random.default_rng(np.random.SeedSequence((3, n_particles, run)))
             system = init_particles(space, n_particles, [rng])  # one worker
-            w = weight_and_accumulate(system, model, np.array([[0]]))
+            _, w = weight_and_accumulate(system, model, np.array([[0]]))
             errs[run] = np.exp(w[0]) @ system.particles[0, :, 0]
         return float(np.sqrt(np.mean(errs**2)))
 
@@ -212,7 +219,8 @@ def test_criterion_7_jitter_move_probability_bound(capsys):
     counts = []
     for rep in range(20):
         system = init_particles(space, 10000, [np.random.default_rng(500 + rep)])  # one worker
-        moved = jitter(system, kernel)
+        u, noise, _ = draw_block(system, kernel, 1)  # one step's draws
+        moved = jitter(system, kernel, u[:, 0], noise[:, 0])
         counts.append(moved)
         hits += int(lo <= moved <= hi)
     passed = hits >= 19

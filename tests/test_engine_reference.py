@@ -2,7 +2,8 @@
 
 run_psmco advances all workers together; reference_sampler.run steps
 them one at a time with the plain single-worker code.  Every per-step
-normalizer, final particle and emission row must agree bit for bit.
+normalizer, final particle and emission row must agree bit for bit, so
+both consume each worker's stream in stream format v2's order.
 """
 
 import numpy as np
@@ -57,6 +58,18 @@ def test_stock_problems_match_reference_at_any_block_size(name, m_workers, monke
     assert one_per_block.log_z_by_step.tobytes() == default.log_z_by_step.tobytes()
     assert one_per_block.final_particles.tobytes() == default.final_particles.tobytes()
     assert [r.theta.tobytes() for r in one_per_block.rows] == [r.theta.tobytes() for r in default.rows]
+
+
+def test_draw_blocks_match_reference():
+    """N=40 in 2-d draws B = 2048 // 160 = 12 steps at a time: T=23 runs a
+    full block, then a partial last block of 11 steps."""
+    problem = STOCK["mixture"]()
+    config = OptimizerConfig(
+        m_workers=3, n_particles=40, batch_size=1, proposal_std=0.5, seed=7,
+        estimate_every=5, keep_final_particles=True,
+    )
+    record = assert_matches_reference(problem.model, problem.space, config)
+    assert record.log_z_by_step.shape == (23, 3)
 
 
 # Components 3 and 11 cost 1e308 where theta > 0 and nothing elsewhere;

@@ -8,6 +8,9 @@ mismatch.  config.json echoes the option schema with every default
 filled in, so its digest also moves when a key, a default or the JSON
 form of a value changes, even if no sampled value does.
 
+The digests pin stream format v2, the order in which each worker draws
+its randomness (see psmco.sampler.draw_block and the README); runs
+written under the earlier per-step layout differ for the same config.
 A digest may only change together with a CHANGES.md entry saying why.
 The digests are those of CPython 3.11 with numpy 2.4 on x86-64.
 """
@@ -26,38 +29,38 @@ SIGMOID = ("--profile", "sigmoid-5.2", "--override", "n=5000", "--override", "m_
 CASES = {
     "mixture": (MIXTURE, {
         "config.json": "5375a5a1cb93ce5f2326e74744558bd6592d485fbe43cb2486bd996d990b624b",
-        "trace.csv": "3258175fb35d3f5464b912484f7787bb223fb50b6865b53c66d718d76561b4f5",
-        "summary.txt": "942f54a0505223fc7ec643a8eecfd30cf949406e15d3adde99ee9b4b49d80bc5",
+        "trace.csv": "abb9036b052d8375d30f3b43a923b2413a4fad3aff0ff105f309d9edb91689ed",
+        "summary.txt": "b37b14a27b11eac5756ec0d003d7df574e21613be787d267016459706a4ca43b",
     }),
     "mixture-final-particles": (
         MIXTURE + ("--override", "estimate_every=null",
                    "--override", "keep_final_particles=true"),
         {
             "config.json": "d50ff7765c5d61eebf76b5bb6f8987e8dae0930eed84123145d7c6b996dd1da4",
-            "trace.csv": "60b881f67330f5450080546120aa9dbcb3b4f31faf5ce6cfd326665a7ec854a1",
-            "summary.txt": "942f54a0505223fc7ec643a8eecfd30cf949406e15d3adde99ee9b4b49d80bc5",
-            "particles.csv": "26e64b8cfc80860c6c6934e44f97e596198f574022b6af0a2ed8bf44494a5d1c",
+            "trace.csv": "446ad28071f2c6e61746a9d143c382dec26cb495c1467e6ef9a16d1dbb9d751a",
+            "summary.txt": "b37b14a27b11eac5756ec0d003d7df574e21613be787d267016459706a4ca43b",
+            "particles.csv": "418a0761e1595d24d292bd48c97562c2138bd54fee0822e99afb1fd52935d271",
         },
     ),
     "mixture-k7-stride3": (
         MIXTURE + ("--override", "batch_size=7", "--override", "estimate_every=3"),
         {
             "config.json": "c411a24847ecc5f9fbbfbbad40cfe09ebc11b12c82d708142192ed073eac35c2",
-            "trace.csv": "d9fcd65dd381fdcd8b8a40ae262f8e987480f2d80d3f55ccb077dbb3c17acdb5",
-            "summary.txt": "1806cb252f1209b47806a453e7a6e794a81201aacd919dce0ed4b34b52f0913f",
+            "trace.csv": "9e56b88614a614969063cff0d2a6902a201a8ba2f667a7481f7a0f888278b871",
+            "summary.txt": "6711c2b86001f691663c68b7c23d690156b2ebdea2cace71badb95274f0b729f",
         },
     ),
     "sigmoid": (SIGMOID, {
         "config.json": "e0dd43b47413d1f1d0d6bd6088c554825922c417dac5184087e094c27a3dcba3",
-        "trace.csv": "ff3dffe317bd8970c315af7f4e959ce13f575c9a523de186f98ff47b4325dbb8",
-        "summary.txt": "c6ba44e6f0195288f1320f430f00aaee736ef1aa1f6e82f91d06a85dcc373efb",
+        "trace.csv": "498c30ec512361f0b60b78b75f4a27bf5aa277c823003b14d16560444760f811",
+        "summary.txt": "040ec5038a83447ad3c2a4a9d1d25e257da5014df026845164324120cc8a8d56",
     }),
     "sigmoid-seed3-k37": (
         SIGMOID + ("--seed", "3", "--override", "batch_size=37"),
         {
             "config.json": "29a3f460fcd6a05ac05790d8c939a9ae00ba4229544a508196b5bd8912a0c902",
-            "trace.csv": "0a84b9cfce3510d28f22dab9538a41b46fc53804f9de003561c65e0400954e7e",
-            "summary.txt": "e27a8bbef386fef6857b7b4bf2704955516b352971c203574a7c5bfcfd6884af",
+            "trace.csv": "ba509c63cbae53eb3a76716c7a8011f6a596f8b531aca560d0159f0dc09f37e0",
+            "summary.txt": "29a228a57148bead783ec1d4a1fdbc276ec750785c2056e32282973e95cb3fdc",
         },
     ),
     "psgd": (

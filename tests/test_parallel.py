@@ -107,7 +107,7 @@ def test_constant_cost_ties_select_first_worker():
 def test_single_worker_reduces_to_plain_sampler():
     """M=1 must equal one hand-driven sampler sharing the rng stream."""
     from psmco.kde import KernelDensitySpec, bandwidth_rule, map_estimate
-    from psmco.sampler import JitterKernelSpec, init_particles, sampler_step
+    from psmco.sampler import JitterKernelSpec, draw_block, init_particles, sampler_step
 
     prob = small_mixture(n=24)
     cfg = OptimizerConfig(
@@ -119,8 +119,12 @@ def test_single_worker_reduces_to_plain_sampler():
     sched = build_schedule(24, 2, rng)
     system = init_particles(prob.space, 20, [rng])
     kernel = JitterKernelSpec(space=prob.space, proposal_std=0.5, n_particles=20)
-    for batch in sched:
-        sampler_step(system, prob.model, batch[None], kernel)
+    draws = []
+    for t, batch in enumerate(sched):
+        if not draws:
+            block = draw_block(system, kernel, len(sched) - t)
+            draws = [tuple(a[:, j] for a in block) for j in range(block[0].shape[1])]
+        sampler_step(system, prob.model, batch[None], kernel, draws.pop(0))
     spec = KernelDensitySpec(dim=2, bandwidth=bandwidth_rule(20, 2))
     _, theta = map_estimate(spec, system.particles[0])
 
@@ -163,6 +167,52 @@ def test_worker_trajectory_independent_of_worker_count():
     assert len(big.rows) == len(small.rows) == 6
     for a, b in zip(small.rows, big.rows):
         assert b.log_z[:3] == a.log_z
+
+
+def test_worker_trajectory_independent_of_worker_count_across_draw_blocks():
+    """The same across draw blocks: N=40 in 2-d draws B = 2048 // 160 = 12
+    steps at a time, so T=30 runs blocks of 12, 12 and 6."""
+    prob = small_mixture(n=30)
+    runs = [
+        run_psmco(prob.model, prob.space, small_config(
+            m_workers=m, n_particles=40, batch_size=1, estimate_every=1, keep_final_particles=True,
+        ))[1]
+        for m in (2, 5)
+    ]
+    small, big = runs
+    assert big.log_z_by_step.shape == (30, 5)
+    np.testing.assert_array_equal(big.log_z_by_step[:, :2], small.log_z_by_step)
+    np.testing.assert_array_equal(big.final_particles[:2], small.final_particles)
+    assert len(big.rows) == len(small.rows) == 30
+    for a, b in zip(small.rows, big.rows):
+        assert b.log_z[:2] == a.log_z
+
+
+def poisoned(i, theta):
+    """Components 0-2 cost 1e308 where theta > 0, so a batch of two of them
+    overflows to log G = -inf there; the rest pull theta towards 0.5."""
+    return 1e308 if (i < 3 and theta[0] > 0) else 20.0 * (theta[0] - 0.5) ** 2
+
+
+@pytest.mark.parametrize("case", ["healthy", "one worker degenerates"])
+def test_step_normalizers_telescope_to_emitted_log_z(case):
+    """The per-step normalizers of each worker sum, in step order, to the
+    cumulative log Z of the last emission, bit for bit; a worker that
+    degenerates mid-run has -inf in both."""
+    if case == "healthy":
+        prob = small_mixture(n=30)
+        model, space, cfg = prob.model, prob.space, small_config(batch_size=4)
+    else:
+        model = CostModel(n=9, component_eval=poisoned)
+        space = SearchSpace(np.array([-1.0]), np.array([1.0]))
+        cfg = OptimizerConfig(m_workers=3, n_particles=4, batch_size=2, proposal_std=0.3, seed=0)
+    _, record = run_psmco(model, space, cfg)
+    dead = (record.log_z_by_step == -np.inf).tolist()
+    if case == "healthy":
+        assert not np.any(dead)
+    else:
+        assert dead == [[False] * 3] * 2 + [[True, False, False]] + [[False] * 3] * 2
+    assert record.log_z_by_step.sum(axis=0).tolist() == list(record.rows[-1].log_z)
 
 
 def test_schedule_sum_recovers_total_cost_at_random_points():

@@ -5,19 +5,31 @@ import pytest
 
 from psmco.core import CostModel, DegenerateWeightsError, SearchSpace, normalize_log_weights
 from psmco.sampler import (
+    BLOCK_ELEMENTS,
     JitterKernelSpec,
     draw_ancestors,
+    draw_block,
     init_particles,
     inverse_cdf,
     jitter,
     resample_multinomial,
     sampler_step,
+    step_draws,
     weight_and_accumulate,
 )
 
 
 def box(lo, hi, d=2):
     return SearchSpace(np.full(d, float(lo)), np.full(d, float(hi)))
+
+
+def one_step(ps, kernel):
+    """One step's draws: (jitter uniforms, noise, resampling uniforms)."""
+    return [a[:, 0] for a in draw_block(ps, kernel, 1)]
+
+
+def step(ps, model, batches, kernel):
+    return sampler_step(ps, model, batches, kernel, one_step(ps, kernel))
 
 
 OVERFLOW_MODEL = CostModel(n=4, component_eval=lambda i, th: 1e308)
@@ -112,7 +124,8 @@ def test_jitter_moved_count_binomial_band():
     ps = init_particles(s, 10_000, [np.random.default_rng(4)])
     k = JitterKernelSpec(space=s, proposal_std=1.0, n_particles=10_000, epsilon=0.01)
     before = ps.particles.copy()
-    moved = jitter(ps, k)
+    u, noise, _ = one_step(ps, k)
+    moved = jitter(ps, k, u, noise)
     assert type(moved) is int
     assert 50 <= moved <= 150
     changed = int((ps.particles != before).any(axis=2).sum())
@@ -125,7 +138,7 @@ def test_jitter_zero_std_is_identity():
     ps = init_particles(s, 200, [np.random.default_rng(6)])
     before = ps.particles.copy()
     k = JitterKernelSpec(space=s, proposal_std=0.0, n_particles=200, epsilon=0.05)
-    jitter(ps, k)
+    jitter(ps, k, *one_step(ps, k)[:2])
     np.testing.assert_array_equal(ps.particles, before)
 
 
@@ -133,7 +146,7 @@ def test_jitter_clips_to_box():
     s = box(-1, 1)
     ps = init_particles(s, 1000, [np.random.default_rng(7)])
     k = JitterKernelSpec(space=s, proposal_std=100.0, n_particles=1000, epsilon=1 / math.sqrt(1000))
-    jitter(ps, k)
+    jitter(ps, k, *one_step(ps, k)[:2])
     assert s.contains(ps.particles)
 
 
@@ -145,10 +158,10 @@ def test_weights_constant_potential():
     s = box(-1, 1)
     ps = init_particles(s, 8, [np.random.default_rng(8)])
     model = CostModel(n=3, component_eval=lambda i, th: 2.5)
-    w = weight_and_accumulate(ps, model, np.array([[1]]))
+    log_z, w = weight_and_accumulate(ps, model, np.array([[1]]))
     np.testing.assert_allclose(np.exp(w), 1 / 8, rtol=1e-12)
     assert ps.log_z_cumulative[0] == pytest.approx(-2.5, rel=1e-12)
-    assert len(ps.log_z_steps) == 1
+    assert log_z.tolist() == ps.log_z_cumulative.tolist()
 
 
 def test_weights_hand_computed_example():
@@ -157,7 +170,7 @@ def test_weights_hand_computed_example():
     ps = init_particles(s, 2, [np.random.default_rng(9)])
     ps.particles = np.array([[[0.0], [1.0]]])
     model = CostModel(n=1, component_eval=lambda i, th: float(-math.log(3.0) * th[0]))
-    w = weight_and_accumulate(ps, model, np.array([[0]]))
+    _, w = weight_and_accumulate(ps, model, np.array([[0]]))
     np.testing.assert_allclose(np.exp(w), [[0.25, 0.75]], rtol=1e-12)
     assert ps.log_z_cumulative[0] == pytest.approx(math.log(2.0), rel=1e-12)
 
@@ -165,7 +178,7 @@ def test_weights_hand_computed_example():
 def test_weights_empty_batch_neutral():
     ps = init_particles(box(-1, 1), 4, [np.random.default_rng(10)])
     model = CostModel(n=2, component_eval=lambda i, th: 7.0)
-    w = weight_and_accumulate(ps, model, np.empty((1, 0), dtype=int))
+    _, w = weight_and_accumulate(ps, model, np.empty((1, 0), dtype=int))
     np.testing.assert_allclose(np.exp(w), 0.25, rtol=1e-12)
     assert ps.log_z_cumulative.tolist() == [0.0]
 
@@ -174,7 +187,7 @@ def test_weights_degenerate_raises_after_recording():
     ps = init_particles(box(-1, 1), 4, [np.random.default_rng(11)])
     with pytest.raises(DegenerateWeightsError):
         weight_and_accumulate(ps, OVERFLOW_MODEL, np.array([[0, 1]]))
-    assert [s.tolist() for s in ps.log_z_steps] == [[-np.inf]]
+    # the step's -inf is recorded in the running total before the raise
     assert ps.log_z_cumulative.tolist() == [-np.inf]
 
 
@@ -183,9 +196,8 @@ def test_cumulative_telescopes_exactly():
     ps = init_particles(box(-5, 5), 32, [rng])
     values = np.random.default_rng(1).normal(size=20)
     model = CostModel(n=20, component_eval=lambda i, th: float(values[i] * (1 + th @ th)))
-    for t in range(10):
-        weight_and_accumulate(ps, model, np.array([[2 * t, 2 * t + 1]]))
-    assert ps.log_z_cumulative.tolist() == sum(ps.log_z_steps).tolist()
+    steps = [weight_and_accumulate(ps, model, np.array([[2 * t, 2 * t + 1]]))[0] for t in range(10)]
+    assert ps.log_z_cumulative.tolist() == sum(steps).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +219,7 @@ def test_resample_point_mass():
     ps = init_particles(box(-1, 1), 3, [np.random.default_rng(13)])
     target = ps.particles[0, 0].copy()
     w = normalize_log_weights(np.log([[1.0, 1e-300, 1e-300]]))[1]
-    resample_multinomial(ps, w)
+    resample_multinomial(ps, w, ps.rngs[0].random((1, 3)))
     # weight ~1 on the first particle: every draw lands there
     assert (ps.particles == target).all()
 
@@ -299,15 +311,23 @@ def test_inverse_cdf_rejects_off_grid_uniforms():
 
 
 def test_resample_skips_degenerate_worker():
-    # worker 1's log-weights are all -inf: it keeps its population and its
-    # stream is not advanced
-    ps = init_particles(box(-1, 1), 4, [np.random.default_rng(s) for s in (30, 31, 32)])
+    # worker 1's log-weights are all -inf: it keeps its population.  Its
+    # resampling uniforms are drawn with everyone else's and discarded, so
+    # its stream advances exactly like a healthy worker's (stream format
+    # v2), and resampling itself draws nothing
+    seeds = (30, 31, 32)
+    ps = init_particles(box(-1, 1), 4, [np.random.default_rng(s) for s in seeds])
+    kernel = JitterKernelSpec(space=box(-1, 1), proposal_std=0.1, n_particles=4)
     before = ps.particles.copy()
     w = normalize_log_weights(np.array([[0.0, 0.0, 0.0, 0.0], [-np.inf] * 4, [0.0, -np.inf, -np.inf, -np.inf]]))[1]
-    state = ps.rngs[1].bit_generator.state
-    resample_multinomial(ps, w)
+    u = one_step(ps, kernel)[2]
+    states = [rng.bit_generator.state for rng in ps.rngs]
+    resample_multinomial(ps, w, u)
     np.testing.assert_array_equal(ps.particles[1], before[1])
-    assert ps.rngs[1].bit_generator.state == state
+    assert [rng.bit_generator.state for rng in ps.rngs] == states
+    alone = init_particles(box(-1, 1), 4, [np.random.default_rng(31)])
+    one_step(alone, kernel)
+    assert alone.rngs[0].bit_generator.state == states[1]
     assert (ps.particles[2] == before[2, 0]).all()
 
 
@@ -323,7 +343,7 @@ def test_step_single_particle_is_jittered_input():
     s = box(-10, 10, d=1)
     ps = init_particles(s, 1, [np.random.default_rng(17)])
     k = JitterKernelSpec(space=s, proposal_std=0.5, n_particles=1, epsilon=1.0)
-    sampler_step(ps, quadratic_model(), np.array([[0]]), k)
+    step(ps, quadratic_model(), np.array([[0]]), k)
     assert ps.iteration == 1
     assert s.contains(ps.particles)
 
@@ -334,7 +354,7 @@ def test_step_constant_cost_keeps_log_z_zero():
     model = CostModel(n=4, component_eval=lambda i, th: 0.0)
     k = JitterKernelSpec(space=s, proposal_std=0.3, n_particles=16)
     for t in range(4):
-        out = sampler_step(ps, model, np.array([[t]]), k)
+        out = step(ps, model, np.array([[t]]), k)
         assert out.tolist() == [0.0]
     assert ps.log_z_cumulative.tolist() == [0.0]
     assert ps.iteration == 4
@@ -345,10 +365,11 @@ def test_step_containment_and_telescoping():
     ps = init_particles(s, 40, [np.random.default_rng(19)])
     model = quadratic_model(8)
     k = JitterKernelSpec(space=s, proposal_std=1.0, n_particles=40)
+    steps = []
     for t in range(8):
-        sampler_step(ps, model, np.array([[t]]), k)
+        steps.append(step(ps, model, np.array([[t]]), k))
         assert s.contains(ps.particles)
-    assert ps.log_z_cumulative.tolist() == sum(ps.log_z_steps).tolist()
+    assert ps.log_z_cumulative.tolist() == sum(steps).tolist()
 
 
 def test_step_degenerate_keeps_jittered_particles():
@@ -357,7 +378,7 @@ def test_step_degenerate_keeps_jittered_particles():
     ps = init_particles(s, 8, [np.random.default_rng(20)])
     before = ps.particles.copy()
     k = JitterKernelSpec(space=s, proposal_std=0.0, n_particles=8, epsilon=0.1)
-    out = sampler_step(ps, OVERFLOW_MODEL, np.array([[0, 1]]), k)
+    out = step(ps, OVERFLOW_MODEL, np.array([[0, 1]]), k)
     assert out.tolist() == [-np.inf]
     # zero-std jitter is the identity, so "kept as jittered" here means
     # exactly the pre-step population, proving resampling was skipped
@@ -376,11 +397,53 @@ def test_degenerate_worker_stays_disqualified():
 
     model = CostModel(n=4, component_eval=comp)
     k = JitterKernelSpec(space=s, proposal_std=0.1, n_particles=8)
-    sampler_step(ps, model, np.array([[0, 1]]), k)
+    step(ps, model, np.array([[0, 1]]), k)
     assert ps.log_z_cumulative.tolist() == [-np.inf]
-    sampler_step(ps, model, np.array([[2, 3]]), k)
+    second = step(ps, model, np.array([[2, 3]]), k)
     assert ps.log_z_cumulative.tolist() == [-np.inf]
     # second batch is healthy (two components at 0.5 each, so a constant
     # potential of exp(-1)); the step normalizer is recorded even though
     # the cumulative total is already sunk
-    assert ps.log_z_steps[1][0] == pytest.approx(-1.0, rel=1e-12)
+    assert second[0] == pytest.approx(-1.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# stream format v2: draw blocks
+
+
+def block_length(n, d, m):
+    s = box(-1, 1, d=d)
+    kernel = JitterKernelSpec(space=s, proposal_std=0.1, n_particles=n)
+    ps = init_particles(s, n, [np.random.default_rng(j) for j in range(m)])
+    u_jitter, noise, u_resample = draw_block(ps, kernel, 10**6)
+    b = u_jitter.shape[1]
+    assert u_jitter.shape == u_resample.shape == (m, b, n)
+    assert noise.shape == (m, b, n, d)
+    assert draw_block(ps, kernel, 2)[0].shape == (m, min(b, 2), n)
+    return b
+
+
+def test_block_length_depends_on_particles_and_dimension_only():
+    for n in (1, 7, 40, 50, 400, 5000):
+        for d in (1, 2, 5):
+            b = block_length(n, d, 1)
+            assert b * n * (d + 2) <= BLOCK_ELEMENTS or b == 1
+            assert block_length(n, d, 3) == b
+    # the stock profiles: mixture-5.1, sigmoid-5.2, sigmoid-wide
+    assert [block_length(n, 2, 1) for n in (50, 40, 400)] == [10, 12, 1]
+
+
+def test_step_draws_cover_the_steps_block_by_block():
+    # 30 steps of B = 12: blocks of 12, 12 and 6, read in step order
+    s = box(-1, 1)
+    kernel = JitterKernelSpec(space=s, proposal_std=0.1, n_particles=40)
+    ps = init_particles(s, 40, [np.random.default_rng(j) for j in range(2)])
+    direct = init_particles(s, 40, [np.random.default_rng(j) for j in range(2)])
+    got = list(step_draws(ps, kernel, 30))
+    assert len(got) == 30
+    blocks = [draw_block(direct, kernel, left) for left in (30, 18, 6)]
+    assert [b[0].shape[1] for b in blocks] == [12, 12, 6]
+    want = [tuple(a[:, j] for a in b) for b in blocks for j in range(b[0].shape[1])]
+    for g, w in zip(got, want):
+        for a, b in zip(g, w):
+            assert a.tobytes() == b.tobytes()
