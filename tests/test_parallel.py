@@ -173,13 +173,12 @@ def test_worker_trajectory_independent_of_worker_count_across_draw_blocks():
     """The same across draw blocks: N=40 in 2-d draws B = 2048 // 160 = 12
     steps at a time, so T=30 runs blocks of 12, 12 and 6."""
     prob = small_mixture(n=30)
-    runs = [
+    small, big = (
         run_psmco(prob.model, prob.space, small_config(
             m_workers=m, n_particles=40, batch_size=1, estimate_every=1, keep_final_particles=True,
         ))[1]
         for m in (2, 5)
-    ]
-    small, big = runs
+    )
     assert big.log_z_by_step.shape == (30, 5)
     np.testing.assert_array_equal(big.log_z_by_step[:, :2], small.log_z_by_step)
     np.testing.assert_array_equal(big.final_particles[:2], small.final_particles)
