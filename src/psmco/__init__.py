@@ -14,7 +14,6 @@ from .core import (
     SearchSpace,
     build_schedule,
     clip_to_space,
-    log_potential,
     log_potentials,
     normalize_log_weights,
 )
@@ -31,7 +30,6 @@ from .parallel import (
 from .sampler import (
     JitterKernelSpec,
     ParticleSystem,
-    draw_ancestors,
     draw_block,
     init_particles,
     jitter,
@@ -58,12 +56,10 @@ __all__ = [
     "bandwidth_rule",
     "build_schedule",
     "clip_to_space",
-    "draw_ancestors",
     "draw_block",
     "init_particles",
     "jitter",
     "kde_log_eval",
-    "log_potential",
     "log_potentials",
     "map_estimate",
     "normalize_log_weights",

@@ -97,12 +97,7 @@ def run_and_persist(config: RunConfig, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
 
     if config.algorithm == "psmco":
-        final, record = run_psmco(
-            problem.model,
-            problem.space,
-            to_optimizer_config(config),
-            problem_name=config.problem,
-        )
+        final, record = run_psmco(problem.model, problem.space, to_optimizer_config(config))
         trace = psmco_trace_lines(record)
         summary = _summary_lines(
             [

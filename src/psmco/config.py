@@ -232,14 +232,6 @@ def config_to_json(config: RunConfig) -> str:
     return json.dumps(emit_config(config), sort_keys=True, indent=2) + "\n"
 
 
-def config_from_json(text: str) -> RunConfig:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from None
-    return parse_config(doc)
-
-
 def override_value(raw: str):
     """Interpret a command-line override value.
 

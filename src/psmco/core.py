@@ -8,7 +8,7 @@ max before exponentiating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -98,9 +98,9 @@ class CostModel:
     component values over the batch; it must agree with component_eval.
     stacked=True declares that batch_eval also takes the stacked form,
     indices (W, K) and thetas (W, N, d) -> (W, N), whose row w equals
-    batch_eval(indices[w], thetas[w]) bit for bit; log_potentials then
-    evaluates all workers in one call instead of one call per worker.
-    Evaluations must be deterministic.
+    batch_eval(indices[w], thetas[w]) bit for bit; sums then evaluates
+    all workers in one call instead of one call per worker.
+    Evaluations must be deterministic; name labels a run's trace rows.
     """
 
     n: int
@@ -113,12 +113,29 @@ class CostModel:
         if self.n < 1:
             raise ValueError("need at least one component")
 
+    def sums(self, indices: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+        """Batch sums stacked over workers, the one evaluation path:
+        indices (W, K) and thetas (W, P, d) give (W, P), row w summing
+        f_i over indices[w] at each of thetas[w].  A stacked batch_eval
+        is called once, any other batch_eval once per worker, and a bare
+        component_eval is summed in batch order."""
+        indices = np.asarray(indices)
+        thetas = np.asarray(thetas, dtype=float)
+        if self.batch_eval is None:
+            out = np.empty(thetas.shape[:2])
+            for w, p in np.ndindex(out.shape):
+                total = 0.0  # a Python float overflows to inf without a warning
+                for i in indices[w]:
+                    total += float(self.component_eval(int(i), thetas[w, p]))
+                out[w, p] = total
+            return out
+        if self.stacked:
+            return np.asarray(self.batch_eval(indices, thetas), dtype=float)
+        return np.array([self.batch_eval(b, pts) for b, pts in zip(indices, thetas)], dtype=float)
+
     def batch_cost(self, indices: np.ndarray, theta: np.ndarray) -> float:
         """Sum of f_i(theta) over i in indices, for a single point."""
-        if self.batch_eval is not None:
-            out = self.batch_eval(np.asarray(indices), np.asarray(theta, dtype=float)[None, :])
-            return float(out[0])
-        return float(sum(self.component_eval(int(i), theta) for i in indices))
+        return float(self.sums([indices], [[theta]])[0, 0])
 
     def total_cost(self, theta: np.ndarray) -> float:
         """Full cost f(theta); an O(n) sweep."""
@@ -126,10 +143,7 @@ class CostModel:
 
     def total_cost_many(self, thetas: np.ndarray) -> np.ndarray:
         """Full cost at each row of thetas."""
-        thetas = np.asarray(thetas, dtype=float)
-        if self.batch_eval is not None:
-            return np.asarray(self.batch_eval(np.arange(self.n), thetas), dtype=float)
-        return np.array([self.total_cost(t) for t in thetas])
+        return self.sums([np.arange(self.n)], [thetas])[0]
 
 
 def build_schedule(
@@ -148,56 +162,30 @@ def build_schedule(
     return tuple(perm[start:start + batch_size] for start in range(0, n, batch_size))
 
 
-def log_potential(model: CostModel, batch: Sequence[int], theta: np.ndarray) -> float:
-    """log G(theta) = -sum of f_i(theta) over the batch, never exponentiated.
-
-    Any non-finite component value raises EvaluationError with the
-    offending index and point.
-    """
-    theta = np.asarray(theta, dtype=float)
-    total = 0.0
-    for i in batch:
-        v = float(model.component_eval(int(i), theta))
-        if not np.isfinite(v):
-            raise EvaluationError(int(i), theta, v)
-        total += v
-    return -total
-
-
 def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Vectorized log G, stacked over workers: batch (W, K) and thetas
-    (W, N, d) give the (W, N) array whose row w is worker w's batch
-    potential at its particles.  The single-worker form, batch (K,) and
-    thetas (P, d), gives (P,).
-
-    A stacked model is evaluated in one batch_eval call, any other
-    batch_eval one worker at a time, and a model without one point by
-    point.  A non-finite batch sum triggers a scalar rescan to locate the
-    offending component.
+    """log G = -(batch sum), never exponentiated, stacked over workers:
+    batch (W, K) and thetas (W, N, d) give (W, N), row w holding worker
+    w's batch potentials at its particles; batch (K,) and thetas (P, d)
+    give (P,).  The sums come from one CostModel.sums call; a non-finite
+    sum triggers a component-by-component rescan that raises
+    EvaluationError with the offending index and point.
     """
     batch = np.asarray(batch)
     thetas = np.asarray(thetas, dtype=float)
     if batch.ndim == 1:
         return log_potentials(model, batch[None], thetas[None])[0]
-    if model.batch_eval is None:
-        return np.array([[log_potential(model, b, t) for t in pts] for b, pts in zip(batch, thetas)])
-    if model.stacked:
-        sums = np.asarray(model.batch_eval(batch, thetas), dtype=float)
-    else:
-        sums = np.array([model.batch_eval(b, pts) for b, pts in zip(batch, thetas)], dtype=float)
+    sums = model.sums(batch, thetas)
     bad = ~np.isfinite(sums)
     if bad.any():
         # Rescan component-by-component at the bad points, in worker then
         # particle order, to attribute the failure.  A batch sum of +inf
-        # with every component finite is plain overflow; represent it as
+        # with every component finite is plain overflow and stays, giving
         # log G = -inf instead of an error.
         for w, p in zip(*np.nonzero(bad)):
             for i in batch[w]:
                 v = float(model.component_eval(int(i), thetas[w, p]))
                 if not np.isfinite(v):
                     raise EvaluationError(int(i), thetas[w, p], v)
-        sums = sums.copy()
-        sums[bad & (sums > 0)] = np.inf
         still_bad = ~np.isfinite(sums) & ~(sums == np.inf)
         if still_bad.any():
             w, p = (int(a[0]) for a in np.nonzero(still_bad))

@@ -119,7 +119,6 @@ def run_psmco(
     model: CostModel,
     space: SearchSpace,
     config: OptimizerConfig,
-    problem_name: str = "cost",
 ) -> Tuple[MinimumEstimate, RunRecord]:
     """Run M independent samplers over one pass of the data; returns the
     final estimate plus the full trace of best-worker estimates.
@@ -204,7 +203,7 @@ def run_psmco(
     )
     final_particles = system.particles if config.keep_final_particles else None
     record = RunRecord(
-        problem=problem_name,
+        problem=model.name,
         config=config,
         rows=rows,
         final=final,

@@ -24,36 +24,31 @@ STACK_BUDGET = 1 << 18
 
 
 def _batch_kernel(block_eval, chunk_budget: int, per_pair: int):
-    """A batch_eval over block_eval((..., K), (..., P, d)) -> (..., P),
+    """A stacked batch_eval over block_eval((..., K), (..., P, d)) -> (..., P),
     whose temporaries hold per_pair elements per (point, index) pair.
 
-    Single-worker input, (K,) and (P, d), is evaluated in chunks of at
-    most chunk_budget elements per temporary; stacked input, (W, K) and
-    (W, N, d), in blocks of workers under STACK_BUDGET, a worker too big
-    for a block on its own going through the single-worker chunks.
+    Stacked input, (W, K) and (W, N, d), is evaluated in blocks of workers
+    under STACK_BUDGET; a worker too big for a block on its own is cut
+    into chunks of points under chunk_budget.
     """
-
-    def chunked(indices: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        out = np.empty(thetas.shape[0])
-        chunk = max(1, chunk_budget // (per_pair * max(1, indices.size)))
-        for start in range(0, thetas.shape[0], chunk):
-            out[start:start + chunk] = block_eval(indices, thetas[start:start + chunk])
-        return out
 
     def batch_eval(indices: np.ndarray, thetas: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices)
         thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim == 2:
-            return chunked(indices, thetas)
+        single = thetas.ndim == 2  # (K,) and (P, d): the W=1 case
+        if single:  # not a recursive call: that would put the closure in a reference cycle
+            indices, thetas = indices[None], thetas[None]
         out = np.empty(thetas.shape[:2])
-        per_worker = thetas.shape[1] * per_pair * max(1, indices.shape[1])
-        step = max(1, STACK_BUDGET // max(1, per_worker))
+        per_point = per_pair * max(1, indices.shape[1])
+        step = max(1, STACK_BUDGET // max(1, thetas.shape[1] * per_point))
+        chunk = max(1, chunk_budget // per_point)
         for w in range(0, thetas.shape[0], step):
-            if step == 1:
-                out[w] = chunked(indices[w], thetas[w])
-            else:
+            if step > 1:
                 out[w:w + step] = block_eval(indices[w:w + step], thetas[w:w + step])
-        return out
+            else:
+                for start in range(0, thetas.shape[1], chunk):
+                    out[w, start:start + chunk] = block_eval(indices[w], thetas[w, start:start + chunk])
+        return out[0] if single else out
 
     return batch_eval
 

@@ -225,14 +225,6 @@ def inverse_cdf(log_w: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out % cum.shape[1]
 
 
-def draw_ancestors(
-    log_w: np.ndarray, n_draws: int, rng: np.random.Generator
-) -> np.ndarray:
-    """n_draws iid categorical indices from one population's normalized
-    log-weights (N,), by inverse_cdf."""
-    return inverse_cdf(np.asarray(log_w)[None], rng.random(n_draws)[None])[0]
-
-
 def resample_multinomial(system: ParticleSystem, log_w: np.ndarray, u: np.ndarray) -> None:
     """Replace each population with N draws from its weighted self, given
     the (M, N) normalized log-weights and the step's (M, N) uniforms.  A

@@ -24,7 +24,6 @@ from psmco.core import (
     SearchSpace,
     build_schedule,
     clip_to_space,
-    log_potential,
 )
 from psmco.kde import KernelDensitySpec, bandwidth_rule, map_estimate
 from psmco.parallel import OptimizerConfig, RunFailureError, select_best_worker
@@ -73,11 +72,22 @@ def jitter(system: ParticleSystem, kernel: JitterKernelSpec, u, noise) -> int:
     return int(move.sum())
 
 
+def component_sum(model: CostModel, batch: np.ndarray, theta: np.ndarray) -> float:
+    """The batch's component values at theta, added in batch order."""
+    total = 0.0
+    for i in batch:
+        v = float(model.component_eval(int(i), theta))
+        if not np.isfinite(v):
+            raise EvaluationError(int(i), theta, v)
+        total += v
+    return total
+
+
 def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """log G at each row of thetas, through the model's single-worker
-    batch_eval when it has one."""
+    batch_eval when it has one, else one component at a time."""
     if model.batch_eval is None:
-        return np.array([log_potential(model, batch, t) for t in thetas])
+        return np.array([-component_sum(model, batch, t) for t in thetas])
     sums = np.asarray(model.batch_eval(batch, thetas), dtype=float)
     bad = ~np.isfinite(sums)
     if bad.any():

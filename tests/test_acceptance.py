@@ -28,9 +28,9 @@ from psmco.problems import (
 from psmco.problems import SigmoidProblemSpec
 from psmco.sampler import (
     JitterKernelSpec,
-    draw_ancestors,
     draw_block,
     init_particles,
+    inverse_cdf,
     jitter,
     weight_and_accumulate,
 )
@@ -197,7 +197,7 @@ def test_criterion_5_bandwidth_rule_values(capsys):
 
 def test_criterion_6_resampling_unbiased(capsys):
     weights = normalize_log_weights(np.log(np.array([0.25, 0.75])))[1]
-    idx = draw_ancestors(weights, 10**5, np.random.default_rng(123))
+    idx = inverse_cdf(weights[None], np.random.default_rng(123).random(10**5)[None])[0]
     freq = float(np.mean(idx == 1))
     passed = 0.74 <= freq <= 0.76
     report(

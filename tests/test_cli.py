@@ -9,7 +9,6 @@ from psmco.config import (
     ConfigError,
     PROFILES,
     apply_overrides,
-    config_from_json,
     config_to_json,
     emit_config,
     load_profile,
@@ -141,7 +140,7 @@ def test_epsilon_at_cap_accepted():
 def test_round_trip_both_profiles():
     for name in PROFILES:
         cfg = parse_config(load_profile(name))
-        again = config_from_json(config_to_json(cfg))
+        again = parse_config(json.loads(config_to_json(cfg)))
         assert again == cfg
         assert parse_config(emit_config(cfg)) == cfg
 

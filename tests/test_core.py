@@ -11,11 +11,11 @@ from psmco.core import (
     SearchSpace,
     build_schedule,
     clip_to_space,
-    log_potential,
     log_potentials,
     logsumexp_last,
     normalize_log_weights,
 )
+from psmco.sampler import JitterKernelSpec, draw_block, init_particles, sampler_step
 
 
 def box(lo, hi, d=2):
@@ -118,21 +118,26 @@ def constant_model(n, value):
     return CostModel(n=n, component_eval=lambda i, th: float(value))
 
 
+def log_g(model, batch, theta):
+    """log G of one batch at one point, through log_potentials."""
+    return log_potentials(model, np.asarray(batch), np.asarray(theta, dtype=float)[None])[0]
+
+
 def test_log_potential_zero_cost():
     model = constant_model(5, 0.0)
-    assert log_potential(model, [0, 1, 2], np.zeros(2)) == 0.0
+    assert log_g(model, [0, 1, 2], np.zeros(2)) == 0.0
 
 
 def test_log_potential_single_component():
     model = constant_model(3, 2.5)
-    assert log_potential(model, [1], np.zeros(2)) == -2.5
+    assert log_g(model, [1], np.zeros(2)) == -2.5
 
 
 def test_log_potential_stays_finite_where_exp_underflows():
     # 100 components of cost 10 each: G = exp(-1000) underflows to 0 in
     # the linear domain, but the log-potential is just -1000
     model = constant_model(100, 10.0)
-    lp = log_potential(model, np.arange(100), np.zeros(2))
+    lp = log_g(model, np.arange(100), np.zeros(2))
     assert lp == -1000.0
     assert np.exp(lp) == 0.0  # the linear domain really does underflow
 
@@ -144,8 +149,8 @@ def test_log_potential_additive_over_disjoint_batches():
     theta = np.zeros(1)
     a = rng.permutation(50)[:20]
     b = np.setdiff1d(np.arange(50), a)[:15]
-    whole = log_potential(model, np.concatenate([a, b]), theta)
-    split = log_potential(model, a, theta) + log_potential(model, b, theta)
+    whole = log_g(model, np.concatenate([a, b]), theta)
+    split = log_g(model, a, theta) + log_g(model, b, theta)
     assert whole == pytest.approx(split, rel=1e-12)
 
 
@@ -156,9 +161,15 @@ def test_log_potential_nonfinite_component_raises():
     model = CostModel(n=5, component_eval=bad)
     theta = np.array([0.5, -0.5])
     with pytest.raises(EvaluationError) as exc:
-        log_potential(model, [0, 3, 4], theta)
+        log_g(model, [0, 3, 4], theta)
     assert exc.value.index == 3
     np.testing.assert_array_equal(exc.value.theta, theta)
+    # the stacked form reports the first bad point in worker, then particle order
+    thetas = np.array([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 2.0]]])
+    with pytest.raises(EvaluationError) as exc:
+        log_potentials(model, np.array([[0, 1], [4, 3]]), thetas)
+    assert exc.value.index == 3
+    np.testing.assert_array_equal(exc.value.theta, [0.0, 0.0])
 
 
 def test_log_potentials_nonfinite_rescan_attributes_component():
@@ -211,7 +222,8 @@ def test_log_potentials_overflowing_sum_of_finite_components():
     )
     out = log_potentials(model, np.array([0, 1]), np.zeros((2, 1)))
     assert (out == -np.inf).all()
-    assert log_potential(model, [0, 1], np.zeros(1)) == -np.inf
+    components_only = CostModel(n=2, component_eval=model.component_eval)
+    assert log_g(components_only, [0, 1], np.zeros(1)) == -np.inf
 
 
 def test_log_potentials_matches_scalar_loop():
@@ -228,7 +240,7 @@ def test_log_potentials_matches_scalar_loop():
     model = CostModel(n=30, component_eval=comp, batch_eval=batch)
     thetas = rng.normal(size=(8, 3))
     got = log_potentials(model, np.arange(0, 30, 2), thetas)
-    want = np.array([log_potential(model, np.arange(0, 30, 2), t) for t in thetas])
+    want = np.array([-sum(comp(i, t) for i in range(0, 30, 2)) for t in thetas])
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -245,8 +257,95 @@ def test_schedule_sum_equals_negative_total_cost():
     for k in (1, 3, 500):
         sched = build_schedule(500, k, np.random.default_rng(k))
         for theta in rng.normal(size=(4, 1)):
-            total = sum(log_potential(model, b, theta) for b in sched)
+            total = sum(log_g(model, b, theta) for b in sched)
             assert total == pytest.approx(-model.total_cost(theta), rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one evaluation path: CostModel.sums
+
+
+CENTERS = np.linspace(-1.0, 1.0, 12)
+
+
+def center_component(i, theta):
+    d = theta[0] - CENTERS[i]
+    return float(d * d)
+
+
+def center_batch(indices, thetas):
+    """Sum of center_component over the batch, added in batch order, for
+    (K,)/(P, d) or stacked (W, K)/(W, P, d)."""
+    indices = np.asarray(indices)
+    total = np.zeros(thetas.shape[:-1])
+    for k in range(indices.shape[-1]):
+        d = thetas[..., 0] - CENTERS[indices[..., k]][..., None]
+        total = total + d * d
+    return total
+
+
+def counted_forms():
+    """The same cost as a stacked, a single-worker and a component-only
+    CostModel, and a dict counting the calls of each form's function."""
+    calls = {"stacked": 0, "single-worker": 0, "component-only": 0}
+
+    def counting(form, fn):
+        def counted(*args):
+            calls[form] += 1
+            return fn(*args)
+        return counted
+
+    models = {
+        "stacked": CostModel(
+            n=12, component_eval=center_component,
+            batch_eval=counting("stacked", center_batch), stacked=True,
+        ),
+        "single-worker": CostModel(
+            n=12, component_eval=center_component, batch_eval=counting("single-worker", center_batch)
+        ),
+        "component-only": CostModel(n=12, component_eval=counting("component-only", center_component)),
+    }
+    return models, calls
+
+
+def test_step_calls_each_model_form_as_declared():
+    """Per sampler step: a stacked model's batch_eval is called once for
+    all M workers, a single-worker batch_eval M times, and a bare
+    component_eval M*N*K times; all three forms give the same step."""
+    m, n, k = 3, 5, 4
+    models, calls = counted_forms()
+    per_step = {"stacked": 1, "single-worker": m, "component-only": m * n * k}
+    batches = np.arange(m * k).reshape(m, k)
+    outcome = {}
+    for form, model in models.items():
+        system = init_particles(box(-2, 2, d=1), n, [np.random.default_rng(s) for s in range(m)])
+        kernel = JitterKernelSpec(system.space, proposal_std=0.3, n_particles=n)
+        for _ in range(2):
+            before = calls[form]
+            draws = [a[:, 0] for a in draw_block(system, kernel, 1)]
+            log_z = sampler_step(system, model, batches, kernel, draws)
+            assert calls[form] - before == per_step[form]
+        outcome[form] = (log_z.tobytes(), system.particles.tobytes())
+    assert outcome["stacked"] == outcome["single-worker"] == outcome["component-only"]
+
+
+def test_costs_agree_bit_for_bit_across_model_forms():
+    """batch_cost, total_cost and total_cost_many, the W=1 calls of sums,
+    give the same bits for all three forms of one cost."""
+    models, _ = counted_forms()
+    thetas = np.random.default_rng(9).uniform(-2, 2, size=(7, 1))
+    indices = np.array([11, 0, 5, 3])
+    results = {
+        form: (
+            [model.batch_cost(indices, t) for t in thetas],
+            [model.total_cost(t) for t in thetas],
+            model.total_cost_many(thetas).tobytes(),
+        )
+        for form, model in models.items()
+    }
+    assert results["stacked"] == results["single-worker"] == results["component-only"]
+    want = [sum(center_component(i, t) for i in range(12)) for t in thetas]
+    np.testing.assert_allclose(results["stacked"][1], want, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

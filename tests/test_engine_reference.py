@@ -87,7 +87,7 @@ def component(i, theta):
 
 def batch(indices, thetas):
     """Sum of component values over the batch, added in batch order as
-    log_potential does, for (K,)/(P, 1) or stacked (W, K)/(W, N, 1)."""
+    a component-only model does, for (K,)/(P, 1) or stacked (W, K)/(W, N, 1)."""
     indices = np.asarray(indices)
     theta = thetas[..., 0]
     d = theta - 0.5

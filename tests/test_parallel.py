@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from psmco.core import CostModel, SearchSpace, build_schedule, log_potential
+from psmco.core import CostModel, SearchSpace, build_schedule, log_potentials
 from psmco.parallel import (
     NoViableWorkerError,
     OptimizerConfig,
@@ -216,8 +216,10 @@ def test_step_normalizers_telescope_to_emitted_log_z(case):
 
 def test_schedule_sum_recovers_total_cost_at_random_points():
     """Each worker's batches tile the component set, so the accumulated
-    batch potentials reproduce -f anywhere."""
+    batch potentials, summed component by component, reproduce the
+    stock kernel's -f anywhere."""
     prob = make_mixture_problem(MixtureProblemSpec(n=300))
+    components = CostModel(n=300, component_eval=prob.model.component_eval)
     rng = np.random.default_rng(42)
     points = rng.uniform(-50, 50, size=(10, 2))
     for worker_seed in (0, 1, 2):
@@ -225,7 +227,7 @@ def test_schedule_sum_recovers_total_cost_at_random_points():
         for k in (1, 7):
             sched = build_schedule(300, k, wrng)
             for theta in points:
-                acc = sum(log_potential(prob.model, b, theta) for b in sched)
+                acc = sum(log_potentials(components, b, theta[None])[0] for b in sched)
                 assert acc == pytest.approx(-prob.model.total_cost(theta), rel=1e-9)
 
 

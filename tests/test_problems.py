@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -178,6 +180,35 @@ def test_stacked_batch_eval_equals_per_worker_calls(name, budget, monkeypatch):
             for b, pts in zip(indices, thetas)]
     assert got[1, 0] == want[1][0] == math.inf
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("budget", [problems.STACK_BUDGET, 1])
+def test_stock_kernels_two_d_input_equals_one_worker_stack(budget, monkeypatch):
+    """Single-worker input to a stock kernel gives the W=1 stacked result
+    bit for bit, in a block of workers or cut into chunks of points."""
+    monkeypatch.setattr(problems, "STACK_BUDGET", budget)
+    rng = np.random.default_rng(2)
+    for make in STOCK_PROBLEMS.values():
+        model = make().model
+        for p, k in ((1, 300), (25, 300), (40, 7)):
+            indices = rng.permutation(300)[:k]
+            thetas = rng.normal(size=(p, 2)) * 3
+            flat = model.batch_eval(indices, thetas)
+            stacked = model.batch_eval(indices[None], thetas[None])
+            assert flat.tobytes() == stacked[0].tobytes()
+
+
+def test_stock_kernels_are_freed_by_reference_counting():
+    """A stock kernel is in no reference cycle, so it and the data it
+    holds go with the last reference, without waiting for the cycle
+    collector."""
+    gc.disable()
+    try:
+        for make in STOCK_PROBLEMS.values():
+            kernel = weakref.ref(make().model.batch_eval)
+            assert kernel() is None
+    finally:
+        gc.enable()
 
 
 def test_sigmoid_gradient_against_finite_differences():

@@ -7,7 +7,6 @@ from psmco.core import CostModel, DegenerateWeightsError, SearchSpace, normalize
 from psmco.sampler import (
     BLOCK_ELEMENTS,
     JitterKernelSpec,
-    draw_ancestors,
     draw_block,
     init_particles,
     inverse_cdf,
@@ -204,17 +203,6 @@ def test_cumulative_telescopes_exactly():
 # resampling
 
 
-class FixedUniforms:
-    """Stand-in random stream feeding predetermined uniforms."""
-
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
-
-    def random(self, n):
-        assert n == len(self.values)
-        return self.values.copy()
-
-
 def test_resample_point_mass():
     ps = init_particles(box(-1, 1), 3, [np.random.default_rng(13)])
     target = ps.particles[0, 0].copy()
@@ -228,14 +216,14 @@ def test_draw_ancestors_uniform_mean_counts():
     # 10^4 replicates of 4 draws from uniform weights: mean count per
     # ancestor is 1 within +-0.05
     w = normalize_log_weights(np.zeros(4))[1]
-    idx = draw_ancestors(w, 4 * 10_000, np.random.default_rng(14))
+    idx = inverse_cdf(w[None], np.random.default_rng(14).random(4 * 10_000)[None])[0]
     counts = np.bincount(idx, minlength=4) / 10_000
     np.testing.assert_allclose(counts, 1.0, atol=0.05)
 
 
 def test_draw_ancestors_skewed_frequency_band():
     w = normalize_log_weights(np.log([0.25, 0.75]))[1]
-    idx = draw_ancestors(w, 100_000, np.random.default_rng(15))
+    idx = inverse_cdf(w[None], np.random.default_rng(15).random(100_000)[None])[0]
     freq = (idx == 1).mean()
     assert 0.74 <= freq <= 0.76
 
@@ -244,7 +232,7 @@ def test_draw_ancestors_unbiased_within_three_se():
     probs = np.array([0.1, 0.2, 0.3, 0.4])
     w = normalize_log_weights(np.log(probs))[1]
     total = 40_000
-    idx = draw_ancestors(w, total, np.random.default_rng(16))
+    idx = inverse_cdf(w[None], np.random.default_rng(16).random(total)[None])[0]
     freq = np.bincount(idx, minlength=4) / total
     se = np.sqrt(probs * (1 - probs) / total)
     assert (np.abs(freq - probs) <= 3 * se).all()
@@ -254,7 +242,7 @@ def test_draw_ancestors_tie_convention():
     # inverse CDF with cumulative (0.5, 1.0): u exactly on a boundary
     # selects the lower index
     w = np.log([0.5, 0.5])
-    idx = draw_ancestors(w, 4, FixedUniforms([0.0, 0.5, 0.5 + 1e-12, 0.999]))
+    idx = inverse_cdf(w[None], np.array([[0.0, 0.5, 0.5 + 1e-12, 0.999]]))[0]
     np.testing.assert_array_equal(idx, [0, 0, 1, 1])
 
 
