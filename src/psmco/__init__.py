@@ -9,7 +9,6 @@ estimate through a kernel density mode search.
 
 from .core import (
     CostModel,
-    DegenerateWeightsError,
     EvaluationError,
     SearchSpace,
     build_schedule,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CostModel",
-    "DegenerateWeightsError",
     "EvaluationError",
     "JitterKernelSpec",
     "KernelDensitySpec",

@@ -82,10 +82,6 @@ def psgd_trace_lines(problem_name: str, record: PSGDRecord) -> List[str]:
     return lines
 
 
-def _summary_lines(pairs) -> List[str]:
-    return [f"{k}={v}" for k, v in pairs]
-
-
 def run_and_persist(config: RunConfig, out_dir: str) -> None:
     """Execute the configured run and write its artifacts into out_dir.
 
@@ -96,24 +92,13 @@ def run_and_persist(config: RunConfig, out_dir: str) -> None:
     problem = build_problem(config)
     os.makedirs(out_dir, exist_ok=True)
 
+    particles = wall = None
     if config.algorithm == "psmco":
         final, record = run_psmco(problem.model, problem.space, to_optimizer_config(config))
         trace = psmco_trace_lines(record)
-        summary = _summary_lines(
-            [
-                ("problem", config.problem),
-                ("algorithm", config.algorithm),
-                ("n", config.n),
-                ("seed", config.seed),
-                ("iterations", record.rows[-1].iteration),
-                ("best_worker", final.worker),
-                ("f_final", _fmt(final.f_value)),
-                ("theta_final_0", _fmt(final.theta[0])),
-                ("theta_final_1", _fmt(final.theta[1])),
-                ("log_z_final", _fmt(final.log_z)),
-            ]
-        )
-        particles = None
+        iterations, f_final, theta = final.iteration, final.f_value, final.theta
+        before = [("best_worker", final.worker)]
+        after = [("log_z_final", _fmt(final.log_z))]
         if record.final_particles is not None:
             particles = particles_lines(record)
         wall = record.wall_time
@@ -121,20 +106,20 @@ def run_and_persist(config: RunConfig, out_dir: str) -> None:
         record = run_psgd_baseline(problem, to_psgd_config(config))
         trace = psgd_trace_lines(config.problem, record)
         best = int(np.argmin(record.f_final))
-        summary = _summary_lines(
-            [
-                ("problem", config.problem),
-                ("algorithm", config.algorithm),
-                ("n", config.n),
-                ("seed", config.seed),
-                ("iterations", record.config.iterations),
-                ("f_final", _fmt(float(record.f_final[best]))),
-                ("theta_final_0", _fmt(record.thetas[best, 0])),
-                ("theta_final_1", _fmt(record.thetas[best, 1])),
-            ]
-        )
-        particles = None
-        wall = None
+        iterations, f_final, theta = record.config.iterations, record.f_final[best], record.thetas[best]
+        before = after = []
+    pairs = [
+        ("problem", config.problem),
+        ("algorithm", config.algorithm),
+        ("n", config.n),
+        ("seed", config.seed),
+        ("iterations", iterations),
+        *before,
+        ("f_final", _fmt(f_final)),
+        *((f"theta_final_{j}", _fmt(v)) for j, v in enumerate(theta)),
+        *after,
+    ]
+    summary = [f"{k}={v}" for k, v in pairs]
 
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
         fh.write(config_to_json(config))

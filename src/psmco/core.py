@@ -45,10 +45,6 @@ class EvaluationError(RuntimeError):
         )
 
 
-class DegenerateWeightsError(RuntimeError):
-    """All log-weights are -inf; there is nothing to normalize."""
-
-
 @dataclass(frozen=True)
 class SearchSpace:
     """Axis-aligned box in R^d."""
@@ -146,20 +142,15 @@ class CostModel:
         return self.sums([np.arange(self.n)], [thetas])[0]
 
 
-def build_schedule(
-    n: int, batch_size: int, rng: np.random.Generator
-) -> Tuple[np.ndarray, ...]:
-    """Chunk a uniformly random permutation of the n indices into batches.
-
-    Returns the tuple of T = ceil(n / batch_size) index arrays: every
-    batch holds batch_size indices except the last, which holds the
-    remainder.  Raises ValueError when batch_size is 0, negative, or
-    larger than n.
+def build_schedule(n: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """A uniformly random permutation of the n indices, to be read as a
+    schedule of mini-batches of batch_size consecutive entries, the last
+    holding the remainder.  Raises ValueError when batch_size is 0,
+    negative, or larger than n.
     """
     if batch_size < 1 or batch_size > n:
         raise ValueError(f"batch_size must be in [1, n={n}], got {batch_size}")
-    perm = rng.permutation(n)
-    return tuple(perm[start:start + batch_size] for start in range(0, n, batch_size))
+    return rng.permutation(n)
 
 
 def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -201,16 +192,13 @@ def normalize_log_weights(log_w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     plain-domain total, and log-weights whose exp sums to one along the
     row.  Shift-invariant by construction.  A row that is all -inf is
     degenerate: its total is -inf and its log-weights stay -inf.  Raises
-    DegenerateWeightsError when every row is degenerate, and ValueError
-    on NaN or +inf.
+    ValueError on NaN or +inf.
     """
     log_w = np.asarray(log_w, dtype=float)
     if np.isnan(log_w).any() or (log_w == np.inf).any():
         raise ValueError("log-weights must be in [-inf, inf)")
     m = np.max(log_w, axis=-1, keepdims=True)
     live = m > -np.inf
-    if not live.any():
-        raise DegenerateWeightsError("all log-weights are -inf")
     shifted = log_w - np.where(live, m, 0.0)  # degenerate rows stay -inf
     log_norm = np.log(np.where(live, np.sum(np.exp(shifted), axis=-1, keepdims=True), 1.0))
     return np.where(live, m + log_norm, -np.inf)[..., 0], shifted - log_norm

@@ -148,8 +148,8 @@ def run_psmco(
     # row m is worker m's permutation; step t's batches are its columns
     # [t*K, (t+1)*K), the last step taking the remainder
     schedule = np.empty((m_workers, model.n), dtype=np.intp)
-    for row, rng in zip(schedule, rngs):
-        np.concatenate(build_schedule(model.n, config.batch_size, rng), out=row)
+    for m, rng in enumerate(rngs):  # row by row: one permutation held at a time
+        schedule[m] = build_schedule(model.n, config.batch_size, rng)
     system = init_particles(
         space, config.n_particles, rngs, init_point=init_point, init_std=config.init_std
     )
@@ -181,14 +181,11 @@ def run_psmco(
             )
         )
 
-    # one -inf step normalizer pins a worker's cumulative log Z at -inf
-    dead = np.zeros(m_workers, dtype=bool)
     for t, draws in enumerate(step_draws(system, kernel, total_steps)):
         batches = schedule[:, t * batch_size:(t + 1) * batch_size]
-        log_z = log_z_by_step[t] = sampler_step(system, model, batches, kernel, draws)
-        dead |= log_z == -math.inf
-        if dead.all():
-            message = f"every worker degenerated by iteration {t + 1}"
+        log_z_by_step[t] = sampler_step(system, model, batches, kernel, draws)
+        if (system.log_z_cumulative == -math.inf).all():
+            message = f"every worker's cumulative log Z is -inf by iteration {t + 1}"
             raise RunFailureError(message, log_z_by_step[:t + 1])
         if (t + 1) % stride == 0 or t + 1 == total_steps:
             emit(t + 1)

@@ -226,13 +226,14 @@ class SigmoidProblem:
     y: np.ndarray
 
     def mean_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """Average gradient of the components in `indices` at theta."""
+        """Average gradient of the components in `indices` at theta,
+        stacked: theta (..., 2) and indices (..., K) give (..., 2)."""
         theta = np.asarray(theta, dtype=float)
         xb = self.x[indices]
         yb = self.y[indices]
-        g = expit(theta[0] + theta[1] * xb)
+        g = expit(theta[..., 0, None] + theta[..., 1, None] * xb)
         common = -2.0 * (yb - g) * g * (1.0 - g)
-        return np.array([common.mean(), (common * xb).mean()])
+        return np.stack([common.mean(axis=-1), (common * xb).mean(axis=-1)], axis=-1)
 
 
 def make_sigmoid_problem(spec: SigmoidProblemSpec) -> SigmoidProblem:
@@ -337,14 +338,8 @@ def run_psgd_baseline(problem: SigmoidProblem, config: PSGDConfig) -> PSGDRecord
             for c in range(m):
                 perms[c] = rng.permutation(n)
             offset = 0
-        batch = perms[:, offset:offset + k]  # (m, k)
+        grad = problem.mean_gradient(thetas, perms[:, offset:offset + k])
         offset += k
-        xb = problem.x[batch]
-        yb = problem.y[batch]
-        z = thetas[:, 0][:, None] + thetas[:, 1][:, None] * xb
-        g = expit(z)
-        common = -2.0 * (yb - g) * g * (1.0 - g)
-        grad = np.column_stack([common.mean(axis=1), (common * xb).mean(axis=1)])
         thetas = thetas - (config.step_size / math.sqrt(t)) * grad
         f_best[t] = problem.model.total_cost_many(thetas).min()
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import (
     CostModel,
-    DegenerateWeightsError,
     SearchSpace,
     clip_to_space,
     log_potentials,
@@ -77,7 +76,6 @@ class ParticleSystem:
     particles: np.ndarray
     space: SearchSpace
     rngs: Tuple[np.random.Generator, ...]
-    iteration: int = 0
     log_z_cumulative: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -179,19 +177,12 @@ def weight_and_accumulate(
     Each worker's normalizer estimate for the step is the mean potential
     log Z_t = log((1/N) sum_i G(theta_i)), added to the running totals.
     A worker whose potentials are all -inf records -inf, so it still
-    counts toward its cumulative value, and keeps log-weights of -inf;
-    when that holds for every worker, DegenerateWeightsError is raised
-    after recording.
+    counts toward its cumulative value, and keeps log-weights of -inf.
     """
     log_g = log_potentials(model, batches, system.particles)
-    try:
-        log_total, log_w = normalize_log_weights(log_g)
-    except DegenerateWeightsError:
-        log_total, log_w = np.full(system.m_workers, -math.inf), None
+    log_total, log_w = normalize_log_weights(log_g)
     log_z_t = log_total - math.log(system.n_particles)
     system.log_z_cumulative = system.log_z_cumulative + log_z_t
-    if log_w is None:
-        raise DegenerateWeightsError("every worker's potentials are -inf")
     return log_z_t, log_w
 
 
@@ -252,11 +243,6 @@ def sampler_step(
     total; the run carries on.
     """
     jitter(system, kernel, *draws[:2])
-    try:
-        log_z_t, log_w = weight_and_accumulate(system, model, batches)
-    except DegenerateWeightsError:
-        log_z_t = np.full(system.m_workers, -math.inf)
-    else:
-        resample_multinomial(system, log_w, draws[2])
-    system.iteration += 1
+    log_z_t, log_w = weight_and_accumulate(system, model, batches)
+    resample_multinomial(system, log_w, draws[2])
     return log_z_t

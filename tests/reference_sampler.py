@@ -19,7 +19,6 @@ import numpy as np
 
 from psmco.core import (
     CostModel,
-    DegenerateWeightsError,
     EvaluationError,
     SearchSpace,
     build_schedule,
@@ -35,7 +34,6 @@ class ParticleSystem:
     particles: np.ndarray  # (N, d)
     space: SearchSpace
     rng: np.random.Generator
-    iteration: int = 0
     log_z_cumulative: float = 0.0
     log_z_steps: list = field(default_factory=list)
     pending: list = field(default_factory=list)  # drawn steps not yet run
@@ -102,22 +100,20 @@ def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray) -> n
 
 
 def normalize_log_weights(log_w: np.ndarray):
+    """(log total, normalized log-weights), or (-inf, None) when every
+    weight is zero: None is this oracle's degenerate sentinel."""
     m = np.max(log_w)
     if m == -np.inf:
-        raise DegenerateWeightsError("all log-weights are -inf")
+        return -math.inf, None
     shifted = log_w - m
     log_norm = np.log(np.sum(np.exp(shifted)))
     return m + log_norm, shifted - log_norm
 
 
-def weight_and_accumulate(system: ParticleSystem, model: CostModel, batch: np.ndarray) -> np.ndarray:
+def weight_and_accumulate(system: ParticleSystem, model: CostModel, batch: np.ndarray):
+    """The normalized log-weights, None for a degenerate worker."""
     log_g = log_potentials(model, batch, system.particles)
-    try:
-        log_total, log_w = normalize_log_weights(log_g)
-    except DegenerateWeightsError:
-        system.log_z_steps.append(-math.inf)
-        system.log_z_cumulative += -math.inf
-        raise
+    log_total, log_w = normalize_log_weights(log_g)
     log_z_t = float(log_total - math.log(system.particles.shape[0]))
     system.log_z_steps.append(log_z_t)
     system.log_z_cumulative += log_z_t
@@ -138,13 +134,9 @@ def resample_multinomial(system: ParticleSystem, log_w: np.ndarray, u: np.ndarra
 def sampler_step(system, model, batch, kernel, steps_left) -> float:
     u_jitter, noise, u_resample = next_draws(system, kernel, steps_left)
     jitter(system, kernel, u_jitter, noise)
-    try:
-        log_w = weight_and_accumulate(system, model, batch)
-    except DegenerateWeightsError:
-        pass  # the resampling uniforms are drawn all the same
-    else:
+    log_w = weight_and_accumulate(system, model, batch)
+    if log_w is not None:  # a degenerate worker's resampling uniforms go unused
         resample_multinomial(system, log_w, u_resample)
-    system.iteration += 1
     return system.log_z_steps[-1]
 
 
@@ -154,8 +146,10 @@ def run(model: CostModel, space: SearchSpace, config: OptimizerConfig):
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(config.seed).spawn(config.m_workers)]
     kernel = JitterKernelSpec(space, config.proposal_std, config.n_particles, config.epsilon)
     schedules, systems = [], []
+    k = config.batch_size
     for rng in rngs:
-        schedules.append(build_schedule(model.n, config.batch_size, rng))
+        perm = build_schedule(model.n, k, rng)
+        schedules.append([perm[start:start + k] for start in range(0, model.n, k)])
         systems.append(init_particles(space, config.n_particles, rng, config.init_point, config.init_std))
     total = len(schedules[0])
     stride = config.estimate_every or total
@@ -165,8 +159,8 @@ def run(model: CostModel, space: SearchSpace, config: OptimizerConfig):
     for t in range(total):
         for m, system in enumerate(systems):
             log_z_by_step[t, m] = sampler_step(system, model, schedules[m][t], kernel, total - t)
-        if (log_z_by_step[:t + 1] == -math.inf).any(axis=0).all():
-            raise RunFailureError("every worker degenerated", log_z_by_step[:t + 1])
+        if all(s.log_z_cumulative == -math.inf for s in systems):
+            raise RunFailureError("every worker's cumulative log Z is -inf", log_z_by_step[:t + 1])
         if (t + 1) % stride == 0 or t + 1 == total:
             cumulative = tuple(s.log_z_cumulative for s in systems)
             winner = select_best_worker(cumulative)

@@ -171,7 +171,7 @@ def test_criterion_4_schedule_potentials_tile_cost(capsys):
         rng = np.random.default_rng(child)
         schedule = build_schedule(problem.model.n, 1, rng)
         acc = np.zeros(len(points))
-        for batch in schedule:
+        for batch in schedule[:, None]:  # K=1: one index per batch
             acc += log_potentials(problem.model, batch, points)
         worst = max(worst, float(np.max(np.abs(acc - want) / np.abs(want))))
 

@@ -6,7 +6,6 @@ from scipy.special import logsumexp as scipy_logsumexp
 
 from psmco.core import (
     CostModel,
-    DegenerateWeightsError,
     EvaluationError,
     SearchSpace,
     build_schedule,
@@ -68,11 +67,17 @@ def test_clip_to_space():
 # schedules
 
 
+def slice_batches(perm, k):
+    """The schedule's mini-batches: consecutive slices of k indices."""
+    return [perm[start:start + k] for start in range(0, len(perm), k)]
+
+
 def test_schedule_small_example():
-    sched = build_schedule(5, 2, np.random.default_rng(0))
-    sizes = [len(b) for b in sched]
+    perm = build_schedule(5, 2, np.random.default_rng(0))
+    assert perm.shape == (5,)
+    sizes = [len(b) for b in slice_batches(perm, 2)]
     assert sizes == [2, 2, 1]
-    union = np.sort(np.concatenate(sched))
+    union = np.sort(np.concatenate(slice_batches(perm, 2)))
     np.testing.assert_array_equal(union, np.arange(5))
 
 
@@ -80,7 +85,7 @@ def test_schedule_partition_exhaustive():
     """Every index appears exactly once, at the largest supported scale."""
     n = 10_000
     for k in (1, 7, 100, 9_999, 10_000):
-        sched = build_schedule(n, k, np.random.default_rng(k))
+        sched = slice_batches(build_schedule(n, k, np.random.default_rng(k)), k)
         t = len(sched)
         assert t == -(-n // k)
         assert all(len(b) == k for b in sched[:-1])
@@ -100,11 +105,11 @@ def test_schedule_invalid_batch_size():
 
 
 def test_schedule_deterministic_given_stream():
-    a = build_schedule(100, 7, np.random.default_rng(42))
-    b = build_schedule(100, 7, np.random.default_rng(42))
+    a = slice_batches(build_schedule(100, 7, np.random.default_rng(42)), 7)
+    b = slice_batches(build_schedule(100, 7, np.random.default_rng(42)), 7)
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
-    c = build_schedule(100, 7, np.random.default_rng(43))
+    c = slice_batches(build_schedule(100, 7, np.random.default_rng(43)), 7)
     assert any(
         not np.array_equal(x, y) for x, y in zip(a, c)
     )
@@ -255,7 +260,7 @@ def test_schedule_sum_equals_negative_total_cost():
 
     model = CostModel(n=500, component_eval=comp)
     for k in (1, 3, 500):
-        sched = build_schedule(500, k, np.random.default_rng(k))
+        sched = slice_batches(build_schedule(500, k, np.random.default_rng(k)), k)
         for theta in rng.normal(size=(4, 1)):
             total = sum(log_g(model, b, theta) for b in sched)
             assert total == pytest.approx(-model.total_cost(theta), rel=1e-9)
@@ -386,8 +391,13 @@ def test_normalize_sums_to_one():
 
 
 def test_normalize_all_minus_inf_degenerate():
-    with pytest.raises(DegenerateWeightsError):
-        normalize_log_weights(np.full(4, -np.inf))
+    """A degenerate input is plain data: total -inf, log-weights -inf."""
+    log_total, out = normalize_log_weights(np.full(4, -np.inf))
+    assert log_total == -np.inf
+    assert out.tolist() == [-np.inf] * 4
+    log_total, out = normalize_log_weights(np.full((3, 4), -np.inf))
+    assert log_total.tolist() == [-np.inf] * 3
+    assert out.tolist() == [[-np.inf] * 4] * 3
 
 
 def test_normalize_rows_independently_with_degenerate_row():

@@ -116,7 +116,8 @@ def test_single_worker_reduces_to_plain_sampler():
     final, rec = run_psmco(prob.model, prob.space, cfg)
 
     rng = np.random.default_rng(np.random.SeedSequence(11).spawn(1)[0])
-    sched = build_schedule(24, 2, rng)
+    perm = build_schedule(24, 2, rng)
+    sched = [perm[start:start + 2] for start in range(0, 24, 2)]
     system = init_particles(prob.space, 20, [rng])
     kernel = JitterKernelSpec(space=prob.space, proposal_std=0.5, n_particles=20)
     draws = []
@@ -225,7 +226,8 @@ def test_schedule_sum_recovers_total_cost_at_random_points():
     for worker_seed in (0, 1, 2):
         wrng = np.random.default_rng(worker_seed)
         for k in (1, 7):
-            sched = build_schedule(300, k, wrng)
+            perm = build_schedule(300, k, wrng)
+            sched = [perm[start:start + k] for start in range(0, 300, k)]
             for theta in points:
                 acc = sum(log_potentials(components, b, theta[None])[0] for b in sched)
                 assert acc == pytest.approx(-prob.model.total_cost(theta), rel=1e-9)
@@ -239,6 +241,19 @@ def test_all_workers_degenerate_is_run_failure():
         run_psmco(model, space, cfg)
     assert exc.value.log_z_by_step.shape == (1, 2)  # stops at the first all--inf step
     assert (exc.value.log_z_by_step == -np.inf).all()
+
+
+def test_cumulative_overflow_is_run_failure():
+    """Every step normalizer is finite, but the second one sinks each
+    worker's cumulative log Z to -inf: that is a run failure, raised with
+    the per-step trace, not a ranking error at the emission."""
+    model = CostModel(n=2, component_eval=lambda i, th: 1e308)
+    space = SearchSpace(np.array([-1.0]), np.array([1.0]))
+    cfg = OptimizerConfig(m_workers=2, n_particles=8, batch_size=1, proposal_std=0.1, seed=0)
+    with pytest.raises(RunFailureError) as exc:
+        run_psmco(model, space, cfg)
+    assert exc.value.log_z_by_step.shape == (2, 2)
+    assert np.isfinite(exc.value.log_z_by_step).all()
 
 
 def test_selection_shift_invariance_end_to_end():
