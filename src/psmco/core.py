@@ -96,7 +96,9 @@ class CostModel:
     indices (W, K) and thetas (W, N, d) -> (W, N), whose row w equals
     batch_eval(indices[w], thetas[w]) bit for bit; sums then evaluates
     all workers in one call instead of one call per worker.
-    Evaluations must be deterministic; name labels a run's trace rows.
+    Evaluations must be deterministic: the sampler evaluates each
+    worker's distinct particles once and hands every copy of a point the
+    same value.  name labels a run's trace rows.
     """
 
     n: int
@@ -153,19 +155,59 @@ def build_schedule(n: int, batch_size: int, rng: np.random.Generator) -> np.ndar
     return rng.permutation(n)
 
 
+def distinct_points(thetas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Each worker's distinct points, by exact bit pattern: thetas
+    (W, N, d) give reps (W, U, d) and inverse (W, N) with
+    reps[w, inverse[w, j]] bitwise equal to thetas[w, j].
+
+    U is the widest worker's group count, and at least min(N, 2): a
+    kernel may sum in another order for one point than for several (the
+    stock sigmoid kernel does above 8192 components), and every copy must
+    get the bits the whole population would.  A worker with fewer groups
+    repeats its own first point.  Rows are sorted by their first
+    coordinate's bits only, so distinct points sharing it may interleave
+    and split a group in two: a duplicate evaluation, never a wrong one.
+    """
+    w_count, n, d = thetas.shape
+    flat = np.ascontiguousarray(thetas).reshape(-1, d)
+    bits = flat.view(np.int64)  # -0.0 and 0.0 differ
+    rows = np.arange(w_count)[:, None]
+    # flat row order, each worker's rows sorted by the first coordinate;
+    # np.take, not fancy indexing, keeps the gathers cheap
+    order = (np.argsort(bits[:, 0].reshape(w_count, n), axis=1) + rows * n).ravel()
+    ranked = np.take(bits, order, axis=0)
+    new = np.zeros(w_count * n, dtype=bool)  # starts a group
+    for c in range(d):
+        new[1:] |= ranked[1:, c] != ranked[:-1, c]
+    new.reshape(w_count, n)[:, :1] = True
+    group = np.cumsum(new).reshape(w_count, n)
+    group -= group[:, :1]
+    width = max(int(group.max(initial=-1)) + 1, min(n, 2))
+    inverse = np.empty(w_count * n, dtype=np.intp)
+    inverse[order] = group.ravel()
+    reps = np.repeat(thetas[:, :1], width, axis=1)
+    firsts = np.flatnonzero(new)
+    slots = np.take((group + rows * width).ravel(), firsts)
+    reps.reshape(-1, d)[slots] = np.take(flat, np.take(order, firsts), axis=0)
+    return reps, inverse.reshape(w_count, n)
+
+
 def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """log G = -(batch sum), never exponentiated, stacked over workers:
     batch (W, K) and thetas (W, N, d) give (W, N), row w holding worker
     w's batch potentials at its particles; batch (K,) and thetas (P, d)
-    give (P,).  The sums come from one CostModel.sums call; a non-finite
-    sum triggers a component-by-component rescan that raises
-    EvaluationError with the offending index and point.
+    give (P,).  The sums come from one CostModel.sums call on each
+    worker's distinct points (see distinct_points), which relies on
+    evaluations being deterministic; a non-finite sum triggers a
+    component-by-component rescan that raises EvaluationError with the
+    offending index and point.
     """
     batch = np.asarray(batch)
     thetas = np.asarray(thetas, dtype=float)
     if batch.ndim == 1:
         return log_potentials(model, batch[None], thetas[None])[0]
-    sums = model.sums(batch, thetas)
+    reps, inverse = distinct_points(thetas)
+    sums = model.sums(batch, reps)[np.arange(len(inverse))[:, None], inverse]
     bad = ~np.isfinite(sums)
     if bad.any():
         # Rescan component-by-component at the bad points, in worker then

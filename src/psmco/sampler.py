@@ -182,7 +182,8 @@ def weight_and_accumulate(
     log_g = log_potentials(model, batches, system.particles)
     log_total, log_w = normalize_log_weights(log_g)
     log_z_t = log_total - math.log(system.n_particles)
-    system.log_z_cumulative = system.log_z_cumulative + log_z_t
+    with np.errstate(over="ignore"):  # a sum sunk to -inf fails the run, see run_psmco
+        system.log_z_cumulative = system.log_z_cumulative + log_z_t
     return log_z_t, log_w
 
 

@@ -10,11 +10,19 @@ from psmco.core import (
     SearchSpace,
     build_schedule,
     clip_to_space,
+    distinct_points,
     log_potentials,
     logsumexp_last,
     normalize_log_weights,
 )
-from psmco.sampler import JitterKernelSpec, draw_block, init_particles, sampler_step
+from psmco.sampler import (
+    JitterKernelSpec,
+    ParticleSystem,
+    draw_block,
+    init_particles,
+    jitter,
+    sampler_step,
+)
 
 
 def box(lo, hi, d=2):
@@ -217,6 +225,21 @@ def test_stacked_log_potentials_attribute_bad_component_to_its_worker():
     np.testing.assert_array_equal(fine, -2 * np.einsum("wpd,wpd->wp", thetas, thetas))
 
 
+def test_log_potentials_attribute_a_duplicated_bad_point_in_particle_order():
+    """A bad point evaluated once for all its copies is still reported as
+    the first bad (worker, particle) in worker-then-particle order: here
+    worker 1's particle 1, although its other bad point sorts first."""
+    def comp(i, th):
+        return math.nan if th[0] > 0 else float(th[0] * th[0])
+
+    model = CostModel(n=3, component_eval=comp)
+    thetas = np.array([[[-1.0], [-1.0], [-2.0], [-1.0]], [[-1.0], [3.0], [2.0], [3.0]]])
+    with pytest.raises(EvaluationError) as exc:
+        log_potentials(model, np.array([[0, 1], [2, 1]]), thetas)
+    assert exc.value.index == 2
+    np.testing.assert_array_equal(exc.value.theta, [3.0])
+
+
 def test_log_potentials_overflowing_sum_of_finite_components():
     # each component is finite but the batch sum overflows; that is a
     # legitimate log G = -inf, not an evaluation failure
@@ -247,6 +270,64 @@ def test_log_potentials_matches_scalar_loop():
     got = log_potentials(model, np.arange(0, 30, 2), thetas)
     want = np.array([-sum(comp(i, t) for i in range(0, 30, 2)) for t in thetas])
     np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def duplicated_population(rng, w, n, d, pool=4):
+    """(w, n, d) points, each worker drawing its n rows from a pool of a
+    few points whose coordinates come from {-0.0, 0.0, 1.0}, so rows
+    repeat, share first coordinates, and differ only in a zero's sign."""
+    values = np.array([-0.0, 0.0, 1.0])
+    pools = values[rng.integers(0, 3, size=(w, pool, d))]
+    return pools[np.arange(w)[:, None], rng.integers(0, pool, size=(w, n))]
+
+
+def assert_groups_exact(thetas, reps, inverse):
+    """Every point is its group's representative bit for bit, and every
+    representative, padding included, is one of its own worker's points."""
+    w_count, n, _ = thetas.shape
+    assert reps.shape[0] == w_count and inverse.shape == (w_count, n)
+    assert reps.shape[1] >= min(n, 2)
+    picked = reps[np.arange(w_count)[:, None], inverse]
+    assert picked.tobytes() == thetas.tobytes()
+    for own, rep in zip(thetas, reps):
+        assert {r.tobytes() for r in rep} <= {t.tobytes() for t in own}
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_distinct_points_maps_every_point_to_its_bits(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    thetas = duplicated_population(rng, 5, n, d)
+    reps, inverse = distinct_points(thetas)
+    assert_groups_exact(thetas, reps, inverse)
+    distinct = max(len({t.tobytes() for t in own}) for own in thetas)
+    assert reps.shape[1] >= max(distinct, min(n, 2))
+
+
+def test_distinct_points_keeps_signed_zeros_apart():
+    thetas = np.array([[[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, -0.0]]])
+    reps, inverse = distinct_points(thetas)
+    assert reps.shape[1] == 3
+    assert inverse[0, 0] == inverse[0, 2]
+    assert len({inverse[0, 0], inverse[0, 1], inverse[0, 3]}) == 3
+    assert_groups_exact(thetas, reps, inverse)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_distinct_points_of_collapsed_workers(n):
+    """init_particles with init_std=0 puts every particle on init_point,
+    which leaves min(N, 2) points per worker; a narrower worker next to a
+    wide one is padded with its own points only."""
+    rngs = [np.random.default_rng(s) for s in range(3)]
+    system = init_particles(box(-2, 2, d=3), n, rngs, np.array([0.5, -0.0, 1.0]), init_std=0.0)
+    reps, inverse = distinct_points(system.particles)
+    assert reps.shape == (3, min(n, 2), 3)
+    assert (inverse == 0).all()
+    assert_groups_exact(system.particles, reps, inverse)
+    wide = np.concatenate([system.particles, np.random.default_rng(1).normal(size=(1, n, 3))])
+    reps, inverse = distinct_points(wide)
+    assert reps.shape[1] == n
+    assert_groups_exact(wide, reps, inverse)
 
 
 def test_schedule_sum_equals_negative_total_cost():
@@ -316,20 +397,28 @@ def counted_forms():
 def test_step_calls_each_model_form_as_declared():
     """Per sampler step: a stacked model's batch_eval is called once for
     all M workers, a single-worker batch_eval M times, and a bare
-    component_eval M*N*K times; all three forms give the same step."""
+    component_eval M*U*K times, U being the most distinct jittered
+    particles of any worker (at least min(N, 2)); all three forms give
+    the same steps."""
     m, n, k = 3, 5, 4
     models, calls = counted_forms()
-    per_step = {"stacked": 1, "single-worker": m, "component-only": m * n * k}
     batches = np.arange(m * k).reshape(m, k)
     outcome = {}
     for form, model in models.items():
         system = init_particles(box(-2, 2, d=1), n, [np.random.default_rng(s) for s in range(m)])
         kernel = JitterKernelSpec(system.space, proposal_std=0.3, n_particles=n)
-        for _ in range(2):
+        widths = []
+        for _ in range(3):
             before = calls[form]
             draws = [a[:, 0] for a in draw_block(system, kernel, 1)]
+            probe = ParticleSystem(system.particles.copy(), system.space, system.rngs)
+            jitter(probe, kernel, *draws[:2])
+            distinct = max(len({row.tobytes() for row in worker}) for worker in probe.particles)
+            widths.append(max(distinct, min(n, 2)))
             log_z = sampler_step(system, model, batches, kernel, draws)
+            per_step = {"stacked": 1, "single-worker": m, "component-only": m * widths[-1] * k}
             assert calls[form] - before == per_step[form]
+        assert widths[0] == n and min(widths) < n  # all distinct at first, then copies
         outcome[form] = (log_z.tobytes(), system.particles.tobytes())
     assert outcome["stacked"] == outcome["single-worker"] == outcome["component-only"]
 

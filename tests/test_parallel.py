@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,12 +247,15 @@ def test_all_workers_degenerate_is_run_failure():
 def test_cumulative_overflow_is_run_failure():
     """Every step normalizer is finite, but the second one sinks each
     worker's cumulative log Z to -inf: that is a run failure, raised with
-    the per-step trace, not a ranking error at the emission."""
+    the per-step trace, not a ranking error at the emission.  The
+    expected overflow raises no RuntimeWarning."""
     model = CostModel(n=2, component_eval=lambda i, th: 1e308)
     space = SearchSpace(np.array([-1.0]), np.array([1.0]))
     cfg = OptimizerConfig(m_workers=2, n_particles=8, batch_size=1, proposal_std=0.1, seed=0)
-    with pytest.raises(RunFailureError) as exc:
+    with warnings.catch_warnings(record=True) as caught, pytest.raises(RunFailureError) as exc:
+        warnings.simplefilter("always")
         run_psmco(model, space, cfg)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert exc.value.log_z_by_step.shape == (2, 2)
     assert np.isfinite(exc.value.log_z_by_step).all()
 

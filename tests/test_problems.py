@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import psmco.problems as problems
+from psmco.core import log_potentials
 from psmco.problems import (
     MixtureProblemSpec,
     PSGDConfig,
@@ -196,6 +197,33 @@ def test_stock_kernels_two_d_input_equals_one_worker_stack(budget, monkeypatch):
             flat = model.batch_eval(indices, thetas)
             stacked = model.batch_eval(indices[None], thetas[None])
             assert flat.tobytes() == stacked[0].tobytes()
+
+
+@pytest.mark.parametrize("budget", [problems.STACK_BUDGET, 1])
+@pytest.mark.parametrize("name, k", [("sigmoid", 100), ("sigmoid", 500), ("sigmoid", 8193),
+                                     ("mixture", 1), ("mixture", 7)])
+def test_potentials_of_duplicated_populations_equal_every_particle_evaluated(name, k, budget, monkeypatch):
+    """log_potentials evaluates each worker's distinct particles once; on
+    populations made mostly of copies, with worker 0 or every worker
+    collapsed to a single point, every particle still gets the bits of an
+    evaluation of the whole population, one sums call per worker.  Above
+    8192 components the sigmoid kernel's bits depend on whether a call
+    holds one point or more, which is why no worker is evaluated at one
+    point alone."""
+    monkeypatch.setattr(problems, "STACK_BUDGET", budget)
+    n_data = 9000 if name == "sigmoid" else 300
+    spec = SigmoidProblemSpec(n=n_data) if name == "sigmoid" else MixtureProblemSpec(n=n_data)
+    model = (make_sigmoid_problem if name == "sigmoid" else make_mixture_problem)(spec).model
+    rng = np.random.default_rng(k)
+    w, n = 4, 30
+    pools = rng.normal(size=(w, 5, 2)) * 3
+    thetas = pools[np.arange(w)[:, None], rng.integers(0, 5, size=(w, n))]
+    thetas[0] = thetas[0, 0]
+    batch = np.stack([rng.permutation(n_data)[:k] for _ in range(w)])
+    for population in (thetas, np.repeat(thetas[:, :1], n, axis=1)):
+        got = log_potentials(model, batch, population)
+        want = np.stack([-model.sums(batch[j:j + 1], population[j:j + 1])[0] for j in range(w)])
+        assert got.tobytes() == want.tobytes()
 
 
 def test_stock_kernels_are_freed_by_reference_counting():
