@@ -58,7 +58,7 @@ def psmco_trace_lines(record: RunRecord) -> List[str]:
     for row in record.rows:
         cells = [record.problem, str(row.iteration), str(row.worker), _fmt(row.f_value)]
         cells += [_fmt(v) for v in row.theta]
-        cells += [_fmt(v) for v in row.log_z]
+        cells += map(repr, row.log_z)  # Python floats already
         lines.append(",".join(cells))
     return lines
 
@@ -66,12 +66,11 @@ def psmco_trace_lines(record: RunRecord) -> List[str]:
 def particles_lines(record: RunRecord) -> List[str]:
     """One row per final particle of every worker; needs a record that
     kept its final particles."""
-    workers, n_particles, dim = record.final_particles.shape
+    dim = record.final_particles.shape[2]
     lines = [",".join(["worker", "particle"] + _theta_columns(dim))]
-    for w in range(workers):
-        for p in range(n_particles):
-            theta = record.final_particles[w, p]
-            lines.append(f"{w},{p}," + ",".join(_fmt(v) for v in theta))
+    for w, worker in enumerate(record.final_particles.tolist()):
+        for p, theta in enumerate(worker):
+            lines.append(f"{w},{p}," + ",".join(map(repr, theta)))
     return lines
 
 

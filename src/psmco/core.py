@@ -95,7 +95,8 @@ class CostModel:
     stacked=True declares that batch_eval also takes the stacked form,
     indices (W, K) and thetas (W, N, d) -> (W, N), whose row w equals
     batch_eval(indices[w], thetas[w]) bit for bit; sums then evaluates
-    all workers in one call instead of one call per worker.
+    all workers in one call instead of one call per worker.  A run's
+    schedule indices are of dtype schedule_dtype(n), int32 up to n = 2**31.
     Evaluations must be deterministic: the sampler evaluates each
     worker's distinct particles once and hands every copy of a point the
     same value.  name labels a run's trace rows.
@@ -144,6 +145,11 @@ class CostModel:
         return self.sums([np.arange(self.n)], [thetas])[0]
 
 
+def schedule_dtype(n: int) -> type:
+    """int32, half intp's memory, while it holds every index below n."""
+    return np.int32 if n <= 2**31 else np.intp
+
+
 def build_schedule(n: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
     """A uniformly random permutation of the n indices, to be read as a
     schedule of mini-batches of batch_size consecutive entries, the last
@@ -185,10 +191,11 @@ def distinct_points(thetas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     width = max(int(group.max(initial=-1)) + 1, min(n, 2))
     inverse = np.empty(w_count * n, dtype=np.intp)
     inverse[order] = group.ravel()
-    reps = np.repeat(thetas[:, :1], width, axis=1)
+    # each slot's source row: a group's first row, else the worker's first
+    source = np.repeat(np.arange(w_count) * n, width)
     firsts = np.flatnonzero(new)
-    slots = np.take((group + rows * width).ravel(), firsts)
-    reps.reshape(-1, d)[slots] = np.take(flat, np.take(order, firsts), axis=0)
+    source[np.take((group + rows * width).ravel(), firsts)] = np.take(order, firsts)
+    reps = np.take(flat, source, axis=0).reshape(w_count, width, d)
     return reps, inverse.reshape(w_count, n)
 
 
@@ -207,7 +214,8 @@ def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray) -> n
     if batch.ndim == 1:
         return log_potentials(model, batch[None], thetas[None])[0]
     reps, inverse = distinct_points(thetas)
-    sums = model.sums(batch, reps)[np.arange(len(inverse))[:, None], inverse]
+    inverse += np.arange(len(inverse))[:, None] * reps.shape[1]  # slots -> flat positions
+    sums = np.take(model.sums(batch, reps).ravel(), inverse)
     bad = ~np.isfinite(sums)
     if bad.any():
         # Rescan component-by-component at the bad points, in worker then

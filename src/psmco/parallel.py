@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import CostModel, SearchSpace, build_schedule
+from .core import CostModel, SearchSpace, build_schedule, schedule_dtype
 from .kde import KernelDensitySpec, bandwidth_rule, map_estimate
 from .sampler import JitterKernelSpec, init_particles, jitter_epsilon, sampler_step, step_draws
 
@@ -147,7 +147,7 @@ def run_psmco(
     )
     # row m is worker m's permutation; step t's batches are its columns
     # [t*K, (t+1)*K), the last step taking the remainder
-    schedule = np.empty((m_workers, model.n), dtype=np.intp)
+    schedule = np.empty((m_workers, model.n), dtype=schedule_dtype(model.n))
     for m, rng in enumerate(rngs):  # row by row: one permutation held at a time
         schedule[m] = build_schedule(model.n, config.batch_size, rng)
     system = init_particles(

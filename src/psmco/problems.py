@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.special import expit
 
-from .core import CostModel, SearchSpace, logsumexp_last
+from .core import CostModel, SearchSpace, logsumexp_last, schedule_dtype
 
 # Elements in one temporary of a stacked kernel call: workers are
 # evaluated in blocks of as many as fit, and at least one.
@@ -331,7 +331,7 @@ def run_psgd_baseline(problem: SigmoidProblem, config: PSGDConfig) -> PSGDRecord
     f_best = np.empty(config.iterations + 1)
     f_best[0] = problem.model.total_cost_many(thetas).min()
 
-    perms = np.empty((m, n), dtype=np.intp)
+    perms = np.empty((m, n), dtype=schedule_dtype(n))
     offset = n  # forces a reshuffle on first use
     for t in range(1, config.iterations + 1):
         if offset + k > n:

@@ -158,13 +158,15 @@ def step_draws(system: ParticleSystem, kernel: JitterKernelSpec, steps: int):
 
 
 def jitter(system: ParticleSystem, kernel: JitterKernelSpec, u: np.ndarray, noise: np.ndarray) -> int:
-    """Apply the sticky Gaussian move in place, given the step's (M, N)
-    uniforms and (M, N, d) noise; returns how many particles moved, over
-    all workers."""
-    move = u < kernel.epsilon
-    moved = np.where(move[..., None], system.particles + noise, system.particles)
-    system.particles = clip_to_space(moved, system.space)
-    return int(move.sum())
+    """Apply the sticky Gaussian move to a copy of the particles, given the
+    step's (M, N) uniforms and (M, N, d) noise; returns how many particles
+    moved, over all workers."""
+    system.particles = np.array(system.particles, dtype=float, order="C")  # never a caller's array
+    flat = system.particles.reshape(-1, system.space.dim)  # a view: rows are particles
+    moved = np.flatnonzero(u < kernel.epsilon)  # an unmoved particle is in the box already
+    rows = np.take(flat, moved, axis=0) + np.take(noise.reshape(flat.shape), moved, axis=0)
+    flat[moved] = clip_to_space(rows, system.space)
+    return moved.size
 
 
 def weight_and_accumulate(
@@ -205,16 +207,24 @@ def inverse_cdf(log_w: np.ndarray, u: np.ndarray) -> np.ndarray:
     # clipping keeps it out of the next row's key range.
     cum = np.minimum(np.cumsum(np.exp(log_w), axis=-1), 1.0)
     cum[:, -1] = 1.0  # guard against round-off shortfall at the top
+    (m, n), width = cum.shape, u.shape[1]
     # One search per chunk of 1023 rows: the r-th row of a chunk has its
     # keys and probes offset by r * (2**53 + 1), below 2**63, which keeps
-    # every row in a block of its own.
-    offset = np.arange(len(cum))[:, None] % 1023 * (2**53 + 1)
-    keys, probes = (cum * 2.0**53).astype(np.int64) + offset, k + offset
-    out = np.empty(u.shape, dtype=np.intp)
-    for c in range(0, len(cum), 1023):
-        flat = np.searchsorted(keys[c:c + 1023].ravel(), probes[c:c + 1023].ravel())
-        out[c:c + 1023] = flat.reshape(out[c:c + 1023].shape)
-    return out % cum.shape[1]
+    # every row in a block of its own.  The probes are searched in
+    # ascending order, where each search starts from the one before, and
+    # the results are scattered back to the probes' own positions.
+    local = np.arange(m) % 1023
+    offset = local[:, None] * (2**53 + 1)
+    keys = ((cum * 2.0**53).astype(np.int64) + offset).ravel()
+    order = (np.argsort(k, axis=1) + np.arange(m)[:, None] * width).ravel()
+    probes = np.take((k + offset).ravel(), order)
+    found = np.empty(m * width, dtype=np.intp)
+    for c in range(0, m, 1023):
+        at = slice(c * width, (c + 1023) * width)
+        found[at] = np.searchsorted(keys[c * n:(c + 1023) * n], probes[at])
+    out = np.empty_like(found)
+    out[order] = found - np.repeat(local * n, width)  # chunk positions -> slots
+    return out.reshape(m, width)
 
 
 def resample_multinomial(system: ParticleSystem, log_w: np.ndarray, u: np.ndarray) -> None:
@@ -222,9 +232,10 @@ def resample_multinomial(system: ParticleSystem, log_w: np.ndarray, u: np.ndarra
     the (M, N) normalized log-weights and the step's (M, N) uniforms.  A
     degenerate worker, whose log-weights are all -inf, keeps its
     population; its uniforms go unused."""
-    live = np.flatnonzero(log_w.max(axis=1) > -math.inf)
-    idx = inverse_cdf(log_w[live], u[live])
-    system.particles[live] = system.particles[live[:, None], idx]
+    m, n, d = system.particles.shape
+    live = log_w.max(axis=1, keepdims=True) > -math.inf
+    rows = np.where(live, inverse_cdf(log_w, u), np.arange(n)) + np.arange(m)[:, None] * n
+    system.particles = np.take(system.particles.reshape(-1, d), rows, axis=0)
 
 
 def sampler_step(

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from psmco.core import CostModel, SearchSpace, build_schedule, log_potentials
+from psmco.core import CostModel, SearchSpace, build_schedule, log_potentials, schedule_dtype
 from psmco.parallel import (
     NoViableWorkerError,
     OptimizerConfig,
@@ -12,7 +13,14 @@ from psmco.parallel import (
     run_psmco,
     select_best_worker,
 )
-from psmco.problems import MixtureProblemSpec, make_mixture_problem
+from psmco.problems import (
+    MixtureProblemSpec,
+    PSGDConfig,
+    SigmoidProblemSpec,
+    make_mixture_problem,
+    make_sigmoid_problem,
+    run_psgd_baseline,
+)
 
 
 def small_mixture(n=40):
@@ -214,6 +222,36 @@ def test_step_normalizers_telescope_to_emitted_log_z(case):
     else:
         assert dead == [[False] * 3] * 2 + [[True, False, False]] + [[False] * 3] * 2
     assert record.log_z_by_step.sum(axis=0).tolist() == list(record.rows[-1].log_z)
+
+
+def test_schedules_hold_int32_indices_while_they_fit():
+    assert schedule_dtype(2**31) is np.int32  # indices up to 2**31 - 1
+    assert schedule_dtype(2**31 + 1) is np.intp
+    seen = []
+
+    def recording(indices, thetas):
+        if indices.shape[1] < 40:  # a step's batch, not a full-cost sweep
+            seen.append(indices.dtype)
+        return prob.model.batch_eval(indices, thetas)
+
+    prob = small_mixture()
+    model = dataclasses.replace(prob.model, batch_eval=recording)
+    run_psmco(model, prob.space, small_config())
+    assert set(seen) == {np.dtype(np.int32)} and len(seen) == 14
+
+    sig = make_sigmoid_problem(SigmoidProblemSpec(n=50))
+    gradient = type(sig).mean_gradient
+
+    class Recording(type(sig)):
+        def mean_gradient(self, theta, indices):
+            seen.append(indices.dtype)
+            return gradient(self, theta, indices)
+
+    seen.clear()
+    cfg = PSGDConfig(n_chains=3, batch_size=20, iterations=4)
+    rec = run_psgd_baseline(Recording(**vars(sig)), cfg)
+    assert set(seen) == {np.dtype(np.int32)} and len(seen) == 4
+    np.testing.assert_array_equal(rec.f_best, run_psgd_baseline(sig, cfg).f_best)
 
 
 def test_schedule_sum_recovers_total_cost_at_random_points():

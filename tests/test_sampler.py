@@ -7,6 +7,7 @@ from psmco.core import CostModel, SearchSpace, normalize_log_weights
 from psmco.sampler import (
     BLOCK_ELEMENTS,
     JitterKernelSpec,
+    ParticleSystem,
     draw_block,
     init_particles,
     inverse_cdf,
@@ -146,6 +147,46 @@ def test_jitter_clips_to_box():
     k = JitterKernelSpec(space=s, proposal_std=100.0, n_particles=1000, epsilon=1 / math.sqrt(1000))
     jitter(ps, k, *one_step(ps, k)[:2])
     assert s.contains(ps.particles)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [np.ascontiguousarray, np.asfortranarray, lambda a: np.repeat(a, 2, axis=1)[:, ::2]],
+    ids=["c", "fortran", "sliced"],
+)
+def test_jitter_leaves_caller_arrays_and_unmoved_bits_alone(layout):
+    # unmoved particles on the box bounds, -0.0 at a lower bound of 0.0
+    # included, keep their bits; the array handed to ParticleSystem is
+    # never written, whatever its memory layout
+    s = SearchSpace(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
+    pts = np.array([[[-0.0, 0.5], [0.0, -1.0], [1.0, 1.0], [0.25, -0.0], [0.5, 0.5]]] * 2)
+    pts[1] *= np.array([0.5, -1.0])
+    u = np.array([[0.9, 0.9, 0.9, 0.9, 0.0], [0.0, 0.9, 0.9, 0.5, 0.9]])
+    noise = np.random.default_rng(8).normal(size=(2, 5, 2)) * 2
+    k = JitterKernelSpec(space=s, proposal_std=2.0, n_particles=5, epsilon=0.1)
+    arr = layout(pts.copy())
+    held = arr.copy()
+    ps = ParticleSystem(arr, s, rngs=())
+    assert jitter(ps, k, u, noise) == 2
+    np.testing.assert_array_equal(bits(arr), bits(held))
+    move = u < k.epsilon
+    np.testing.assert_array_equal(bits(ps.particles[~move]), bits(pts[~move]))
+    np.testing.assert_array_equal(ps.particles[move], np.clip(pts[move] + noise[move], s.lower, s.upper))
+
+
+def test_step_leaves_caller_particles_unchanged():
+    s = box(-1, 1)
+    arr = np.random.default_rng(9).uniform(-1, 1, size=(3, 8, 2))
+    held = arr.copy()
+    ps = ParticleSystem(arr, s, rngs=tuple(np.random.default_rng(i) for i in range(3)))
+    k = JitterKernelSpec(space=s, proposal_std=0.3, n_particles=8)
+    step(ps, quadratic_model(), np.zeros((3, 2), dtype=int), k)
+    np.testing.assert_array_equal(bits(arr), bits(held))
+    assert ps.particles is not arr
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +338,37 @@ def test_inverse_cdf_rejects_off_grid_uniforms():
     for bad in (0.1 + 2**-60, -2**-53, 1.0):
         with pytest.raises(ValueError):
             inverse_cdf(w, np.array([[0.5], [bad]]))
+
+
+@pytest.mark.parametrize("m", [1, 1023, 1024])
+def test_resample_matches_per_worker_loop(m):
+    # the stacked search and gather against one inverse_cdf call per
+    # worker: zero-weight slots, a degenerate worker in the middle,
+    # repeated probes and probes exactly on a key; 1024 rows cross the
+    # 1023-row search chunk
+    rng = np.random.default_rng(m)
+    n = 7
+    log_w = rng.normal(size=(m, n)) * 3
+    log_w[rng.random((m, n)) < 0.3] = -np.inf
+    log_w[:, 3] = 0.0
+    if m > 1:
+        log_w[m // 2] = -np.inf
+    w = normalize_log_weights(log_w)[1]
+    u = rng.random((m, n))
+    u[:, 1] = u[:, 4]
+    cum = np.minimum(np.cumsum(np.exp(w), axis=1), 1.0)
+    u[:, 2] = np.minimum(np.floor(cum[:, 2] * 2**53), 2**53 - 1) * 2**-53  # a key itself
+    want = np.concatenate([inverse_cdf(w[r:r + 1], u[r:r + 1]) for r in range(m)])
+    np.testing.assert_array_equal(inverse_cdf(w, u), want)
+    live = log_w.max(axis=1) > -np.inf
+    np.testing.assert_array_equal(want[live], per_row_search(w[live], u[live]))
+
+    pts = rng.normal(size=(m, n, 2))
+    ps = ParticleSystem(pts.copy(), box(-9, 9), rngs=())
+    resample_multinomial(ps, w, u)
+    for r in range(m):
+        expected = pts[r][want[r]] if live[r] else pts[r]
+        np.testing.assert_array_equal(bits(ps.particles[r]), bits(expected))
 
 
 def test_resample_skips_degenerate_worker():
