@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,35 +50,38 @@ def _theta_columns(dim: int) -> List[str]:
     return [f"theta_{j}" for j in range(dim)]
 
 
-def psmco_trace_lines(record: RunRecord) -> List[str]:
+def psmco_trace_lines(record: RunRecord) -> Iterator[str]:
     m = record.config.m_workers
     header = ["problem", "t", "m_star", "f_value"] + _theta_columns(record.final.theta.size)
     header += [f"log_z_{j}" for j in range(m)]
-    lines = [",".join(header)]
+    yield ",".join(header)
     for row in record.rows:
         cells = [record.problem, str(row.iteration), str(row.worker), _fmt(row.f_value)]
         cells += [_fmt(v) for v in row.theta]
-        cells += map(repr, row.log_z)  # Python floats already
-        lines.append(",".join(cells))
-    return lines
+        cells += map(repr, row.log_z.tolist())
+        yield ",".join(cells)
 
 
-def particles_lines(record: RunRecord) -> List[str]:
+def particles_lines(record: RunRecord) -> Iterator[str]:
     """One row per final particle of every worker; needs a record that
     kept its final particles."""
     dim = record.final_particles.shape[2]
-    lines = [",".join(["worker", "particle"] + _theta_columns(dim))]
-    for w, worker in enumerate(record.final_particles.tolist()):
-        for p, theta in enumerate(worker):
-            lines.append(f"{w},{p}," + ",".join(map(repr, theta)))
-    return lines
+    yield ",".join(["worker", "particle"] + _theta_columns(dim))
+    for w, worker in enumerate(record.final_particles):
+        for p, theta in enumerate(worker.tolist()):
+            yield f"{w},{p}," + ",".join(map(repr, theta))
 
 
-def psgd_trace_lines(problem_name: str, record: PSGDRecord) -> List[str]:
-    lines = ["problem,t,f_best"]
+def psgd_trace_lines(problem_name: str, record: PSGDRecord) -> Iterator[str]:
+    yield "problem,t,f_best"
     for t, value in enumerate(record.f_best):
-        lines.append(f"{problem_name},{t},{_fmt(value)}")
-    return lines
+        yield f"{problem_name},{t},{_fmt(value)}"
+
+
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each line, newline-terminated, as it is made."""
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def run_and_persist(config: RunConfig, out_dir: str) -> None:
@@ -122,13 +125,10 @@ def run_and_persist(config: RunConfig, out_dir: str) -> None:
 
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
         fh.write(config_to_json(config))
-    with open(os.path.join(out_dir, "trace.csv"), "w") as fh:
-        fh.write("\n".join(trace) + "\n")
-    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-        fh.write("\n".join(summary) + "\n")
+    _write_lines(os.path.join(out_dir, "trace.csv"), trace)
+    _write_lines(os.path.join(out_dir, "summary.txt"), summary)
     if particles is not None:
-        with open(os.path.join(out_dir, "particles.csv"), "w") as fh:
-            fh.write("\n".join(particles) + "\n")
+        _write_lines(os.path.join(out_dir, "particles.csv"), particles)
     if wall is not None:
         print(f"wall_time_seconds={wall:.3f}")
 

@@ -86,7 +86,7 @@ class MinimumEstimate:
 class EstimateRow:
     iteration: int
     worker: int
-    log_z: Tuple[float, ...]  # cumulative per worker at this iteration
+    log_z: np.ndarray  # (M,) cumulative per worker: a row of RunRecord.log_z
     theta: np.ndarray
     f_value: float
 
@@ -96,6 +96,7 @@ class RunRecord:
     problem: str
     config: OptimizerConfig
     rows: List[EstimateRow]
+    log_z: np.ndarray  # (E, M) cumulative log Z at each of the E emissions
     final: MinimumEstimate
     log_z_by_step: np.ndarray  # (T, M) per-step normalizer estimates
     wall_time: float
@@ -158,6 +159,7 @@ def run_psmco(
     total_steps = -(-model.n // batch_size)
     stride = config.estimate_every if config.estimate_every is not None else total_steps
     log_z_by_step = np.empty((total_steps, m_workers))
+    log_z_emitted = np.empty((-(-total_steps // stride), m_workers))
     rows: List[EstimateRow] = []
     kde_spec = KernelDensitySpec(
         dim=space.dim, bandwidth=bandwidth_rule(config.n_particles, space.dim)
@@ -165,7 +167,8 @@ def run_psmco(
     costs = {}  # theta bytes -> full cost; emissions repeat thetas often
 
     def emit(iteration: int) -> None:
-        cumulative = tuple(system.log_z_cumulative.tolist())
+        cumulative = log_z_emitted[len(rows)]
+        cumulative[:] = system.log_z_cumulative
         winner = select_best_worker(cumulative)
         _, theta = map_estimate(kde_spec, system.particles[winner])
         key = theta.tobytes()
@@ -195,7 +198,7 @@ def run_psmco(
         theta=last.theta,
         worker=last.worker,
         iteration=last.iteration,
-        log_z=last.log_z[last.worker],
+        log_z=float(last.log_z[last.worker]),
         f_value=last.f_value,
     )
     final_particles = system.particles if config.keep_final_particles else None
@@ -203,6 +206,7 @@ def run_psmco(
         problem=model.name,
         config=config,
         rows=rows,
+        log_z=log_z_emitted,
         final=final,
         log_z_by_step=log_z_by_step,
         wall_time=time.perf_counter() - start,

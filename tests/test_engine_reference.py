@@ -28,7 +28,7 @@ def assert_matches_reference(model, space, config):
     assert record.final_particles.tobytes() == particles.tobytes()
     assert len(record.rows) == len(rows)
     for got, (iteration, worker, cumulative, theta, f_value) in zip(record.rows, rows):
-        assert (got.iteration, got.worker, got.log_z, got.f_value) == (
+        assert (got.iteration, got.worker, tuple(got.log_z.tolist()), got.f_value) == (
             iteration, worker, cumulative, f_value
         )
         assert got.theta.tobytes() == theta.tobytes()

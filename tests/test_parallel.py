@@ -83,6 +83,11 @@ def test_emission_iterations_stride():
     cfg = small_config(batch_size=1, estimate_every=3)
     _, rec = run_psmco(prob.model, prob.space, cfg)
     assert [r.iteration for r in rec.rows] == [3, 6, 9, 10]
+    # the emitted cumulative log Z is one (E, M) array; each row views its row
+    assert rec.log_z.shape == (4, 4)
+    for e, row in enumerate(rec.rows):
+        assert row.log_z.base is rec.log_z
+        assert row.log_z.tobytes() == rec.log_z[e].tobytes()
     _, rec = run_psmco(prob.model, prob.space, small_config(batch_size=1))
     assert [r.iteration for r in rec.rows] == [10]
     _, rec = run_psmco(prob.model, prob.space, small_config(batch_size=1, estimate_every=1))
@@ -110,7 +115,7 @@ def test_constant_cost_ties_select_first_worker():
     _, rec = run_psmco(model, space, cfg)
     for row in rec.rows:
         assert row.worker == 0
-        assert row.log_z == (0.0, 0.0, 0.0, 0.0)
+        assert row.log_z.tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 def test_single_worker_reduces_to_plain_sampler():
@@ -152,8 +157,8 @@ def test_run_deterministic_across_repeats():
         outs.append(rec)
     for other in outs[1:]:
         assert len(outs[0].rows) == len(other.rows)
+        assert outs[0].log_z.tobytes() == other.log_z.tobytes()
         for a, b in zip(outs[0].rows, other.rows):
-            assert a.log_z == b.log_z
             np.testing.assert_array_equal(a.theta, b.theta)
             assert a.f_value == b.f_value
             assert a.worker == b.worker
@@ -175,8 +180,7 @@ def test_worker_trajectory_independent_of_worker_count():
     np.testing.assert_array_equal(big.log_z_by_step[:, :3], small.log_z_by_step)
     np.testing.assert_array_equal(big.final_particles[:3], small.final_particles)
     assert len(big.rows) == len(small.rows) == 6
-    for a, b in zip(small.rows, big.rows):
-        assert b.log_z[:3] == a.log_z
+    np.testing.assert_array_equal(big.log_z[:, :3], small.log_z)
 
 
 def test_worker_trajectory_independent_of_worker_count_across_draw_blocks():
@@ -193,8 +197,7 @@ def test_worker_trajectory_independent_of_worker_count_across_draw_blocks():
     np.testing.assert_array_equal(big.log_z_by_step[:, :2], small.log_z_by_step)
     np.testing.assert_array_equal(big.final_particles[:2], small.final_particles)
     assert len(big.rows) == len(small.rows) == 30
-    for a, b in zip(small.rows, big.rows):
-        assert b.log_z[:2] == a.log_z
+    np.testing.assert_array_equal(big.log_z[:, :2], small.log_z)
 
 
 def poisoned(i, theta):
@@ -221,7 +224,7 @@ def test_step_normalizers_telescope_to_emitted_log_z(case):
         assert not np.any(dead)
     else:
         assert dead == [[False] * 3] * 2 + [[True, False, False]] + [[False] * 3] * 2
-    assert record.log_z_by_step.sum(axis=0).tolist() == list(record.rows[-1].log_z)
+    assert record.log_z_by_step.sum(axis=0).tolist() == record.rows[-1].log_z.tolist()
 
 
 def test_schedules_hold_int32_indices_while_they_fit():
