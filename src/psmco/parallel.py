@@ -7,7 +7,8 @@ same number of steps; a worker's trajectory therefore depends only on
 the seed and its index.  All workers advance together: their states are
 stacked into one ParticleSystem and each step is one sampler_step over
 the (M, K) batches of that step and the step's draws, which step_draws
-takes from the workers' streams a block of steps at a time.
+takes from the workers' streams a block of steps at a time (stream
+format v3: each worker's uniforms, then noise for its moved particles).
 """
 
 from __future__ import annotations

@@ -5,8 +5,10 @@ A ParticleSystem holds M independent workers' populations in one
 particle is jittered, weighted by its worker's batch potential, and each
 population is resampled from its own normalized weights.  Each phase is
 one array operation over all workers.  The random draws (stream format
-v2) are taken a block of steps at a time by draw_block, each worker from
-its own generator, so a worker's stream never depends on the others.
+v3) are taken a block of steps at a time by draw_block, each worker from
+its own generator in two calls: its uniforms, then Gaussian noise for
+only the particles those uniforms move.  A worker's stream therefore
+never depends on the others, nor on its data or weights.
 The per-step normalizer estimates are accumulated in the log domain so
 workers can later be ranked.  A single-worker experiment is M=1.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,47 +127,66 @@ def init_particles(
     return ParticleSystem(particles=pts, space=space, rngs=rngs)
 
 
-# Stream format v2: a worker draws its randomness B steps at a time, with
-# B = max(1, BLOCK_ELEMENTS // (N * (d + 2))), which depends on N and d only.
+# Stream format v3: a worker draws its randomness B steps at a time, with
+# B = max(1, BLOCK_ELEMENTS // (2 * N)), which depends on N only.
 BLOCK_ELEMENTS = 2**11
 
 
 def draw_block(
     system: ParticleSystem, kernel: JitterKernelSpec, steps: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every worker's draws for the next b = min(B, steps) steps: the
-    jitter uniforms (M, b, N), the jitter noise (M, b, N, d) and the
-    resampling uniforms (M, b, N), drawn in that order from each
-    worker's own stream."""
+) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """Every worker's draws for the next b = min(B, steps) steps.
+
+    Each worker makes two calls on its own stream: random((b, 2, N)),
+    step j's N jitter uniforms then its N resampling uniforms, and one
+    normal(0, proposal_std, (moved, d)), a row for each (step, particle)
+    whose jitter uniform is below epsilon, in step then particle order.
+    Returns the uniforms as a (b, 2, M, N) view, the noise rows in step
+    then flat (worker, particle) order, and the b + 1 row bounds that
+    give step j the rows bounds[j]:bounds[j + 1].
+    """
     m_workers, n, d = system.particles.shape
-    b = min(max(1, BLOCK_ELEMENTS // (n * (d + 2))), steps)
-    u_jitter, u_resample = np.empty((m_workers, b, n)), np.empty((m_workers, b, n))
-    noise = np.empty((m_workers, b, n, d))
-    for rng, u_j, z, u_r in zip(system.rngs, u_jitter, noise, u_resample):
-        rng.random(out=u_j)
-        z[:] = rng.normal(0.0, kernel.proposal_std, size=(b, n, d))
-        rng.random(out=u_r)
-    return u_jitter, noise, u_resample
+    b = min(max(1, BLOCK_ELEMENTS // (2 * n)), steps)
+    u = np.empty((m_workers, b, 2, n))
+    for rng, u_m in zip(system.rngs, u):
+        rng.random(out=u_m)
+    moved = np.count_nonzero(u[:, :, 0] < kernel.epsilon, axis=2)  # (M, b)
+    noise = np.concatenate([
+        rng.normal(0.0, kernel.proposal_std, size=(count, d))
+        for rng, count in zip(system.rngs, moved.sum(axis=1).tolist())
+    ])
+    # the rows come in runs, one run per (worker, step), worker by worker;
+    # each run moves from its worker-major start to its step-major one
+    runs = moved.T.ravel()
+    src = (np.cumsum(moved) - moved.ravel()).reshape(moved.shape).T.ravel()
+    dst = np.cumsum(runs) - runs
+    noise = np.take(noise, np.repeat(src - dst, runs) + np.arange(len(noise)), axis=0)
+    bounds = [0] + np.cumsum(moved.sum(axis=0)).tolist()
+    return u.transpose(1, 2, 0, 3), noise, bounds
 
 
 def step_draws(system: ParticleSystem, kernel: JitterKernelSpec, steps: int):
     """Yield the draws of each of the next `steps` steps, as sampler_step
     takes them, drawing a block at a time with draw_block."""
     while steps > 0:
-        block = draw_block(system, kernel, steps)
-        steps -= block[0].shape[1]
-        yield from zip(*(np.moveaxis(a, 1, 0) for a in block))
+        u, noise, bounds = draw_block(system, kernel, steps)
+        steps -= len(u)
+        for (u_jitter, u_resample), lo, hi in zip(u, bounds, bounds[1:]):
+            yield u_jitter, noise[lo:hi], u_resample
 
 
 def jitter(system: ParticleSystem, kernel: JitterKernelSpec, u: np.ndarray, noise: np.ndarray) -> int:
     """Apply the sticky Gaussian move to a copy of the particles, given the
-    step's (M, N) uniforms and (M, N, d) noise; returns how many particles
-    moved, over all workers."""
+    step's (M, N) uniforms and the (moved, d) noise, one row per particle
+    with u < epsilon in flat (worker, particle) order; returns how many
+    particles moved, over all workers.  Raises ValueError when the noise
+    has a different number of rows."""
+    moved = np.flatnonzero(u < kernel.epsilon)  # an unmoved particle is in the box already
+    if len(noise) != moved.size:
+        raise ValueError(f"{len(noise)} noise rows for {moved.size} moved particles")
     system.particles = np.array(system.particles, dtype=float, order="C")  # never a caller's array
     flat = system.particles.reshape(-1, system.space.dim)  # a view: rows are particles
-    moved = np.flatnonzero(u < kernel.epsilon)  # an unmoved particle is in the box already
-    rows = np.take(flat, moved, axis=0) + np.take(noise.reshape(flat.shape), moved, axis=0)
-    flat[moved] = clip_to_space(rows, system.space)
+    flat[moved] = clip_to_space(np.take(flat, moved, axis=0) + noise, system.space)
     return moved.size
 
 
@@ -247,8 +268,8 @@ def sampler_step(
 ) -> np.ndarray:
     """One full jitter/weight/resample iteration of every worker; returns
     this step's (M,) normalizer estimates.  batches is (M, K) and draws
-    the step's (jitter uniforms, noise, resampling uniforms), one step
-    of draw_block's output.
+    the step's (jitter uniforms (M, N), noise (moved, d), resampling
+    uniforms (M, N)), as step_draws yields them.
 
     A worker whose potentials all underflow to -inf keeps its population
     as jittered (no resampling) and contributes -inf to its cumulative

@@ -4,10 +4,10 @@ This is the single-worker jitter / weight / resample step the stacked
 engine in psmco.sampler replaced, kept as a test oracle.  It shares no
 code with the engine's phases: the engine must reproduce it bit for bit,
 consuming each worker's random stream in the same order (stream format
-v2: after its schedule and initial draws, a worker draws B steps at a
-time, first the jitter uniforms, then the noise, then the resampling
-uniforms).  `run` drives M of these samplers exactly as
-psmco.parallel.run_psmco documents.
+v3: after its schedule and initial draws, a worker draws B steps at a
+time, first each step's jitter uniforms and resampling uniforms, then
+one noise row per moved particle, step by step).  `run` drives M of
+these samplers exactly as psmco.parallel.run_psmco documents.
 """
 
 from __future__ import annotations
@@ -50,22 +50,26 @@ def init_particles(space, n_particles, rng, init_point=None, init_std=0.0) -> Pa
 
 
 def next_draws(system: ParticleSystem, kernel: JitterKernelSpec, steps_left: int):
-    """This step's (jitter uniforms, noise, resampling uniforms).  A block
-    covers B = max(1, 2048 // (N * (d + 2))) steps, or the steps left."""
+    """This step's (jitter uniforms, noise rows, resampling uniforms).  A
+    block covers B = max(1, 2048 // (2 * N)) steps, or the steps left."""
     if not system.pending:
         n, d = system.particles.shape
-        b = min(max(1, 2048 // (n * (d + 2))), steps_left)
-        u_jitter = system.rng.random((b, n))
-        noise = system.rng.normal(0.0, kernel.proposal_std, size=(b, n, d))
-        u_resample = system.rng.random((b, n))
-        system.pending = list(zip(u_jitter, noise, u_resample))
+        b = min(max(1, 2048 // (2 * n)), steps_left)
+        u = system.rng.random((b, 2, n))
+        noise = system.rng.normal(0.0, kernel.proposal_std, size=(int((u[:, 0] < kernel.epsilon).sum()), d))
+        row = 0
+        for u_jitter, u_resample in u:
+            moved = int((u_jitter < kernel.epsilon).sum())
+            system.pending.append((u_jitter, noise[row:row + moved], u_resample))
+            row += moved
     return system.pending.pop(0)
 
 
 def jitter(system: ParticleSystem, kernel: JitterKernelSpec, u, noise) -> int:
     move = u < kernel.epsilon
+    assert len(noise) == move.sum()
     out = system.particles.copy()
-    out[move] += noise[move]
+    out[move] += noise
     system.particles = clip_to_space(out, system.space)
     return int(move.sum())
 

@@ -28,10 +28,10 @@ from psmco.problems import (
 from psmco.problems import SigmoidProblemSpec
 from psmco.sampler import (
     JitterKernelSpec,
-    draw_block,
     init_particles,
     inverse_cdf,
     jitter,
+    step_draws,
     weight_and_accumulate,
 )
 
@@ -219,8 +219,8 @@ def test_criterion_7_jitter_move_probability_bound(capsys):
     counts = []
     for rep in range(20):
         system = init_particles(space, 10000, [np.random.default_rng(500 + rep)])  # one worker
-        u, noise, _ = draw_block(system, kernel, 1)  # one step's draws
-        moved = jitter(system, kernel, u[:, 0], noise[:, 0])
+        u, noise, _ = next(step_draws(system, kernel, 1))  # one step's draws
+        moved = jitter(system, kernel, u, noise)
         counts.append(moved)
         hits += int(lo <= moved <= hi)
     passed = hits >= 19

@@ -4,8 +4,10 @@ renames or moves one fails here instead of as an absent layer in a run."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -34,3 +36,18 @@ def test_full_cost_resolves():
     """The tracer times every full-cost evaluation through this method."""
     core = importlib.import_module("psmco.core")
     assert callable(getattr(core.CostModel, "total_cost", None))
+
+
+def test_jitter_payload_reads_the_system_and_the_moved_count():
+    """The tracer's jitter payload reads the particle system from jitter's
+    first argument and the moved count from its int result."""
+    sampler = importlib.import_module("psmco.sampler")
+    space = importlib.import_module("psmco.core").SearchSpace(np.full(2, -1.0), np.full(2, 1.0))
+    assert next(iter(inspect.signature(sampler.jitter).parameters)) == "system"
+    system = sampler.init_particles(space, 9, [np.random.default_rng(j) for j in range(3)])
+    kernel = sampler.JitterKernelSpec(space=space, proposal_std=0.1, n_particles=9)
+    u, noise, _ = next(sampler.step_draws(system, kernel, 1))
+    args = (system, kernel, u, noise)
+    moved = sampler.jitter(*args)
+    assert type(moved) is int and moved == int((u < kernel.epsilon).sum())
+    assert load_spans()._jitter_payload(args, moved) == (float(moved), 3.0)

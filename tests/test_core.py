@@ -18,10 +18,10 @@ from psmco.core import (
 from psmco.sampler import (
     JitterKernelSpec,
     ParticleSystem,
-    draw_block,
     init_particles,
     jitter,
     sampler_step,
+    step_draws,
 )
 
 
@@ -410,7 +410,7 @@ def test_step_calls_each_model_form_as_declared():
         widths = []
         for _ in range(3):
             before = calls[form]
-            draws = [a[:, 0] for a in draw_block(system, kernel, 1)]
+            draws = next(step_draws(system, kernel, 1))
             probe = ParticleSystem(system.particles.copy(), system.space, system.rngs)
             jitter(probe, kernel, *draws[:2])
             distinct = max(len({row.tobytes() for row in worker}) for worker in probe.particles)

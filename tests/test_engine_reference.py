@@ -3,7 +3,7 @@
 run_psmco advances all workers together; reference_sampler.run steps
 them one at a time with the plain single-worker code.  Every per-step
 normalizer, final particle and emission row must agree bit for bit, so
-both consume each worker's stream in stream format v2's order.
+both consume each worker's stream in stream format v3's order.
 """
 
 import numpy as np
@@ -61,11 +61,11 @@ def test_stock_problems_match_reference_at_any_block_size(name, m_workers, monke
 
 
 def test_draw_blocks_match_reference():
-    """N=40 in 2-d draws B = 2048 // 160 = 12 steps at a time: T=23 runs a
-    full block, then a partial last block of 11 steps."""
+    """N=100 draws B = 2048 // 200 = 10 steps at a time: T=23 runs two
+    full blocks, then a partial last block of 3 steps."""
     problem = STOCK["mixture"]()
     config = OptimizerConfig(
-        m_workers=3, n_particles=40, batch_size=1, proposal_std=0.5, seed=7,
+        m_workers=3, n_particles=100, batch_size=1, proposal_std=0.5, seed=7,
         estimate_every=5, keep_final_particles=True,
     )
     record = assert_matches_reference(problem.model, problem.space, config)

@@ -8,9 +8,10 @@ mismatch.  config.json echoes the option schema with every default
 filled in, so its digest also moves when a key, a default or the JSON
 form of a value changes, even if no sampled value does.
 
-The digests pin stream format v2, the order in which each worker draws
+The digests pin stream format v3, the order in which each worker draws
 its randomness (see psmco.sampler.draw_block and the README); runs
-written under the earlier per-step layout differ for the same config.
+written under the earlier formats (v2's full noise blocks, or the
+per-step layout before it) differ for the same config.
 A digest may only change together with a CHANGES.md entry saying why.
 The digests are those of CPython 3.11 with numpy 2.4 on x86-64.
 """
@@ -29,38 +30,38 @@ SIGMOID = ("--profile", "sigmoid-5.2", "--override", "n=5000", "--override", "m_
 CASES = {
     "mixture": (MIXTURE, {
         "config.json": "5375a5a1cb93ce5f2326e74744558bd6592d485fbe43cb2486bd996d990b624b",
-        "trace.csv": "abb9036b052d8375d30f3b43a923b2413a4fad3aff0ff105f309d9edb91689ed",
-        "summary.txt": "b37b14a27b11eac5756ec0d003d7df574e21613be787d267016459706a4ca43b",
+        "trace.csv": "e3e31f164966ef88b513a1d68b6e3969148fd066b085c8ddfffc4dab81993355",
+        "summary.txt": "e6d778967f23e8a868ffbfa2db11cfd303aa1eb4ac972f047930f1d3d4bdf042",
     }),
     "mixture-final-particles": (
         MIXTURE + ("--override", "estimate_every=null",
                    "--override", "keep_final_particles=true"),
         {
             "config.json": "d50ff7765c5d61eebf76b5bb6f8987e8dae0930eed84123145d7c6b996dd1da4",
-            "trace.csv": "446ad28071f2c6e61746a9d143c382dec26cb495c1467e6ef9a16d1dbb9d751a",
-            "summary.txt": "b37b14a27b11eac5756ec0d003d7df574e21613be787d267016459706a4ca43b",
-            "particles.csv": "418a0761e1595d24d292bd48c97562c2138bd54fee0822e99afb1fd52935d271",
+            "trace.csv": "483383a99caa54f67f8906fb17723efeff2bc161578ae660a1e04a12f2d495d4",
+            "summary.txt": "e6d778967f23e8a868ffbfa2db11cfd303aa1eb4ac972f047930f1d3d4bdf042",
+            "particles.csv": "cb36ec01ef40090a7c988ae715afab78e02266e7d62aea0829cbc4a75a8a64b7",
         },
     ),
     "mixture-k7-stride3": (
         MIXTURE + ("--override", "batch_size=7", "--override", "estimate_every=3"),
         {
             "config.json": "c411a24847ecc5f9fbbfbbad40cfe09ebc11b12c82d708142192ed073eac35c2",
-            "trace.csv": "9e56b88614a614969063cff0d2a6902a201a8ba2f667a7481f7a0f888278b871",
-            "summary.txt": "6711c2b86001f691663c68b7c23d690156b2ebdea2cace71badb95274f0b729f",
+            "trace.csv": "9914abad46a24b3ab759e5fcb28e7b8c305f81e067ee9ac8b3df60434be04c65",
+            "summary.txt": "994a425e5bfee1140071aaab122f9516d3653c7dab293655fc8695b18c1298a5",
         },
     ),
     "sigmoid": (SIGMOID, {
         "config.json": "e0dd43b47413d1f1d0d6bd6088c554825922c417dac5184087e094c27a3dcba3",
-        "trace.csv": "498c30ec512361f0b60b78b75f4a27bf5aa277c823003b14d16560444760f811",
-        "summary.txt": "040ec5038a83447ad3c2a4a9d1d25e257da5014df026845164324120cc8a8d56",
+        "trace.csv": "06c4272e721fd90c59a354ed23d6a0246525412999b7b7084d902076a05cfae7",
+        "summary.txt": "d61160b79a00e561c6e6dfc44d0a34c496e60765e1ca1ce666a7210f26353e78",
     }),
     "sigmoid-seed3-k37": (
         SIGMOID + ("--seed", "3", "--override", "batch_size=37"),
         {
             "config.json": "29a3f460fcd6a05ac05790d8c939a9ae00ba4229544a508196b5bd8912a0c902",
-            "trace.csv": "ba509c63cbae53eb3a76716c7a8011f6a596f8b531aca560d0159f0dc09f37e0",
-            "summary.txt": "29a228a57148bead783ec1d4a1fdbc276ec750785c2056e32282973e95cb3fdc",
+            "trace.csv": "f3889fd8da37336b67d4f966b791dae23485c99d0d749062979098fed204c139",
+            "summary.txt": "9ac8877144937b351d3fc00e40d431fe432a27c1004213c53f261346145224c1",
         },
     ),
     "psgd": (

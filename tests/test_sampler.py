@@ -24,8 +24,8 @@ def box(lo, hi, d=2):
 
 
 def one_step(ps, kernel):
-    """One step's draws: (jitter uniforms, noise, resampling uniforms)."""
-    return [a[:, 0] for a in draw_block(ps, kernel, 1)]
+    """One step's draws: (jitter uniforms, noise rows, resampling uniforms)."""
+    return next(step_draws(ps, kernel, 1))
 
 
 def step(ps, model, batches, kernel):
@@ -166,7 +166,7 @@ def test_jitter_leaves_caller_arrays_and_unmoved_bits_alone(layout):
     pts = np.array([[[-0.0, 0.5], [0.0, -1.0], [1.0, 1.0], [0.25, -0.0], [0.5, 0.5]]] * 2)
     pts[1] *= np.array([0.5, -1.0])
     u = np.array([[0.9, 0.9, 0.9, 0.9, 0.0], [0.0, 0.9, 0.9, 0.5, 0.9]])
-    noise = np.random.default_rng(8).normal(size=(2, 5, 2)) * 2
+    noise = np.random.default_rng(8).normal(size=(2, 2)) * 2  # one row per moved particle
     k = JitterKernelSpec(space=s, proposal_std=2.0, n_particles=5, epsilon=0.1)
     arr = layout(pts.copy())
     held = arr.copy()
@@ -175,7 +175,20 @@ def test_jitter_leaves_caller_arrays_and_unmoved_bits_alone(layout):
     np.testing.assert_array_equal(bits(arr), bits(held))
     move = u < k.epsilon
     np.testing.assert_array_equal(bits(ps.particles[~move]), bits(pts[~move]))
-    np.testing.assert_array_equal(ps.particles[move], np.clip(pts[move] + noise[move], s.lower, s.upper))
+    np.testing.assert_array_equal(ps.particles[move], np.clip(pts[move] + noise, s.lower, s.upper))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3])
+def test_jitter_rejects_noise_rows_other_than_the_moved_count(rows):
+    s = box(-1, 1)
+    pts = np.zeros((1, 4, 2))
+    ps = ParticleSystem(pts, s, rngs=())
+    k = JitterKernelSpec(space=s, proposal_std=1.0, n_particles=4, epsilon=0.5)
+    u = np.array([[0.1, 0.9, 0.2, 0.9]])  # two particles move
+    with pytest.raises(ValueError, match="noise rows"):
+        jitter(ps, k, u, np.ones((rows, 2)))
+    assert ps.particles is pts  # nothing was applied
+    assert jitter(ps, k, u, np.ones((2, 2))) == 2
 
 
 def test_step_leaves_caller_particles_unchanged():
@@ -375,7 +388,7 @@ def test_resample_skips_degenerate_worker():
     # worker 1's log-weights are all -inf: it keeps its population.  Its
     # resampling uniforms are drawn with everyone else's and discarded, so
     # its stream advances exactly like a healthy worker's (stream format
-    # v2), and resampling itself draws nothing
+    # v3), and resampling itself draws nothing
     seeds = (30, 31, 32)
     ps = init_particles(box(-1, 1), 4, [np.random.default_rng(s) for s in seeds])
     kernel = JitterKernelSpec(space=box(-1, 1), proposal_std=0.1, n_particles=4)
@@ -466,42 +479,102 @@ def test_degenerate_worker_stays_disqualified():
 
 
 # ---------------------------------------------------------------------------
-# stream format v2: draw blocks
+# stream format v3: draw blocks
 
 
 def block_length(n, d, m):
     s = box(-1, 1, d=d)
     kernel = JitterKernelSpec(space=s, proposal_std=0.1, n_particles=n)
     ps = init_particles(s, n, [np.random.default_rng(j) for j in range(m)])
-    u_jitter, noise, u_resample = draw_block(ps, kernel, 10**6)
-    b = u_jitter.shape[1]
-    assert u_jitter.shape == u_resample.shape == (m, b, n)
-    assert noise.shape == (m, b, n, d)
-    assert draw_block(ps, kernel, 2)[0].shape == (m, min(b, 2), n)
+    u, noise, bounds = draw_block(ps, kernel, 10**6)
+    b = u.shape[0]
+    assert u.shape == (b, 2, m, n)
+    assert noise.shape == (bounds[-1], d) and len(bounds) == b + 1
+    assert draw_block(ps, kernel, 2)[0].shape == (min(b, 2), 2, m, n)
     return b
 
 
-def test_block_length_depends_on_particles_and_dimension_only():
-    for n in (1, 7, 40, 50, 400, 5000):
-        for d in (1, 2, 5):
-            b = block_length(n, d, 1)
-            assert b * n * (d + 2) <= BLOCK_ELEMENTS or b == 1
+def test_block_length_depends_on_particle_count_only():
+    for n in (1, 7, 40, 50, 400, 1024, 1025, 5000):
+        b = block_length(n, 1, 1)
+        assert b * 2 * n <= BLOCK_ELEMENTS or b == 1
+        for d in (2, 5):
             assert block_length(n, d, 3) == b
     # the stock profiles: mixture-5.1, sigmoid-5.2, sigmoid-wide
-    assert [block_length(n, 2, 1) for n in (50, 40, 400)] == [10, 12, 1]
+    assert [block_length(n, 2, 1) for n in (50, 40, 400)] == [20, 25, 2]
+
+
+def test_block_is_each_workers_two_calls_replayed():
+    """Worker m's uniforms are one random((b, 2, N)) call and its noise one
+    normal(0, proposal_std, (moved, d)) call, rows in step then particle
+    order; draw_block lays the rows out step by step, in flat (worker,
+    particle) order within a step."""
+    s = box(-1, 1, d=3)
+    n, m = 30, 3
+    kernel = JitterKernelSpec(space=s, proposal_std=0.7, n_particles=n)
+    ps = init_particles(s, n, [np.random.default_rng(j) for j in range(m)])
+    replays = [np.random.default_rng(j) for j in range(m)]
+    for rng in replays:
+        rng.random((n, 3))  # the initial particles
+    for left in (70, 36, 2):  # blocks of 34, 34 and 2 steps
+        u, noise, bounds = draw_block(ps, kernel, left)
+        steps = [noise[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        for w, rng in enumerate(replays):
+            want_u = rng.random((len(u), 2, n))
+            moves = want_u[:, 0] < kernel.epsilon
+            want_noise = rng.normal(0.0, kernel.proposal_std, size=(int(moves.sum()), 3))
+            assert u[:, :, w].tobytes() == want_u.tobytes()
+            # step j's rows of worker w: the moved flat rows w*N .. (w+1)*N - 1
+            mine = [z[np.flatnonzero(uj < kernel.epsilon) // n == w] for uj, z in zip(u[:, 0], steps)]
+            assert np.concatenate(mine).tobytes() == want_noise.tobytes()
+        for rng, replay in zip(ps.rngs, replays):
+            assert rng.bit_generator.state == replay.bit_generator.state
+
+
+class CountingGenerator:
+    """A generator that counts its calls and the normals it draws."""
+
+    def __init__(self, seed):
+        self.rng, self.calls, self.normals = np.random.default_rng(seed), 0, 0
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.random(*args, **kwargs)
+
+    def normal(self, loc, scale, size):
+        self.calls += 1
+        self.normals += math.prod(size)
+        return self.rng.normal(loc, scale, size)
+
+
+def test_each_worker_makes_two_calls_per_block_and_draws_only_moved_noise():
+    s = box(-1, 1)
+    n, m, steps = 100, 4, 25  # B = 10: blocks of 10, 10 and 5
+    kernel = JitterKernelSpec(space=s, proposal_std=0.2, n_particles=n)
+    rngs = [CountingGenerator(j) for j in range(m)]
+    ps = ParticleSystem(np.zeros((m, n, 2)), s, rngs=tuple(rngs))
+    moved = sum(jitter(ps, kernel, u, z) for u, z, _ in step_draws(ps, kernel, steps))
+    assert [g.calls for g in rngs] == [2 * 3] * m
+    assert sum(g.normals for g in rngs) == 2 * moved
+    # the cap epsilon = 1/sqrt(N) moves about sqrt(N) particles a step
+    assert 0 < moved < 2 * m * steps * math.sqrt(n)
 
 
 def test_step_draws_cover_the_steps_block_by_block():
-    # 30 steps of B = 12: blocks of 12, 12 and 6, read in step order
+    # 25 steps of B = 10: blocks of 10, 10 and 5, read in step order
     s = box(-1, 1)
-    kernel = JitterKernelSpec(space=s, proposal_std=0.1, n_particles=40)
-    ps = init_particles(s, 40, [np.random.default_rng(j) for j in range(2)])
-    direct = init_particles(s, 40, [np.random.default_rng(j) for j in range(2)])
-    got = list(step_draws(ps, kernel, 30))
-    assert len(got) == 30
-    blocks = [draw_block(direct, kernel, left) for left in (30, 18, 6)]
-    assert [b[0].shape[1] for b in blocks] == [12, 12, 6]
-    want = [tuple(a[:, j] for a in b) for b in blocks for j in range(b[0].shape[1])]
+    kernel = JitterKernelSpec(space=s, proposal_std=0.1, n_particles=100)
+    ps = init_particles(s, 100, [np.random.default_rng(j) for j in range(2)])
+    direct = init_particles(s, 100, [np.random.default_rng(j) for j in range(2)])
+    got = list(step_draws(ps, kernel, 25))
+    assert len(got) == 25
+    blocks = [draw_block(direct, kernel, left) for left in (25, 15, 5)]
+    assert [len(u) for u, _, _ in blocks] == [10, 10, 5]
+    want = [
+        (u[j, 0], noise[bounds[j]:bounds[j + 1]], u[j, 1])
+        for u, noise, bounds in blocks for j in range(len(u))
+    ]
     for g, w in zip(got, want):
+        assert len(g[1]) == int((g[0] < kernel.epsilon).sum())
         for a, b in zip(g, w):
             assert a.tobytes() == b.tobytes()
