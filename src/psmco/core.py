@@ -97,9 +97,10 @@ class CostModel:
     batch_eval(indices[w], thetas[w]) bit for bit; sums then evaluates
     all workers in one call instead of one call per worker.  A run's
     schedule indices are of dtype schedule_dtype(n), int32 up to n = 2**31.
-    Evaluations must be deterministic: the sampler evaluates each
-    worker's distinct particles once and hands every copy of a point the
-    same value.  name labels a run's trace rows.
+    Evaluations must be deterministic and not depend on a call's other
+    points: the sampler evaluates each group of copies once, so sums may
+    get a row per group, indices (R, K) and thetas (R, 1, d).  name
+    labels a run's trace rows.
     """
 
     n: int
@@ -161,61 +162,55 @@ def build_schedule(n: int, batch_size: int, rng: np.random.Generator) -> np.ndar
     return rng.permutation(n)
 
 
-def distinct_points(thetas: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Each worker's distinct points, by exact bit pattern: thetas
-    (W, N, d) give reps (W, U, d) and inverse (W, N) with
-    reps[w, inverse[w, j]] bitwise equal to thetas[w, j].
-
-    U is the widest worker's group count, and at least min(N, 2): a
-    kernel may sum in another order for one point than for several (the
-    stock sigmoid kernel does above 8192 components), and every copy must
-    get the bits the whole population would.  A worker with fewer groups
-    repeats its own first point.  Rows are sorted by their first
-    coordinate's bits only, so distinct points sharing it may interleave
-    and split a group in two: a duplicate evaluation, never a wrong one.
-    """
-    w_count, n, d = thetas.shape
-    flat = np.ascontiguousarray(thetas).reshape(-1, d)
-    bits = flat.view(np.int64)  # -0.0 and 0.0 differ
-    rows = np.arange(w_count)[:, None]
-    # flat row order, each worker's rows sorted by the first coordinate;
-    # np.take, not fancy indexing, keeps the gathers cheap
-    order = (np.argsort(bits[:, 0].reshape(w_count, n), axis=1) + rows * n).ravel()
-    ranked = np.take(bits, order, axis=0)
-    new = np.zeros(w_count * n, dtype=bool)  # starts a group
-    for c in range(d):
-        new[1:] |= ranked[1:, c] != ranked[:-1, c]
-    new.reshape(w_count, n)[:, :1] = True
-    group = np.cumsum(new).reshape(w_count, n)
-    group -= group[:, :1]
-    width = max(int(group.max(initial=-1)) + 1, min(n, 2))
-    inverse = np.empty(w_count * n, dtype=np.intp)
-    inverse[order] = group.ravel()
-    # each slot's source row: a group's first row, else the worker's first
-    source = np.repeat(np.arange(w_count) * n, width)
-    firsts = np.flatnonzero(new)
-    source[np.take((group + rows * width).ravel(), firsts)] = np.take(order, firsts)
-    reps = np.take(flat, source, axis=0).reshape(w_count, width, d)
-    return reps, inverse.reshape(w_count, n)
+# (point, index) pairs per worker above which log_potentials calls a
+# stacked model once per worker rather than once on a row per group
+WORKER_CALL_PAIRS = 1 << 11
 
 
-def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+def label_groups(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Groups of copies from lineage labels (W, N) in [0, 2N), by a
+    presence mask and a cumsum: the labels renumbered to [0, U_w), each
+    particle's group in [0, R), groups in worker order, and a member's
+    flat row for each of the R = sum U_w groups."""
+    w_count, n = labels.shape
+    keys = labels + np.arange(w_count)[:, None] * (2 * n)
+    present = np.zeros(w_count * 2 * n, dtype=bool)
+    present[keys] = True
+    slots = np.take(np.cumsum(present) - 1, keys)
+    rows = np.empty(np.count_nonzero(present), dtype=np.intp)
+    rows[slots.ravel()] = np.arange(w_count * n)  # any member: copies are equal
+    return slots - slots.min(axis=1, keepdims=True), slots, rows
+
+
+def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray, groups=None) -> np.ndarray:
     """log G = -(batch sum), never exponentiated, stacked over workers:
     batch (W, K) and thetas (W, N, d) give (W, N), row w holding worker
     w's batch potentials at its particles; batch (K,) and thetas (P, d)
-    give (P,).  The sums come from one CostModel.sums call on each
-    worker's distinct points (see distinct_points), which relies on
-    evaluations being deterministic; a non-finite sum triggers a
-    component-by-component rescan that raises EvaluationError with the
-    offending index and point.
+    give (P,).  Each group of groups, label_groups' last two results
+    (None: every particle), is evaluated once: in one sums call on a row
+    per group, else (2-d batch_eval, or over WORKER_CALL_PAIRS) one call
+    per worker on its groups, never one point alone for a population of
+    more (the stock sigmoid kernel sums it in another order above 8192
+    components).  A non-finite sum triggers a component-by-component
+    rescan that raises EvaluationError with the offending index and point.
     """
     batch = np.asarray(batch)
     thetas = np.asarray(thetas, dtype=float)
     if batch.ndim == 1:
-        return log_potentials(model, batch[None], thetas[None])[0]
-    reps, inverse = distinct_points(thetas)
-    inverse += np.arange(len(inverse))[:, None] * reps.shape[1]  # slots -> flat positions
-    sums = np.take(model.sums(batch, reps).ravel(), inverse)
+        return log_potentials(model, batch[None], thetas[None], groups)[0]
+    w_count, n, d = thetas.shape
+    slots, rows = groups or label_groups(np.broadcast_to(np.arange(n), (w_count, n)))[1:]
+    points, owner = np.take(thetas.reshape(-1, d), rows, axis=0), rows // n
+    wide = len(rows) * batch.shape[1] > WORKER_CALL_PAIRS * w_count
+    if model.batch_eval is None or model.stacked and not wide and len(rows) >= min(n, 2):
+        values = model.sums(np.take(batch, owner, axis=0), points[:, None]).ravel()
+    else:
+        split = np.split(points, np.searchsorted(owner, np.arange(1, w_count)))
+        values = np.concatenate([  # a worker's one group of several copies goes twice
+            np.asarray(model.batch_eval(b, np.repeat(p, 1 + (len(p) < min(n, 2)), axis=0)), dtype=float)[:len(p)]
+            for b, p in zip(batch, split)
+        ])
+    sums = np.take(values, slots)
     bad = ~np.isfinite(sums)
     if bad.any():
         # Rescan component-by-component at the bad points, in worker then

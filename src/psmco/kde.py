@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import logsumexp_last
+from .core import label_groups, logsumexp_last
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,19 @@ def kde_log_eval(
     return out + const
 
 
-def map_estimate(spec: KernelDensitySpec, particles: np.ndarray) -> Tuple[int, np.ndarray]:
+def map_estimate(
+    spec: KernelDensitySpec, particles: np.ndarray, labels: Optional[np.ndarray] = None
+) -> Tuple[int, np.ndarray]:
     """(index, particle) of the highest KDE value; ties go to the lowest
     index.
 
-    Searches only over the particles themselves (an O(N^2) sweep), not
-    the continuous space.
+    Searches only over the particles themselves, not the continuous
+    space.  labels, a worker's row of ParticleSystem.labels, mark copies:
+    the KDE of all N particles is queried once per label (None: at every
+    particle), and every copy gets its point's value.
     """
     particles = np.asarray(particles, dtype=float)
-    logs = kde_log_eval(spec, particles, particles)
+    _, slots, rows = label_groups(np.arange(len(particles))[None] if labels is None else np.asarray(labels)[None])
+    logs = kde_log_eval(spec, particles, particles[rows])[slots[0]]
     best = int(np.argmax(logs))
     return best, particles[best].copy()

@@ -171,7 +171,7 @@ def run_psmco(
         cumulative = log_z_emitted[len(rows)]
         cumulative[:] = system.log_z_cumulative
         winner = select_best_worker(cumulative)
-        _, theta = map_estimate(kde_spec, system.particles[winner])
+        _, theta = map_estimate(kde_spec, system.particles[winner], system.labels[winner])
         key = theta.tobytes()
         if key not in costs:
             costs[key] = model.total_cost(theta)

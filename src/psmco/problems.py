@@ -23,13 +23,22 @@ from .core import CostModel, SearchSpace, logsumexp_last, schedule_dtype
 STACK_BUDGET = 1 << 18
 
 
+def _fit(count: int, size: int) -> int:
+    """size, grown until blocks of it over count items leave none alone."""
+    while count % size == 1 and count > 1:
+        size += 1
+    return size
+
+
 def _batch_kernel(block_eval, chunk_budget: int, per_pair: int):
     """A stacked batch_eval over block_eval((..., K), (..., P, d)) -> (..., P),
     whose temporaries hold per_pair elements per (point, index) pair.
 
     Stacked input, (W, K) and (W, N, d), is evaluated in blocks of workers
     under STACK_BUDGET; a worker too big for a block on its own is cut
-    into chunks of points under chunk_budget.
+    into chunks of points under chunk_budget.  A call of several points
+    hands block_eval several at a time, rows of one point at least two
+    to a block, since a kernel may sum one point alone in another order.
     """
 
     def batch_eval(indices: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -41,7 +50,9 @@ def _batch_kernel(block_eval, chunk_budget: int, per_pair: int):
         out = np.empty(thetas.shape[:2])
         per_point = per_pair * max(1, indices.shape[1])
         step = max(1, STACK_BUDGET // max(1, thetas.shape[1] * per_point))
-        chunk = max(1, chunk_budget // per_point)
+        if thetas.shape[1] == 1:
+            step = _fit(thetas.shape[0], max(2, step))
+        chunk = _fit(thetas.shape[1], max(2, chunk_budget // per_point))
         for w in range(0, thetas.shape[0], step):
             if step > 1:
                 out[w:w + step] = block_eval(indices[w:w + step], thetas[w:w + step])
@@ -128,7 +139,7 @@ def make_mixture_problem(spec: MixtureProblemSpec) -> MixtureProblem:
         # (d, 1, ..., P, 1) points against (d, 4, ..., 1, K) centers; every
         # reduction runs over a leading axis of (..., P, K) slabs
         points = np.moveaxis(thetas, -1, 0)[:, None, ..., None]
-        diff = points - by_coord[:, :, indices][..., None, :]  # (d, 4, ..., P, K)
+        diff = points - np.take(by_coord, indices, axis=2)[..., None, :]  # (d, 4, ..., P, K)
         with np.errstate(over="ignore", divide="ignore"):
             a = -(diff * diff).sum(axis=0) * inv_two_r  # (4, ..., P, K)
             m = a.max(axis=0)

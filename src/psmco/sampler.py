@@ -25,6 +25,7 @@ from .core import (
     CostModel,
     SearchSpace,
     clip_to_space,
+    label_groups,
     log_potentials,
     normalize_log_weights,
 )
@@ -72,13 +73,21 @@ class ParticleSystem:
 
     particles is (M, N, d) and rngs[m] is worker m's stream.
     log_z_cumulative, of shape (M,), is the running sum of the step
-    normalizer estimates, accumulated in step order.
+    normalizer estimates, accumulated in step order.  labels (M, N), in
+    [0, 2N), mark copies: particles of one worker sharing a label are
+    equal.  New particles get arange(N), each its own label; equal
+    points with different labels only cost a duplicate evaluation.
     """
 
     particles: np.ndarray
     space: SearchSpace
     rngs: Tuple[np.random.Generator, ...]
     log_z_cumulative: Optional[np.ndarray] = None
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        if name == "particles":  # labels describe one particle array
+            super().__setattr__("labels", np.broadcast_to(np.arange(np.shape(value)[1]), np.shape(value)[:2]))
 
     def __post_init__(self):
         if self.log_z_cumulative is None:
@@ -179,14 +188,18 @@ def jitter(system: ParticleSystem, kernel: JitterKernelSpec, u: np.ndarray, nois
     """Apply the sticky Gaussian move to a copy of the particles, given the
     step's (M, N) uniforms and the (moved, d) noise, one row per particle
     with u < epsilon in flat (worker, particle) order; returns how many
-    particles moved, over all workers.  Raises ValueError when the noise
+    particles moved, over all workers.  Particle j of a worker gets the
+    fresh label N + j when it moves.  Raises ValueError when the noise
     has a different number of rows."""
     moved = np.flatnonzero(u < kernel.epsilon)  # an unmoved particle is in the box already
     if len(noise) != moved.size:
         raise ValueError(f"{len(noise)} noise rows for {moved.size} moved particles")
+    labels = np.array(system.labels)  # taken before the new particles reset them
     system.particles = np.array(system.particles, dtype=float, order="C")  # never a caller's array
     flat = system.particles.reshape(-1, system.space.dim)  # a view: rows are particles
     flat[moved] = clip_to_space(np.take(flat, moved, axis=0) + noise, system.space)
+    labels.reshape(-1)[moved] = moved % system.n_particles + system.n_particles
+    system.labels = labels
     return moved.size
 
 
@@ -201,8 +214,10 @@ def weight_and_accumulate(
     log Z_t = log((1/N) sum_i G(theta_i)), added to the running totals.
     A worker whose potentials are all -inf records -inf, so it still
     counts toward its cumulative value, and keeps log-weights of -inf.
+    Each group of copies is evaluated once; its label becomes its rank.
     """
-    log_g = log_potentials(model, batches, system.particles)
+    system.labels, *groups = label_groups(system.labels)
+    log_g = log_potentials(model, batches, system.particles, groups)
     log_total, log_w = normalize_log_weights(log_g)
     log_z_t = log_total - math.log(system.n_particles)
     with np.errstate(over="ignore"):  # a sum sunk to -inf fails the run, see run_psmco
@@ -252,11 +267,14 @@ def resample_multinomial(system: ParticleSystem, log_w: np.ndarray, u: np.ndarra
     """Replace each population with N draws from its weighted self, given
     the (M, N) normalized log-weights and the step's (M, N) uniforms.  A
     degenerate worker, whose log-weights are all -inf, keeps its
-    population; its uniforms go unused."""
+    population; its uniforms go unused.  The labels go with the
+    ancestors."""
     m, n, d = system.particles.shape
     live = log_w.max(axis=1, keepdims=True) > -math.inf
     rows = np.where(live, inverse_cdf(log_w, u), np.arange(n)) + np.arange(m)[:, None] * n
+    labels = np.take(system.labels, rows)  # taken before the new particles reset them
     system.particles = np.take(system.particles.reshape(-1, d), rows, axis=0)
+    system.labels = labels
 
 
 def sampler_step(

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
+import psmco.core as core
+
 from psmco.core import (
     CostModel,
     EvaluationError,
     SearchSpace,
     build_schedule,
     clip_to_space,
-    distinct_points,
+    label_groups,
     log_potentials,
     logsumexp_last,
     normalize_log_weights,
@@ -22,6 +24,7 @@ from psmco.sampler import (
     jitter,
     sampler_step,
     step_draws,
+    weight_and_accumulate,
 )
 
 
@@ -272,62 +275,79 @@ def test_log_potentials_matches_scalar_loop():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def duplicated_population(rng, w, n, d, pool=4):
-    """(w, n, d) points, each worker drawing its n rows from a pool of a
-    few points whose coordinates come from {-0.0, 0.0, 1.0}, so rows
-    repeat, share first coordinates, and differ only in a zero's sign."""
+def labelled_population(rng, w, n, d, pool=4):
+    """(w, n, d) points and (w, n) labels in [0, 2n): each worker draws
+    its labels from a few random ones, and a label names one point whose
+    coordinates come from {-0.0, 0.0, 1.0}, so rows repeat, share first
+    coordinates, and differ only in a zero's sign."""
+    names = np.stack([rng.choice(2 * n, size=min(pool, 2 * n), replace=False) for _ in range(w)])
+    picks = rng.integers(0, names.shape[1], size=(w, n))
+    labels = np.take_along_axis(names, picks, axis=1)
     values = np.array([-0.0, 0.0, 1.0])
-    pools = values[rng.integers(0, 3, size=(w, pool, d))]
-    return pools[np.arange(w)[:, None], rng.integers(0, pool, size=(w, n))]
+    points = values[rng.integers(0, 3, size=(w, 2 * n, d))]
+    return points[np.arange(w)[:, None], labels], labels
 
 
-def assert_groups_exact(thetas, reps, inverse):
-    """Every point is its group's representative bit for bit, and every
-    representative, padding included, is one of its own worker's points."""
-    w_count, n, _ = thetas.shape
-    assert reps.shape[0] == w_count and inverse.shape == (w_count, n)
-    assert reps.shape[1] >= min(n, 2)
-    picked = reps[np.arange(w_count)[:, None], inverse]
-    assert picked.tobytes() == thetas.tobytes()
-    for own, rep in zip(thetas, reps):
-        assert {r.tobytes() for r in rep} <= {t.tobytes() for t in own}
+def assert_groups_exact(labels, compact, slots, rows):
+    """compact renumbers each worker's labels to [0, U_w) in label order,
+    slots count the groups in worker order, and each group's row is one
+    of its own particles."""
+    w_count, n = labels.shape
+    counts = [len(set(own.tolist())) for own in labels]
+    assert len(rows) == sum(counts)
+    offsets = np.cumsum(counts) - counts
+    assert (slots == compact + offsets[:, None]).all()
+    for own, new, count in zip(labels, compact, counts):
+        assert sorted(set(new.tolist())) == list(range(count))
+        assert (np.argsort(own, kind="stable") == np.argsort(new, kind="stable")).all()
+    assert (np.take(labels, rows)[slots] == labels).all()
+    assert (rows // n == np.repeat(np.arange(w_count), counts)).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 9])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_distinct_points_maps_every_point_to_its_bits(n, d):
+def test_label_groups_map_every_particle_to_a_member_of_its_group(n, d):
     rng = np.random.default_rng(10 * n + d)
-    thetas = duplicated_population(rng, 5, n, d)
-    reps, inverse = distinct_points(thetas)
-    assert_groups_exact(thetas, reps, inverse)
-    distinct = max(len({t.tobytes() for t in own}) for own in thetas)
-    assert reps.shape[1] >= max(distinct, min(n, 2))
+    thetas, labels = labelled_population(rng, 5, n, d)
+    compact, slots, rows = label_groups(labels)
+    assert_groups_exact(labels, compact, slots, rows)
+    reps = np.take(thetas.reshape(-1, d), rows, axis=0)
+    assert reps[slots].tobytes() == thetas.tobytes()
+    # renumbered labels name the same groups
+    assert (label_groups(compact)[1] == slots).all()
 
 
-def test_distinct_points_keeps_signed_zeros_apart():
-    thetas = np.array([[[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, -0.0]]])
-    reps, inverse = distinct_points(thetas)
-    assert reps.shape[1] == 3
-    assert inverse[0, 0] == inverse[0, 2]
-    assert len({inverse[0, 0], inverse[0, 1], inverse[0, 3]}) == 3
-    assert_groups_exact(thetas, reps, inverse)
+def test_label_groups_of_unlabelled_and_fresh_particles():
+    """arange(N), every particle its own, and the fresh labels N + j of
+    moved particles next to a worker's surviving labels."""
+    compact, slots, rows = label_groups(np.broadcast_to(np.arange(4), (3, 4)))
+    assert (compact == np.arange(4)).all() and (rows == np.arange(12)).all()
+    assert (slots == np.arange(12).reshape(3, 4)).all()
+    labels = np.array([[2, 2, 5, 0], [7, 1, 1, 4]])
+    compact, slots, rows = label_groups(labels)
+    assert compact.tolist() == [[1, 1, 2, 0], [2, 0, 0, 1]]
+    assert slots.tolist() == [[1, 1, 2, 0], [5, 3, 3, 4]]
+    assert_groups_exact(labels, compact, slots, rows)
 
 
-@pytest.mark.parametrize("n", [1, 2, 6])
-def test_distinct_points_of_collapsed_workers(n):
-    """init_particles with init_std=0 puts every particle on init_point,
-    which leaves min(N, 2) points per worker; a narrower worker next to a
-    wide one is padded with its own points only."""
-    rngs = [np.random.default_rng(s) for s in range(3)]
-    system = init_particles(box(-2, 2, d=3), n, rngs, np.array([0.5, -0.0, 1.0]), init_std=0.0)
-    reps, inverse = distinct_points(system.particles)
-    assert reps.shape == (3, min(n, 2), 3)
-    assert (inverse == 0).all()
-    assert_groups_exact(system.particles, reps, inverse)
-    wide = np.concatenate([system.particles, np.random.default_rng(1).normal(size=(1, n, 3))])
-    reps, inverse = distinct_points(wide)
-    assert reps.shape[1] == n
-    assert_groups_exact(wide, reps, inverse)
+def test_log_potentials_evaluate_each_group_once_and_keep_signed_zeros_apart():
+    """Groups given by labels give every particle the bits of evaluating
+    it alone, on points told apart only by a zero's sign, and the model
+    sees one row per group."""
+    seen = []
+
+    def signs(indices, thetas):
+        seen.append(thetas.shape)
+        return np.copysign(1.0, thetas[..., 0]) * (1.0 + np.abs(thetas).sum(axis=-1)) * indices.shape[-1]
+
+    model = CostModel(n=3, component_eval=lambda i, th: 0.0, batch_eval=signs, stacked=True)
+    rng = np.random.default_rng(4)
+    thetas, labels = labelled_population(rng, 5, 9, 2)
+    batch = np.zeros((5, 3), dtype=int)
+    got = log_potentials(model, batch, thetas, label_groups(labels)[1:])
+    assert seen == [(sum(len(set(own.tolist())) for own in labels), 1, 2)]
+    assert got.tobytes() == log_potentials(model, batch, thetas).tobytes()
+    assert (np.signbit(got) != np.signbit(thetas[..., 0])).all()
 
 
 def test_schedule_sum_equals_negative_total_cost():
@@ -372,12 +392,13 @@ def center_batch(indices, thetas):
 
 def counted_forms():
     """The same cost as a stacked, a single-worker and a component-only
-    CostModel, and a dict counting the calls of each form's function."""
-    calls = {"stacked": 0, "single-worker": 0, "component-only": 0}
+    CostModel, and a dict holding the points of each call of each form's
+    function."""
+    calls = {"stacked": [], "single-worker": [], "component-only": []}
 
     def counting(form, fn):
         def counted(*args):
-            calls[form] += 1
+            calls[form].append(np.array(args[1]))
             return fn(*args)
         return counted
 
@@ -394,11 +415,18 @@ def counted_forms():
     return models, calls
 
 
+def unlabelled_twin(system):
+    """A copy of system whose particles carry no lineage, so a step
+    evaluates every particle; same streams, so it draws the same."""
+    return ParticleSystem(system.particles.copy(), system.space, system.rngs, system.log_z_cumulative)
+
+
 def test_step_calls_each_model_form_as_declared():
-    """Per sampler step: a stacked model's batch_eval is called once for
-    all M workers, a single-worker batch_eval M times, and a bare
-    component_eval M*U*K times, U being the most distinct jittered
-    particles of any worker (at least min(N, 2)); all three forms give
+    """Per sampler step, with U_w the distinct labels of worker w's
+    jittered particles: a stacked model's batch_eval gets one call of
+    sum U_w rows of one point, a single-worker batch_eval one call per
+    worker on that worker's U_w points (its point twice when U_w = 1),
+    and a bare component_eval K calls per group; all three forms give
     the same steps."""
     m, n, k = 3, 5, 4
     models, calls = counted_forms()
@@ -409,18 +437,91 @@ def test_step_calls_each_model_form_as_declared():
         kernel = JitterKernelSpec(system.space, proposal_std=0.3, n_particles=n)
         widths = []
         for _ in range(3):
-            before = calls[form]
+            before = len(calls[form])
             draws = next(step_draws(system, kernel, 1))
-            probe = ParticleSystem(system.particles.copy(), system.space, system.rngs)
+            probe = unlabelled_twin(system)
+            probe.labels = system.labels
             jitter(probe, kernel, *draws[:2])
-            distinct = max(len({row.tobytes() for row in worker}) for worker in probe.particles)
-            widths.append(max(distinct, min(n, 2)))
+            widths.append([len(set(own.tolist())) for own in probe.labels])
             log_z = sampler_step(system, model, batches, kernel, draws)
-            per_step = {"stacked": 1, "single-worker": m, "component-only": m * widths[-1] * k}
-            assert calls[form] - before == per_step[form]
-        assert widths[0] == n and min(widths) < n  # all distinct at first, then copies
+            made = calls[form][before:]
+            if form == "stacked":
+                assert [pts.shape for pts in made] == [(sum(widths[-1]), 1, 1)]
+            elif form == "single-worker":  # a lone group of several copies goes twice
+                assert [len(pts) for pts in made] == [max(w, 2) for w in widths[-1]]
+                for pts, own in zip(made, probe.particles):
+                    assert {p.tobytes() for p in pts} <= {p.tobytes() for p in own}
+            else:
+                assert len(made) == sum(widths[-1]) * k
+        assert widths[0] == [n] * m and min(min(w) for w in widths) < n  # all distinct at first, then copies
         outcome[form] = (log_z.tobytes(), system.particles.tobytes())
     assert outcome["stacked"] == outcome["single-worker"] == outcome["component-only"]
+
+
+def test_stacked_model_gets_one_call_per_worker_on_large_groups(monkeypatch):
+    """Above WORKER_CALL_PAIRS (point, index) pairs per worker a stacked
+    model is called once per worker on its groups' points, like a 2-d
+    one, and a worker with a single group of several copies hands the
+    kernel its point twice; the potentials are those of one row per
+    group."""
+    models, calls = counted_forms()
+    thetas = np.array([[[0.5], [0.5], [0.5]], [[0.1], [0.2], [0.1]]])
+    labels = np.array([[1, 1, 1], [0, 4, 0]])
+    batch = np.array([[0, 3], [5, 7]])
+    groups = label_groups(labels)[1:]
+    rows = log_potentials(models["stacked"], batch, thetas, groups)
+    assert [pts.shape for pts in calls["stacked"]] == [(3, 1, 1)]
+    monkeypatch.setattr(core, "WORKER_CALL_PAIRS", 1)
+    per_worker = log_potentials(models["stacked"], batch, thetas, groups)
+    assert [pts.shape for pts in calls["stacked"][1:]] == [(2, 1), (2, 1)]
+    assert calls["stacked"][1].tobytes() == np.array([[0.5], [0.5]]).tobytes()
+    assert per_worker.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("form", ["stacked", "single-worker", "component-only"])
+def test_init_std_zero_start_is_all_copies_merged_by_resampling(form):
+    """init_std=0 puts every particle on init_point under N distinct
+    labels: the first step evaluates all of them, resampling then merges
+    them by ancestry, and every step equals a run that evaluates every
+    particle."""
+    m, n = 3, 9
+    models, calls = counted_forms()
+    model = models[form]
+    rngs = lambda: [np.random.default_rng(s) for s in range(m)]  # noqa: E731
+    system = init_particles(box(-2, 2, d=1), n, rngs(), np.array([0.5]), init_std=0.0)
+    twin = init_particles(box(-2, 2, d=1), n, rngs(), np.array([0.5]), init_std=0.0)
+    kernel = JitterKernelSpec(system.space, proposal_std=0.3, n_particles=n)
+    assert (system.labels == np.arange(n)).all()
+    rows = []
+    for t in range(4):
+        batches = np.full((m, 2), t)
+        draws = next(step_draws(system, kernel, 1))
+        assert all((a == b).all() for a, b in zip(draws, next(step_draws(twin, kernel, 1))))
+        before = len(calls[form])
+        log_z = sampler_step(system, model, batches, kernel, draws)
+        rows.append(sum(len(pts) if pts.ndim > 1 else 1 for pts in calls[form][before:]))
+        twin = unlabelled_twin(twin)
+        assert sampler_step(twin, model, batches, kernel, draws).tobytes() == log_z.tobytes()
+        assert twin.particles.tobytes() == system.particles.tobytes()
+    per_point = 2 if form == "component-only" else 1
+    assert rows[0] == m * n * per_point and rows[-1] < m * n * per_point
+
+
+def test_clipped_corner_collision_costs_a_duplicate_evaluation_only():
+    """Two moved particles clipped onto the same corner of the box are
+    equal points under different fresh labels: both are evaluated, and
+    they get equal potentials."""
+    models, calls = counted_forms()
+    system = init_particles(box(-1, 1), 4, [np.random.default_rng(0)], np.zeros(2), init_std=0.0)
+    kernel = JitterKernelSpec(system.space, proposal_std=1.0, n_particles=4)
+    u = np.array([[0.0, 0.0, 0.9, 0.9]])  # particles 0 and 1 move
+    jitter(system, kernel, u, np.array([[5.0, 5.0], [7.0, 3.0]]))
+    assert system.particles[0, 0].tobytes() == system.particles[0, 1].tobytes()
+    assert system.labels.tolist() == [[4, 5, 2, 3]]
+    _, log_w = weight_and_accumulate(system, models["stacked"], np.array([[3, 7]]))
+    assert calls["stacked"][-1].shape == (4, 1, 2)
+    assert log_w[0, 0] == log_w[0, 1] and log_w[0, 2] == log_w[0, 3]
+    assert system.labels.tolist() == [[2, 3, 0, 1]]
 
 
 def test_costs_agree_bit_for_bit_across_model_forms():

@@ -183,6 +183,28 @@ def test_map_tie_breaks_to_lowest_index():
     assert theta2[0] == 0.0
 
 
+def test_map_at_distinct_labels_equals_the_all_particle_query():
+    """Querying the KDE once per label gives the (index, theta) of
+    querying every particle: copies tie and the first copy wins, and of
+    two distinct points of equal density, mirror images in a symmetric
+    cloud, the lower index wins."""
+    spec = KernelDensitySpec(dim=2, bandwidth=0.7)
+    rng = np.random.default_rng(8)
+    pool = rng.normal(size=(6, 2))
+    labels = rng.integers(0, 6, size=40)
+    cases = [(pool[labels], labels)]
+    # opposite corners of a square, two copies each, have equal density
+    # to the last bit; labels may run up to 2N after a jitter
+    square = np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+    cases.append((square[[3, 1, 0, 1, 0, 2]], np.array([7, 2, 0, 2, 0, 11])))
+    for particles, labels in cases:
+        want = map_estimate(spec, particles)
+        got = map_estimate(spec, particles, labels)
+        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+    values = kde_log_eval(spec, particles, particles)
+    assert (values[1:5] == values.max()).all() and want[0] == 1
+
+
 def test_map_argmax_invariant_under_density_rescaling():
     # scaling particles and bandwidth together rescales every KDE value
     # by the same positive constant; the argmax index must not move

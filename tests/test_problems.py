@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import psmco.problems as problems
-from psmco.core import log_potentials
+from psmco.core import label_groups, log_potentials
 from psmco.problems import (
     MixtureProblemSpec,
     PSGDConfig,
@@ -224,6 +224,56 @@ def test_potentials_of_duplicated_populations_equal_every_particle_evaluated(nam
         got = log_potentials(model, batch, population)
         want = np.stack([-model.sums(batch[j:j + 1], population[j:j + 1])[0] for j in range(w)])
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("budget", [problems.STACK_BUDGET, 1])
+@pytest.mark.parametrize("name, k", [("sigmoid", 100), ("sigmoid", 500), ("sigmoid", 8193),
+                                     ("sigmoid", 131073), ("mixture", 1), ("mixture", 7),
+                                     ("mixture", 8193)])
+def test_one_row_per_point_keeps_the_bits_of_whole_populations(name, k, budget, monkeypatch):
+    """sums on one row per point, indices (R, K) and points (R, 1, d),
+    gives each point the bits of the stacked (W, P, d) call and of one
+    call per worker on its whole population, for row counts that leave a
+    block of one row; so does log_potentials on labelled copies, with
+    worker 0 collapsed, or a lone worker collapsed to one point.  Above
+    8192 components the sigmoid kernel sums a call of one point in
+    another order, so neither hands it a lone point."""
+    monkeypatch.setattr(problems, "STACK_BUDGET", budget)
+    n_data = max(k, 9000)
+    spec = SigmoidProblemSpec(n=n_data) if name == "sigmoid" else MixtureProblemSpec(n=n_data)
+    model = (make_sigmoid_problem if name == "sigmoid" else make_mixture_problem)(spec).model
+    rng = np.random.default_rng(k)
+    w, p = 4, 30
+    batch = np.stack([rng.permutation(n_data)[:k] for _ in range(w)])
+    pts = rng.normal(size=(w, p, 2)) * 3
+    whole = np.stack([model.sums(batch[j:j + 1], pts[j:j + 1])[0] for j in range(w)])
+    assert model.sums(batch, pts).tobytes() == whole.tobytes()
+    owner = np.repeat(np.arange(w), p)
+    for r in (2, 3, 32, w * p):
+        rows = model.sums(np.take(batch, owner[:r], axis=0), pts.reshape(-1, 2)[:r, None])
+        assert rows.tobytes() == whole.ravel()[:r, None].tobytes()
+    labels = rng.integers(0, 5, size=(w, p))
+    labels[0] = labels[0, 0]
+    thetas = pts[np.arange(w)[:, None], labels]
+    want = np.stack([-model.sums(batch[j:j + 1], thetas[j:j + 1])[0] for j in range(w)])
+    assert log_potentials(model, batch, thetas, label_groups(labels)[1:]).tobytes() == want.tobytes()
+    lone = np.repeat(pts[:1, :1], p, axis=1)
+    got = log_potentials(model, batch[:1], lone, label_groups(np.zeros((1, p), dtype=int))[1:])
+    assert got.tobytes() == (-model.sums(batch[:1], lone)).tobytes()
+
+
+def test_points_cut_into_chunks_leave_no_lone_point(monkeypatch):
+    """A worker too big for a block is cut into chunks of points (63 at
+    131073 sigmoid components); the 64th point joins the chunk before it
+    and keeps the bits of a call of several points."""
+    monkeypatch.setattr(problems, "STACK_BUDGET", 1)
+    k = 131073
+    model = make_sigmoid_problem(SigmoidProblemSpec(n=k)).model
+    rng = np.random.default_rng(3)
+    batch = rng.permutation(k)[None]
+    pts = rng.normal(size=(1, 64, 2)) * 3
+    got = model.sums(batch, pts)
+    assert got[:, -2:].tobytes() == model.sums(batch, pts[:, -2:]).tobytes()
 
 
 def test_stock_kernels_are_freed_by_reference_counting():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from psmco.core import CostModel, SearchSpace, normalize_log_weights
+from psmco.problems import MixtureProblemSpec, make_mixture_problem
 from psmco.sampler import (
     BLOCK_ELEMENTS,
     JitterKernelSpec,
@@ -243,6 +244,43 @@ def test_weights_degenerate_returns_minus_inf():
     assert log_z_t.tolist() == [-np.inf]
     assert log_w.tolist() == [[-np.inf] * 4]
     assert ps.log_z_cumulative.tolist() == [-np.inf]
+
+
+def test_new_particles_drop_stale_labels():
+    """Labels describe one particle array: a caller's new particles start
+    unlabelled, so labels that merged the old copies cannot merge the
+    new, distinct points, and the potentials are each particle's own."""
+    s = box(-1, 1)
+    ps = init_particles(s, 6, [np.random.default_rng(seed) for seed in range(3)], np.zeros(2), init_std=0.0)
+    ps.labels = np.zeros((3, 6), dtype=int)  # all copies, one label per worker
+    model = CostModel(n=2, component_eval=lambda i, th: float((i + 1) * (th @ th)))
+    ps.particles = np.random.default_rng(3).uniform(-1, 1, size=(3, 6, 2))
+    assert (ps.labels == np.arange(6)).all()
+    _, log_w = weight_and_accumulate(ps, model, np.array([[0, 1]] * 3))
+    want = normalize_log_weights(-model.sums(np.array([[0, 1]] * 3), ps.particles))[1]
+    assert log_w.tobytes() == want.tobytes()
+    assert len(set(log_w[0].tolist())) == 6
+
+
+def test_labels_never_merge_distinct_particles():
+    """Lineage invariant over 200 mixture steps: after every step, each
+    worker's labels lie in [0, N) and particles sharing a label are equal
+    bit for bit."""
+    problem = make_mixture_problem(MixtureProblemSpec(n=200))
+    m, n = 6, 20
+    ps = init_particles(problem.space, n, [np.random.default_rng(s) for s in range(m)])
+    k = JitterKernelSpec(space=problem.space, proposal_std=1.0, n_particles=n)
+    batches = np.random.default_rng(9).integers(0, 200, size=(200, m, 1))
+    merged = 0
+    for t, draws in enumerate(step_draws(ps, k, 200)):
+        sampler_step(ps, problem.model, batches[t], k, draws)
+        assert ((ps.labels >= 0) & (ps.labels < n)).all()
+        for labels, points in zip(ps.labels, ps.particles):
+            first = {}
+            for label, point in zip(labels.tolist(), points):
+                assert first.setdefault(label, point.tobytes()) == point.tobytes()
+            merged += n - len(first)
+    assert merged > 0
 
 
 def test_cumulative_telescopes_exactly():
