@@ -97,9 +97,11 @@ class CostModel:
     batch_eval(indices[w], thetas[w]) bit for bit; sums then evaluates
     all workers in one call instead of one call per worker.  A run's
     schedule indices are of dtype schedule_dtype(n), int32 up to n = 2**31.
-    Evaluations must be deterministic and not depend on a call's other
-    points: the sampler evaluates each group of copies once, so sums may
-    get a row per group, indices (R, K) and thetas (R, 1, d).  name
+    Evaluations must be deterministic and a point's bits must not depend
+    on a call's other points, nor on whether it is alone: the sampler
+    evaluates each group of copies once, so sums may get a row per group,
+    indices (R, K) and thetas (R, 1, d), or a worker's groups in one
+    call.  The stock kernels in problems meet this layout contract.  name
     labels a run's trace rows.
     """
 
@@ -189,10 +191,10 @@ def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray, grou
     give (P,).  Each group of groups, label_groups' last two results
     (None: every particle), is evaluated once: in one sums call on a row
     per group, else (2-d batch_eval, or over WORKER_CALL_PAIRS) one call
-    per worker on its groups, never one point alone for a population of
-    more (the stock sigmoid kernel sums it in another order above 8192
-    components).  A non-finite sum triggers a component-by-component
-    rescan that raises EvaluationError with the offending index and point.
+    per worker on its groups; the layout contract of CostModel makes the
+    bits the same either way.  A non-finite sum triggers a
+    component-by-component rescan that raises EvaluationError with the
+    offending index and point.
     """
     batch = np.asarray(batch)
     thetas = np.asarray(thetas, dtype=float)
@@ -202,14 +204,11 @@ def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray, grou
     slots, rows = groups or label_groups(np.broadcast_to(np.arange(n), (w_count, n)))[1:]
     points, owner = np.take(thetas.reshape(-1, d), rows, axis=0), rows // n
     wide = len(rows) * batch.shape[1] > WORKER_CALL_PAIRS * w_count
-    if model.batch_eval is None or model.stacked and not wide and len(rows) >= min(n, 2):
+    if model.batch_eval is None or model.stacked and not wide:
         values = model.sums(np.take(batch, owner, axis=0), points[:, None]).ravel()
     else:
         split = np.split(points, np.searchsorted(owner, np.arange(1, w_count)))
-        values = np.concatenate([  # a worker's one group of several copies goes twice
-            np.asarray(model.batch_eval(b, np.repeat(p, 1 + (len(p) < min(n, 2)), axis=0)), dtype=float)[:len(p)]
-            for b, p in zip(batch, split)
-        ])
+        values = np.concatenate([np.asarray(model.batch_eval(b, p), dtype=float) for b, p in zip(batch, split)])
     sums = np.take(values, slots)
     bad = ~np.isfinite(sums)
     if bad.any():

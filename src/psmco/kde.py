@@ -80,10 +80,15 @@ def map_estimate(
     Searches only over the particles themselves, not the continuous
     space.  labels, a worker's row of ParticleSystem.labels, mark copies:
     the KDE of all N particles is queried once per label (None: at every
-    particle), and every copy gets its point's value.
+    particle), and every copy gets its point's value.  Raises ValueError
+    unless labels are N integers in [0, 2N).
     """
     particles = np.asarray(particles, dtype=float)
-    _, slots, rows = label_groups(np.arange(len(particles))[None] if labels is None else np.asarray(labels)[None])
+    n = len(particles)
+    labels = np.arange(n) if labels is None else np.asarray(labels)
+    if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer) or ((labels < 0) | (labels >= 2 * n)).any():
+        raise ValueError(f"labels must be {n} integers in [0, {2 * n})")
+    _, slots, rows = label_groups(labels[None])
     logs = kde_log_eval(spec, particles, particles[rows])[slots[0]]
     best = int(np.argmax(logs))
     return best, particles[best].copy()

@@ -19,26 +19,19 @@ from scipy.special import expit
 from .core import CostModel, SearchSpace, logsumexp_last, schedule_dtype
 
 # Elements in one temporary of a stacked kernel call: workers are
-# evaluated in blocks of as many as fit, and at least one.
+# evaluated in blocks, and a worker's points in chunks, of as many as
+# fit, and at least one.
 STACK_BUDGET = 1 << 18
 
 
-def _fit(count: int, size: int) -> int:
-    """size, grown until blocks of it over count items leave none alone."""
-    while count % size == 1 and count > 1:
-        size += 1
-    return size
-
-
-def _batch_kernel(block_eval, chunk_budget: int, per_pair: int):
+def _batch_kernel(block_eval, per_pair: int):
     """A stacked batch_eval over block_eval((..., K), (..., P, d)) -> (..., P),
     whose temporaries hold per_pair elements per (point, index) pair.
 
-    Stacked input, (W, K) and (W, N, d), is evaluated in blocks of workers
-    under STACK_BUDGET; a worker too big for a block on its own is cut
-    into chunks of points under chunk_budget.  A call of several points
-    hands block_eval several at a time, rows of one point at least two
-    to a block, since a kernel may sum one point alone in another order.
+    Stacked input, (W, K) and (W, P, d), is evaluated in blocks of
+    workers, each cut into chunks of points, both under STACK_BUDGET.
+    block_eval must give a point the same bits whatever else the call
+    holds, as both stock kernels do.
     """
 
     def batch_eval(indices: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -49,16 +42,11 @@ def _batch_kernel(block_eval, chunk_budget: int, per_pair: int):
             indices, thetas = indices[None], thetas[None]
         out = np.empty(thetas.shape[:2])
         per_point = per_pair * max(1, indices.shape[1])
-        step = max(1, STACK_BUDGET // max(1, thetas.shape[1] * per_point))
-        if thetas.shape[1] == 1:
-            step = _fit(thetas.shape[0], max(2, step))
-        chunk = _fit(thetas.shape[1], max(2, chunk_budget // per_point))
+        chunk = max(1, STACK_BUDGET // per_point)
+        step = max(1, chunk // max(1, thetas.shape[1]))
         for w in range(0, thetas.shape[0], step):
-            if step > 1:
-                out[w:w + step] = block_eval(indices[w:w + step], thetas[w:w + step])
-            else:
-                for start in range(0, thetas.shape[1], chunk):
-                    out[w, start:start + chunk] = block_eval(indices[w], thetas[w, start:start + chunk])
+            for c in range(0, thetas.shape[1], chunk):
+                out[w:w + step, c:c + chunk] = block_eval(indices[w:w + step], thetas[w:w + step, c:c + chunk])
         return out[0] if single else out
 
     return batch_eval
@@ -150,7 +138,7 @@ def make_mixture_problem(spec: MixtureProblemSpec) -> MixtureProblem:
     model = CostModel(
         n=spec.n,
         component_eval=component_eval,
-        batch_eval=_batch_kernel(block_eval, 1 << 22, k_parts * d),
+        batch_eval=_batch_kernel(block_eval, k_parts * d),
         name="mixture",
         stacked=True,
     )
@@ -265,12 +253,14 @@ def make_sigmoid_problem(spec: SigmoidProblemSpec) -> SigmoidProblem:
         yb = y[indices][..., None, :]
         z = thetas[..., 0, None] + thetas[..., 1, None] * xb  # (..., P, K)
         resid = yb - expit(z)
-        return np.einsum("...k,...k->...", resid, resid)
+        # a contiguous last axis is summed pairwise row by row, so a
+        # point's bits do not depend on the call's other points
+        return np.square(resid, out=resid).sum(axis=-1)
 
     model = CostModel(
         n=spec.n,
         component_eval=component_eval,
-        batch_eval=_batch_kernel(block_eval, 1 << 23, 1),
+        batch_eval=_batch_kernel(block_eval, 1),
         name="sigmoid",
         stacked=True,
     )

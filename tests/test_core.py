@@ -425,9 +425,8 @@ def test_step_calls_each_model_form_as_declared():
     """Per sampler step, with U_w the distinct labels of worker w's
     jittered particles: a stacked model's batch_eval gets one call of
     sum U_w rows of one point, a single-worker batch_eval one call per
-    worker on that worker's U_w points (its point twice when U_w = 1),
-    and a bare component_eval K calls per group; all three forms give
-    the same steps."""
+    worker on that worker's U_w points, and a bare component_eval K
+    calls per group; all three forms give the same steps."""
     m, n, k = 3, 5, 4
     models, calls = counted_forms()
     batches = np.arange(m * k).reshape(m, k)
@@ -447,8 +446,8 @@ def test_step_calls_each_model_form_as_declared():
             made = calls[form][before:]
             if form == "stacked":
                 assert [pts.shape for pts in made] == [(sum(widths[-1]), 1, 1)]
-            elif form == "single-worker":  # a lone group of several copies goes twice
-                assert [len(pts) for pts in made] == [max(w, 2) for w in widths[-1]]
+            elif form == "single-worker":
+                assert [len(pts) for pts in made] == widths[-1]
                 for pts, own in zip(made, probe.particles):
                     assert {p.tobytes() for p in pts} <= {p.tobytes() for p in own}
             else:
@@ -461,9 +460,8 @@ def test_step_calls_each_model_form_as_declared():
 def test_stacked_model_gets_one_call_per_worker_on_large_groups(monkeypatch):
     """Above WORKER_CALL_PAIRS (point, index) pairs per worker a stacked
     model is called once per worker on its groups' points, like a 2-d
-    one, and a worker with a single group of several copies hands the
-    kernel its point twice; the potentials are those of one row per
-    group."""
+    one, and a worker whose copies form one group on that one point;
+    the potentials are those of one row per group."""
     models, calls = counted_forms()
     thetas = np.array([[[0.5], [0.5], [0.5]], [[0.1], [0.2], [0.1]]])
     labels = np.array([[1, 1, 1], [0, 4, 0]])
@@ -473,8 +471,8 @@ def test_stacked_model_gets_one_call_per_worker_on_large_groups(monkeypatch):
     assert [pts.shape for pts in calls["stacked"]] == [(3, 1, 1)]
     monkeypatch.setattr(core, "WORKER_CALL_PAIRS", 1)
     per_worker = log_potentials(models["stacked"], batch, thetas, groups)
-    assert [pts.shape for pts in calls["stacked"][1:]] == [(2, 1), (2, 1)]
-    assert calls["stacked"][1].tobytes() == np.array([[0.5], [0.5]]).tobytes()
+    assert [pts.shape for pts in calls["stacked"][1:]] == [(1, 1), (2, 1)]
+    assert calls["stacked"][1].tobytes() == np.array([[0.5]]).tobytes()
     assert per_worker.tobytes() == rows.tobytes()
 
 

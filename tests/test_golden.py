@@ -53,15 +53,15 @@ CASES = {
     ),
     "sigmoid": (SIGMOID, {
         "config.json": "e0dd43b47413d1f1d0d6bd6088c554825922c417dac5184087e094c27a3dcba3",
-        "trace.csv": "06c4272e721fd90c59a354ed23d6a0246525412999b7b7084d902076a05cfae7",
-        "summary.txt": "d61160b79a00e561c6e6dfc44d0a34c496e60765e1ca1ce666a7210f26353e78",
+        "trace.csv": "5768bc9df9912be470b03027c8000e9364262c4ad7738aa84d5deef32847ff81",
+        "summary.txt": "6ce10ade4c6d333abb9a06adb010b1dd9ef33e2e54de9ee8a4c5716d74743637",
     }),
     "sigmoid-seed3-k37": (
         SIGMOID + ("--seed", "3", "--override", "batch_size=37"),
         {
             "config.json": "29a3f460fcd6a05ac05790d8c939a9ae00ba4229544a508196b5bd8912a0c902",
-            "trace.csv": "f3889fd8da37336b67d4f966b791dae23485c99d0d749062979098fed204c139",
-            "summary.txt": "9ac8877144937b351d3fc00e40d431fe432a27c1004213c53f261346145224c1",
+            "trace.csv": "467d9726c3a0363377cd9fba1a4d372aa848463da433423b3dce1f1d72ff2801",
+            "summary.txt": "0c405a388fe4b928738570b2e7a66bc97ef8052fc8199d3cf053e5fd36d55514",
         },
     ),
     "psgd": (

@@ -205,6 +205,19 @@ def test_map_at_distinct_labels_equals_the_all_particle_query():
     assert (values[1:5] == values.max()).all() and want[0] == 1
 
 
+def test_map_rejects_labels_outside_the_contract():
+    """Labels out of [0, 2N) would wrap in label_groups' presence mask
+    and merge distinct particles (here the mode 5.1 with 5.0, returning
+    (2, [5.0])); labels of the wrong length or dtype are as wrong."""
+    spec = KernelDensitySpec(dim=1, bandwidth=1.0)
+    particles = np.array([[5.1], [0.0], [5.0], [5.2]])
+    for labels in ([-1, 7, 1, 2], [0, 8, 1, 2], [0, 1, 2], [[0, 1, 2, 3]], [0.0, 1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="labels"):
+            map_estimate(spec, particles, np.array(labels))
+    idx, theta = map_estimate(spec, particles, np.array([0, 7, 1, 2]))
+    assert idx == 0 and theta.tolist() == [5.1]
+
+
 def test_map_argmax_invariant_under_density_rescaling():
     # scaling particles and bandwidth together rescales every KDE value
     # by the same positive constant; the argmax index must not move

@@ -206,10 +206,7 @@ def test_potentials_of_duplicated_populations_equal_every_particle_evaluated(nam
     """log_potentials evaluates each worker's distinct particles once; on
     populations made mostly of copies, with worker 0 or every worker
     collapsed to a single point, every particle still gets the bits of an
-    evaluation of the whole population, one sums call per worker.  Above
-    8192 components the sigmoid kernel's bits depend on whether a call
-    holds one point or more, which is why no worker is evaluated at one
-    point alone."""
+    evaluation of the whole population, one sums call per worker."""
     monkeypatch.setattr(problems, "STACK_BUDGET", budget)
     n_data = 9000 if name == "sigmoid" else 300
     spec = SigmoidProblemSpec(n=n_data) if name == "sigmoid" else MixtureProblemSpec(n=n_data)
@@ -231,13 +228,13 @@ def test_potentials_of_duplicated_populations_equal_every_particle_evaluated(nam
                                      ("sigmoid", 131073), ("mixture", 1), ("mixture", 7),
                                      ("mixture", 8193)])
 def test_one_row_per_point_keeps_the_bits_of_whole_populations(name, k, budget, monkeypatch):
-    """sums on one row per point, indices (R, K) and points (R, 1, d),
-    gives each point the bits of the stacked (W, P, d) call and of one
-    call per worker on its whole population, for row counts that leave a
-    block of one row; so does log_potentials on labelled copies, with
-    worker 0 collapsed, or a lone worker collapsed to one point.  Above
-    8192 components the sigmoid kernel sums a call of one point in
-    another order, so neither hands it a lone point."""
+    """The stock kernels meet CostModel's layout contract: sums on one
+    row per point, indices (R, K) and points (R, 1, d), gives each point
+    the bits of the stacked (W, P, d) call and of one call per worker on
+    its whole population, for row counts from a single row to ones that
+    leave a block of one row; so does a 2-d call on one point alone, and
+    log_potentials on labelled copies, with worker 0 collapsed, or a lone
+    worker collapsed to one point."""
     monkeypatch.setattr(problems, "STACK_BUDGET", budget)
     n_data = max(k, 9000)
     spec = SigmoidProblemSpec(n=n_data) if name == "sigmoid" else MixtureProblemSpec(n=n_data)
@@ -249,9 +246,11 @@ def test_one_row_per_point_keeps_the_bits_of_whole_populations(name, k, budget, 
     whole = np.stack([model.sums(batch[j:j + 1], pts[j:j + 1])[0] for j in range(w)])
     assert model.sums(batch, pts).tobytes() == whole.tobytes()
     owner = np.repeat(np.arange(w), p)
-    for r in (2, 3, 32, w * p):
+    for r in (1, 2, 3, 32, w * p):
         rows = model.sums(np.take(batch, owner[:r], axis=0), pts.reshape(-1, 2)[:r, None])
         assert rows.tobytes() == whole.ravel()[:r, None].tobytes()
+    alone = [model.batch_eval(batch[j], pts[j, i:i + 1]) for j in range(w) for i in range(p)]
+    assert np.concatenate(alone).tobytes() == whole.tobytes()
     labels = rng.integers(0, 5, size=(w, p))
     labels[0] = labels[0, 0]
     thetas = pts[np.arange(w)[:, None], labels]
@@ -262,18 +261,25 @@ def test_one_row_per_point_keeps_the_bits_of_whole_populations(name, k, budget, 
     assert got.tobytes() == (-model.sums(batch[:1], lone)).tobytes()
 
 
-def test_points_cut_into_chunks_leave_no_lone_point(monkeypatch):
-    """A worker too big for a block is cut into chunks of points (63 at
-    131073 sigmoid components); the 64th point joins the chunk before it
-    and keeps the bits of a call of several points."""
-    monkeypatch.setattr(problems, "STACK_BUDGET", 1)
-    k = 131073
-    model = make_sigmoid_problem(SigmoidProblemSpec(n=k)).model
+@pytest.mark.parametrize("name, per_pair", [("sigmoid", 1), ("mixture", 8)])
+def test_points_cut_into_chunks_keep_the_bits_of_one_call(name, per_pair, monkeypatch):
+    """A worker too big for a block is cut into chunks of points under
+    STACK_BUDGET: 64 points at K = 1000 go in chunks of 9, the last
+    holding one point alone, and every point keeps the bits of the
+    unchunked call."""
+    k, p = 1000, 64
+    spec = SigmoidProblemSpec(n=k) if name == "sigmoid" else MixtureProblemSpec(n=k)
+    model = (make_sigmoid_problem if name == "sigmoid" else make_mixture_problem)(spec).model
     rng = np.random.default_rng(3)
     batch = rng.permutation(k)[None]
-    pts = rng.normal(size=(1, 64, 2)) * 3
-    got = model.sums(batch, pts)
-    assert got[:, -2:].tobytes() == model.sums(batch, pts[:, -2:]).tobytes()
+    pts = rng.normal(size=(1, p, 2)) * 3
+    monkeypatch.setattr(problems, "STACK_BUDGET", p * per_pair * k)
+    whole = model.sums(batch, pts)
+    monkeypatch.setattr(problems, "STACK_BUDGET", 9 * per_pair * k)
+    assert model.sums(batch, pts).tobytes() == whole.tobytes()
+    seen = []
+    problems._batch_kernel(lambda i, t: seen.append(t.shape) or t[..., 0], per_pair)(batch, pts)
+    assert seen == [(1, 9, 2)] * 7 + [(1, 1, 2)]
 
 
 def test_stock_kernels_are_freed_by_reference_counting():
