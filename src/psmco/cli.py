@@ -205,8 +205,7 @@ def emit_compare(psmco_path: str, psgd_paths: Sequence[str], out_path: str) -> N
         cells = [str(t), _fmt(psmco_vals[t])]
         cells += [_fmt(b[t]) for b in baselines]
         lines.append(",".join(cells))
-    with open(out_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(out_path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +227,7 @@ def write_dataset(config: RunConfig, out_path: str) -> None:
         for i in range(problem.means.shape[0]):
             flat = problem.means[i].ravel()
             lines.append(",".join([str(i)] + [_fmt(v) for v in flat]))
-    with open(out_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(out_path, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -92,22 +92,21 @@ class CostModel:
     0-based internally.  batch_eval, when given, takes (indices, thetas)
     with thetas of shape (P, d) and returns the (P,) array of summed
     component values over the batch; it must agree with component_eval.
-    stacked=True declares that batch_eval also takes the stacked form,
-    indices (W, K) and thetas (W, N, d) -> (W, N), whose row w equals
-    batch_eval(indices[w], thetas[w]) bit for bit; sums then evaluates
-    all workers in one call instead of one call per worker.  A run's
-    schedule indices are of dtype schedule_dtype(n), int32 up to n = 2**31.
-    Evaluations must be deterministic and a point's bits must not depend
-    on a call's other points, nor on whether it is alone: the sampler
-    evaluates each group of copies once, so sums may get a row per group,
-    indices (R, K) and thetas (R, 1, d), or a worker's groups in one
-    call.  The stock kernels in problems meet this layout contract.  name
-    labels a run's trace rows.
+    stacked=True declares that batch_eval also takes the ragged form,
+    indices (W, K), thetas (R, d) and a nondecreasing owner (R,) in
+    [0, W) -> (R,), whose row r equals batch_eval(indices[owner[r]],
+    thetas[r:r + 1]) bit for bit; sums then evaluates all workers in one
+    call instead of one call per worker.  A run's schedule indices are
+    of dtype schedule_dtype(n), int32 up to n = 2**31.  Evaluations must
+    be deterministic and a point's bits must not depend on a call's
+    other points, nor on whether it is alone: the sampler evaluates each
+    group of copies once, in one row.  The stock kernels in problems
+    meet this layout contract.  name labels a run's trace rows.
     """
 
     n: int
     component_eval: Callable[[int, np.ndarray], float]
-    batch_eval: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    batch_eval: Optional[Callable[..., np.ndarray]] = None
     name: str = "cost"
     stacked: bool = False
 
@@ -115,29 +114,40 @@ class CostModel:
         if self.n < 1:
             raise ValueError("need at least one component")
 
-    def sums(self, indices: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        """Batch sums stacked over workers, the one evaluation path:
-        indices (W, K) and thetas (W, P, d) give (W, P), row w summing
-        f_i over indices[w] at each of thetas[w].  A stacked batch_eval
-        is called once, any other batch_eval once per worker, and a bare
-        component_eval is summed in batch order."""
+    def sums(self, indices: np.ndarray, thetas: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Batch sums over workers' own points, the one evaluation path:
+        indices (W, K), thetas (R, d) and owner (R,) give (R,), row r
+        summing f_i over indices[owner[r]] at thetas[r].  owner must be
+        R integers, nondecreasing, in [0, W); else ValueError.  A
+        stacked batch_eval is called once, any other batch_eval once per
+        worker on its rows, and a bare component_eval is summed row by
+        row in batch order."""
         indices = np.asarray(indices)
         thetas = np.asarray(thetas, dtype=float)
+        owner = np.asarray(owner)
+        if (owner.shape != thetas.shape[:1] or not np.issubdtype(owner.dtype, np.integer)
+                or (owner[1:] < owner[:-1]).any()
+                or owner.size and not 0 <= owner[0] <= owner[-1] < len(indices)):
+            raise ValueError(f"owner must hold {len(thetas)} nondecreasing workers in [0, {len(indices)})")
         if self.batch_eval is None:
-            out = np.empty(thetas.shape[:2])
-            for w, p in np.ndindex(out.shape):
+            out = np.empty(len(thetas))
+            for r, (w, theta) in enumerate(zip(owner, thetas)):
                 total = 0.0  # a Python float overflows to inf without a warning
                 for i in indices[w]:
-                    total += float(self.component_eval(int(i), thetas[w, p]))
-                out[w, p] = total
+                    total += float(self.component_eval(int(i), theta))
+                out[r] = total
             return out
         if self.stacked:
-            return np.asarray(self.batch_eval(indices, thetas), dtype=float)
-        return np.array([self.batch_eval(b, pts) for b, pts in zip(indices, thetas)], dtype=float)
+            return np.asarray(self.batch_eval(indices, thetas, owner), dtype=float)
+        edges = np.searchsorted(owner, np.arange(len(indices) + 1))
+        return np.concatenate([np.empty(0)] + [
+            np.asarray(self.batch_eval(b, thetas[lo:hi]), dtype=float)
+            for b, lo, hi in zip(indices, edges[:-1], edges[1:]) if hi > lo
+        ])
 
     def batch_cost(self, indices: np.ndarray, theta: np.ndarray) -> float:
         """Sum of f_i(theta) over i in indices, for a single point."""
-        return float(self.sums([indices], [[theta]])[0, 0])
+        return float(self.sums([indices], [theta], np.zeros(1, dtype=np.intp))[0])
 
     def total_cost(self, theta: np.ndarray) -> float:
         """Full cost f(theta); an O(n) sweep."""
@@ -145,7 +155,7 @@ class CostModel:
 
     def total_cost_many(self, thetas: np.ndarray) -> np.ndarray:
         """Full cost at each row of thetas."""
-        return self.sums([np.arange(self.n)], [thetas])[0]
+        return self.sums([np.arange(self.n)], thetas, np.zeros(len(thetas), dtype=np.intp))
 
 
 def schedule_dtype(n: int) -> type:
@@ -162,11 +172,6 @@ def build_schedule(n: int, batch_size: int, rng: np.random.Generator) -> np.ndar
     if batch_size < 1 or batch_size > n:
         raise ValueError(f"batch_size must be in [1, n={n}], got {batch_size}")
     return rng.permutation(n)
-
-
-# (point, index) pairs per worker above which log_potentials calls a
-# stacked model once per worker rather than once on a row per group
-WORKER_CALL_PAIRS = 1 << 11
 
 
 def label_groups(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -189,12 +194,11 @@ def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray, grou
     batch (W, K) and thetas (W, N, d) give (W, N), row w holding worker
     w's batch potentials at its particles; batch (K,) and thetas (P, d)
     give (P,).  Each group of groups, label_groups' last two results
-    (None: every particle), is evaluated once: in one sums call on a row
-    per group, else (2-d batch_eval, or over WORKER_CALL_PAIRS) one call
-    per worker on its groups; the layout contract of CostModel makes the
-    bits the same either way.  A non-finite sum triggers a
-    component-by-component rescan that raises EvaluationError with the
-    offending index and point.
+    (None: every particle), is evaluated once, in one sums call on a
+    point per group owned by its worker; the layout contract of
+    CostModel gives every copy the bits of its own evaluation.  A
+    non-finite sum triggers a component-by-component rescan that raises
+    EvaluationError with the offending index and point.
     """
     batch = np.asarray(batch)
     thetas = np.asarray(thetas, dtype=float)
@@ -202,14 +206,7 @@ def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray, grou
         return log_potentials(model, batch[None], thetas[None], groups)[0]
     w_count, n, d = thetas.shape
     slots, rows = groups or label_groups(np.broadcast_to(np.arange(n), (w_count, n)))[1:]
-    points, owner = np.take(thetas.reshape(-1, d), rows, axis=0), rows // n
-    wide = len(rows) * batch.shape[1] > WORKER_CALL_PAIRS * w_count
-    if model.batch_eval is None or model.stacked and not wide:
-        values = model.sums(np.take(batch, owner, axis=0), points[:, None]).ravel()
-    else:
-        split = np.split(points, np.searchsorted(owner, np.arange(1, w_count)))
-        values = np.concatenate([np.asarray(model.batch_eval(b, p), dtype=float) for b, p in zip(batch, split)])
-    sums = np.take(values, slots)
+    sums = np.take(model.sums(batch, np.take(thetas.reshape(-1, d), rows, axis=0), rows // n), slots)
     bad = ~np.isfinite(sums)
     if bad.any():
         # Rescan component-by-component at the bad points, in worker then

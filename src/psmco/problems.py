@@ -18,36 +18,35 @@ from scipy.special import expit
 
 from .core import CostModel, SearchSpace, logsumexp_last, schedule_dtype
 
-# Elements in one temporary of a stacked kernel call: workers are
-# evaluated in blocks, and a worker's points in chunks, of as many as
-# fit, and at least one.
+# Elements in one temporary of a ragged kernel call: rows are evaluated
+# in chunks of as many as fit, and at least one.
 STACK_BUDGET = 1 << 18
 
 
 def _batch_kernel(block_eval, per_pair: int):
-    """A stacked batch_eval over block_eval((..., K), (..., P, d)) -> (..., P),
-    whose temporaries hold per_pair elements per (point, index) pair.
+    """A stacked batch_eval over block_eval(indices (V, K), thetas (C, d),
+    owner (C,)) -> (C,), whose temporaries hold per_pair elements per
+    (point, index) pair.
 
-    Stacked input, (W, K) and (W, P, d), is evaluated in blocks of
-    workers, each cut into chunks of points, both under STACK_BUDGET.
-    block_eval must give a point the same bits whatever else the call
-    holds, as both stock kernels do.
+    Ragged input, indices (W, K), thetas (R, d) and owner (R,), is cut
+    into chunks of rows under STACK_BUDGET; a chunk gets only the batches
+    of the workers it spans, owner shifted to match, so block_eval can
+    gather each worker's batch once.  owner=None is the 2-d form, (K,)
+    and (P, d): one worker.  block_eval must give a point the same bits
+    whatever else the call holds, as both stock kernels do.
     """
 
-    def batch_eval(indices: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    def batch_eval(indices: np.ndarray, thetas: np.ndarray, owner: Optional[np.ndarray] = None) -> np.ndarray:
         indices = np.asarray(indices)
         thetas = np.asarray(thetas, dtype=float)
-        single = thetas.ndim == 2  # (K,) and (P, d): the W=1 case
-        if single:  # not a recursive call: that would put the closure in a reference cycle
-            indices, thetas = indices[None], thetas[None]
-        out = np.empty(thetas.shape[:2])
-        per_point = per_pair * max(1, indices.shape[1])
-        chunk = max(1, STACK_BUDGET // per_point)
-        step = max(1, chunk // max(1, thetas.shape[1]))
-        for w in range(0, thetas.shape[0], step):
-            for c in range(0, thetas.shape[1], chunk):
-                out[w:w + step, c:c + chunk] = block_eval(indices[w:w + step], thetas[w:w + step, c:c + chunk])
-        return out[0] if single else out
+        if owner is None:
+            indices, owner = indices[None], np.zeros(len(thetas), dtype=np.intp)
+        out = np.empty(len(thetas))
+        chunk = max(1, STACK_BUDGET // (per_pair * max(1, indices.shape[1])))
+        for c in range(0, len(thetas), chunk):
+            own = owner[c:c + chunk]
+            out[c:c + chunk] = block_eval(indices[own[0]:own[-1] + 1], thetas[c:c + chunk], own - own[0])
+        return out
 
     return batch_eval
 
@@ -123,13 +122,13 @@ def make_mixture_problem(spec: MixtureProblemSpec) -> MixtureProblem:
         sq = np.einsum("kd,kd->k", diff, diff)
         return float(-(logsumexp_last(-sq * inv_two_r) - log_norm) / spec.lam)
 
-    def block_eval(indices: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        # (d, 1, ..., P, 1) points against (d, 4, ..., 1, K) centers; every
-        # reduction runs over a leading axis of (..., P, K) slabs
-        points = np.moveaxis(thetas, -1, 0)[:, None, ..., None]
-        diff = points - np.take(by_coord, indices, axis=2)[..., None, :]  # (d, 4, ..., P, K)
+    def block_eval(indices: np.ndarray, thetas: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        # (d, 4, C, K) centers minus (d, 1, C, 1) points; every reduction
+        # runs over a leading axis of (C, K) slabs
+        diff = np.take(by_coord, np.take(indices, owner, axis=0), axis=2)
+        diff -= thetas.T[:, None, :, None]
         with np.errstate(over="ignore", divide="ignore"):
-            a = -(diff * diff).sum(axis=0) * inv_two_r  # (4, ..., P, K)
+            a = -(diff * diff).sum(axis=0) * inv_two_r  # (4, C, K)
             m = a.max(axis=0)
             safe = np.where(np.isfinite(m), m, 0.0)  # all -inf gives -inf, not NaN
             inner = safe + np.log(np.exp(a - safe).sum(axis=0)) - log_norm
@@ -248,11 +247,12 @@ def make_sigmoid_problem(spec: SigmoidProblemSpec) -> SigmoidProblem:
         g = expit(theta[0] + theta[1] * x[i])
         return float((y[i] - g) ** 2)
 
-    def block_eval(indices: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        xb = x[indices][..., None, :]  # (..., 1, K)
-        yb = y[indices][..., None, :]
-        z = thetas[..., 0, None] + thetas[..., 1, None] * xb  # (..., P, K)
-        resid = yb - expit(z)
+    def block_eval(indices: np.ndarray, thetas: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        z = np.take(x[indices], owner, axis=0)  # (C, K)
+        z *= thetas[:, 1, None]
+        z += thetas[:, 0, None]
+        resid = np.take(y[indices], owner, axis=0)
+        resid -= expit(z, out=z)
         # a contiguous last axis is summed pairwise row by row, so a
         # point's bits do not depend on the call's other points
         return np.square(resid, out=resid).sum(axis=-1)

@@ -51,3 +51,23 @@ def test_jitter_payload_reads_the_system_and_the_moved_count():
     moved = sampler.jitter(*args)
     assert type(moved) is int and moved == int((u < kernel.epsilon).sum())
     assert load_spans()._jitter_payload(args, moved) == (float(moved), 3.0)
+
+
+def test_timed_kernel_passes_the_ragged_call_through():
+    """The tracer times a model's batch_eval through a wrapper: the
+    ragged (indices, thetas, owner) call and the 2-d call reach a stock
+    kernel unchanged and give the same bits, and the kernel payload reads
+    each call without raising."""
+    spans = load_spans()
+    problems = importlib.import_module("psmco.problems")
+    problem = problems.make_sigmoid_problem(problems.SigmoidProblemSpec(n=300))
+    tracer = spans.Tracer()
+    timed = tracer._timed_problem(problem).model
+    rng = np.random.default_rng(0)
+    indices = np.stack([rng.permutation(300)[:20] for _ in range(3)])
+    thetas = rng.normal(size=(7, 2))
+    owner = np.array([0, 0, 1, 1, 1, 2, 2])
+    assert timed.stacked and timed.batch_eval is not problem.model.batch_eval
+    assert timed.sums(indices, thetas, owner).tobytes() == problem.model.sums(indices, thetas, owner).tobytes()
+    assert timed.batch_eval(indices[1], thetas).tobytes() == problem.model.batch_eval(indices[1], thetas).tobytes()
+    assert len(tracer.payloads) == 2 * 3 and not tracer.missing

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
-import psmco.core as core
-
 from psmco.core import (
     CostModel,
     EvaluationError,
@@ -210,10 +208,10 @@ def test_stacked_log_potentials_attribute_bad_component_to_its_worker():
     def comp(i, th):
         return math.nan if i == 5 and th[0] > 0 else float(th @ th)
 
-    def batch(idx, thetas):
-        idx = np.asarray(idx)
-        out = idx.shape[-1] * np.einsum("...d,...d->...", thetas, thetas)
-        bad = (idx == 5).any(axis=-1)[..., None] & (thetas[..., 0] > 0)
+    def batch(idx, thetas, owner=None):
+        idx = np.asarray(idx) if owner is None else np.take(idx, owner, axis=0)
+        out = idx.shape[-1] * np.einsum("pd,pd->p", thetas, thetas)
+        bad = (idx == 5).any(axis=-1) & (thetas[:, 0] > 0)
         return np.where(bad, np.nan, out)
 
     thetas = np.array([[[1.0, 0.0], [2.0, 0.0]], [[-1.0, 0.0], [3.0, 1.0]]])
@@ -336,7 +334,7 @@ def test_log_potentials_evaluate_each_group_once_and_keep_signed_zeros_apart():
     sees one row per group."""
     seen = []
 
-    def signs(indices, thetas):
+    def signs(indices, thetas, owner):
         seen.append(thetas.shape)
         return np.copysign(1.0, thetas[..., 0]) * (1.0 + np.abs(thetas).sum(axis=-1)) * indices.shape[-1]
 
@@ -345,7 +343,7 @@ def test_log_potentials_evaluate_each_group_once_and_keep_signed_zeros_apart():
     thetas, labels = labelled_population(rng, 5, 9, 2)
     batch = np.zeros((5, 3), dtype=int)
     got = log_potentials(model, batch, thetas, label_groups(labels)[1:])
-    assert seen == [(sum(len(set(own.tolist())) for own in labels), 1, 2)]
+    assert seen == [(sum(len(set(own.tolist())) for own in labels), 2)]
     assert got.tobytes() == log_potentials(model, batch, thetas).tobytes()
     assert (np.signbit(got) != np.signbit(thetas[..., 0])).all()
 
@@ -379,13 +377,13 @@ def center_component(i, theta):
     return float(d * d)
 
 
-def center_batch(indices, thetas):
+def center_batch(indices, thetas, owner=None):
     """Sum of center_component over the batch, added in batch order, for
-    (K,)/(P, d) or stacked (W, K)/(W, P, d)."""
-    indices = np.asarray(indices)
-    total = np.zeros(thetas.shape[:-1])
-    for k in range(indices.shape[-1]):
-        d = thetas[..., 0] - CENTERS[indices[..., k]][..., None]
+    (K,)/(P, d) or ragged (W, K)/(R, d)/(R,)."""
+    rows = np.asarray(indices) if owner is None else np.take(indices, owner, axis=0)
+    total = np.zeros(len(thetas))
+    for k in range(rows.shape[-1]):
+        d = thetas[:, 0] - CENTERS[rows[..., k]]
         total = total + d * d
     return total
 
@@ -423,10 +421,10 @@ def unlabelled_twin(system):
 
 def test_step_calls_each_model_form_as_declared():
     """Per sampler step, with U_w the distinct labels of worker w's
-    jittered particles: a stacked model's batch_eval gets one call of
-    sum U_w rows of one point, a single-worker batch_eval one call per
-    worker on that worker's U_w points, and a bare component_eval K
-    calls per group; all three forms give the same steps."""
+    jittered particles: a stacked model's batch_eval gets one call on
+    sum U_w points, a single-worker batch_eval one call per worker on
+    that worker's U_w points, and a bare component_eval K calls per
+    group; all three forms give the same steps."""
     m, n, k = 3, 5, 4
     models, calls = counted_forms()
     batches = np.arange(m * k).reshape(m, k)
@@ -445,7 +443,7 @@ def test_step_calls_each_model_form_as_declared():
             log_z = sampler_step(system, model, batches, kernel, draws)
             made = calls[form][before:]
             if form == "stacked":
-                assert [pts.shape for pts in made] == [(sum(widths[-1]), 1, 1)]
+                assert [pts.shape for pts in made] == [(sum(widths[-1]), 1)]
             elif form == "single-worker":
                 assert [len(pts) for pts in made] == widths[-1]
                 for pts, own in zip(made, probe.particles):
@@ -455,25 +453,6 @@ def test_step_calls_each_model_form_as_declared():
         assert widths[0] == [n] * m and min(min(w) for w in widths) < n  # all distinct at first, then copies
         outcome[form] = (log_z.tobytes(), system.particles.tobytes())
     assert outcome["stacked"] == outcome["single-worker"] == outcome["component-only"]
-
-
-def test_stacked_model_gets_one_call_per_worker_on_large_groups(monkeypatch):
-    """Above WORKER_CALL_PAIRS (point, index) pairs per worker a stacked
-    model is called once per worker on its groups' points, like a 2-d
-    one, and a worker whose copies form one group on that one point;
-    the potentials are those of one row per group."""
-    models, calls = counted_forms()
-    thetas = np.array([[[0.5], [0.5], [0.5]], [[0.1], [0.2], [0.1]]])
-    labels = np.array([[1, 1, 1], [0, 4, 0]])
-    batch = np.array([[0, 3], [5, 7]])
-    groups = label_groups(labels)[1:]
-    rows = log_potentials(models["stacked"], batch, thetas, groups)
-    assert [pts.shape for pts in calls["stacked"]] == [(3, 1, 1)]
-    monkeypatch.setattr(core, "WORKER_CALL_PAIRS", 1)
-    per_worker = log_potentials(models["stacked"], batch, thetas, groups)
-    assert [pts.shape for pts in calls["stacked"][1:]] == [(1, 1), (2, 1)]
-    assert calls["stacked"][1].tobytes() == np.array([[0.5]]).tobytes()
-    assert per_worker.tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize("form", ["stacked", "single-worker", "component-only"])
@@ -517,7 +496,7 @@ def test_clipped_corner_collision_costs_a_duplicate_evaluation_only():
     assert system.particles[0, 0].tobytes() == system.particles[0, 1].tobytes()
     assert system.labels.tolist() == [[4, 5, 2, 3]]
     _, log_w = weight_and_accumulate(system, models["stacked"], np.array([[3, 7]]))
-    assert calls["stacked"][-1].shape == (4, 1, 2)
+    assert calls["stacked"][-1].shape == (4, 2)
     assert log_w[0, 0] == log_w[0, 1] and log_w[0, 2] == log_w[0, 3]
     assert system.labels.tolist() == [[2, 3, 0, 1]]
 

@@ -85,16 +85,16 @@ def component(i, theta):
     return float(d * d)
 
 
-def batch(indices, thetas):
+def batch(indices, thetas, owner=None):
     """Sum of component values over the batch, added in batch order as
-    a component-only model does, for (K,)/(P, 1) or stacked (W, K)/(W, N, 1)."""
-    indices = np.asarray(indices)
-    theta = thetas[..., 0]
+    a component-only model does, for (K,)/(P, 1) or ragged (W, K)/(R, 1)/(R,)."""
+    rows = np.asarray(indices) if owner is None else np.take(indices, owner, axis=0)
+    theta = thetas[:, 0]
     d = theta - 0.5
     total = np.zeros(theta.shape)
     with np.errstate(over="ignore"):
-        for k in range(indices.shape[-1]):
-            poison = np.isin(indices[..., k], POISON)[..., None]
+        for k in range(rows.shape[-1]):
+            poison = np.isin(rows[..., k], POISON)
             total = total + np.where(poison, np.where(theta > 0, 1e308, 0.0), d * d)
     return total
 

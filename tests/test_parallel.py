@@ -229,10 +229,10 @@ def test_schedules_hold_int32_indices_while_they_fit():
     assert schedule_dtype(2**31 + 1) is np.intp
     seen = []
 
-    def recording(indices, thetas):
+    def recording(indices, thetas, owner):
         if indices.shape[1] < 40:  # a step's batch, not a full-cost sweep
             seen.append(indices.dtype)
-        return prob.model.batch_eval(indices, thetas)
+        return prob.model.batch_eval(indices, thetas, owner)
 
     prob = small_mixture()
     model = dataclasses.replace(prob.model, batch_eval=recording)

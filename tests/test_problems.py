@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -152,13 +153,19 @@ STOCK_PROBLEMS = {
 }
 
 
+def worker_sums(model, batch, pts):
+    """(W, P) sums of each worker's batch at its whole population
+    pts (W, P, d), one W=1 sums call per worker."""
+    return np.stack([model.sums(b[None], own, np.zeros(len(own), dtype=int)) for b, own in zip(batch, pts)])
+
+
 @pytest.mark.parametrize("budget", [problems.STACK_BUDGET, 1])
 @pytest.mark.parametrize("name", sorted(STOCK_PROBLEMS))
 def test_stacked_batch_eval_equals_per_worker_calls(name, budget, monkeypatch):
-    """Stacked input, (W, K) indices and (W, N, d) points, gives row w
-    equal bit for bit to the single-worker call on worker w's batch, in
-    one block of workers or one worker per block.  Near the origin, where
-    all four mixture parts contribute, rows agree with summed
+    """Ragged input, (W, K) indices, (W * N, d) points and their owners,
+    gives each row the bits of the single-worker call on its worker's
+    batch, in one chunk of rows or one row per chunk.  Near the origin,
+    where all four mixture parts contribute, rows agree with summed
     component_eval; a point whose squared distance overflows costs +inf."""
     monkeypatch.setattr(problems, "STACK_BUDGET", budget)
     model = STOCK_PROBLEMS[name]().model
@@ -167,16 +174,16 @@ def test_stacked_batch_eval_equals_per_worker_calls(name, budget, monkeypatch):
     for w, n, k in ((5, 9, 40), (3, 1, 1), (1, 12, 7), (4, 20, 300)):
         indices = np.stack([rng.permutation(300)[:k] for _ in range(w)])
         thetas = rng.normal(size=(w, n, 2)) * 5
-        got = model.batch_eval(indices, thetas)
-        assert got.shape == (w, n)
-        want = np.stack([model.batch_eval(indices[j], thetas[j]) for j in range(w)])
+        got = model.batch_eval(indices, thetas.reshape(-1, 2), np.repeat(np.arange(w), n))
+        assert got.shape == (w * n,)
+        want = np.concatenate([model.batch_eval(indices[j], thetas[j]) for j in range(w)])
         assert got.tobytes() == want.tobytes()
     if name != "mixture":
         return
     indices = np.stack([rng.permutation(300)[:6] for _ in range(3)])
     thetas = rng.normal(size=(3, 5, 2)) * np.array([0.01, 0.1, 1.0])[:, None, None]
     thetas[1, 0] = (1e155, 0.0)
-    got = model.batch_eval(indices, thetas)
+    got = model.batch_eval(indices, thetas.reshape(-1, 2), np.repeat(np.arange(3), 5)).reshape(3, 5)
     want = [[sum(model.component_eval(int(i), t) for i in b) for t in pts]
             for b, pts in zip(indices, thetas)]
     assert got[1, 0] == want[1][0] == math.inf
@@ -185,8 +192,8 @@ def test_stacked_batch_eval_equals_per_worker_calls(name, budget, monkeypatch):
 
 @pytest.mark.parametrize("budget", [problems.STACK_BUDGET, 1])
 def test_stock_kernels_two_d_input_equals_one_worker_stack(budget, monkeypatch):
-    """Single-worker input to a stock kernel gives the W=1 stacked result
-    bit for bit, in a block of workers or cut into chunks of points."""
+    """Single-worker input to a stock kernel gives the W=1 ragged result
+    bit for bit, in one chunk of rows or one row per chunk."""
     monkeypatch.setattr(problems, "STACK_BUDGET", budget)
     rng = np.random.default_rng(2)
     for make in STOCK_PROBLEMS.values():
@@ -195,8 +202,8 @@ def test_stock_kernels_two_d_input_equals_one_worker_stack(budget, monkeypatch):
             indices = rng.permutation(300)[:k]
             thetas = rng.normal(size=(p, 2)) * 3
             flat = model.batch_eval(indices, thetas)
-            stacked = model.batch_eval(indices[None], thetas[None])
-            assert flat.tobytes() == stacked[0].tobytes()
+            stacked = model.batch_eval(indices[None], thetas, np.zeros(p, dtype=int))
+            assert flat.tobytes() == stacked.tobytes()
 
 
 @pytest.mark.parametrize("budget", [problems.STACK_BUDGET, 1])
@@ -219,8 +226,7 @@ def test_potentials_of_duplicated_populations_equal_every_particle_evaluated(nam
     batch = np.stack([rng.permutation(n_data)[:k] for _ in range(w)])
     for population in (thetas, np.repeat(thetas[:, :1], n, axis=1)):
         got = log_potentials(model, batch, population)
-        want = np.stack([-model.sums(batch[j:j + 1], population[j:j + 1])[0] for j in range(w)])
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == (-worker_sums(model, batch, population)).tobytes()
 
 
 @pytest.mark.parametrize("budget", [problems.STACK_BUDGET, 1])
@@ -228,13 +234,14 @@ def test_potentials_of_duplicated_populations_equal_every_particle_evaluated(nam
                                      ("sigmoid", 131073), ("mixture", 1), ("mixture", 7),
                                      ("mixture", 8193)])
 def test_one_row_per_point_keeps_the_bits_of_whole_populations(name, k, budget, monkeypatch):
-    """The stock kernels meet CostModel's layout contract: sums on one
-    row per point, indices (R, K) and points (R, 1, d), gives each point
-    the bits of the stacked (W, P, d) call and of one call per worker on
-    its whole population, for row counts from a single row to ones that
-    leave a block of one row; so does a 2-d call on one point alone, and
-    log_potentials on labelled copies, with worker 0 collapsed, or a lone
-    worker collapsed to one point."""
+    """The stock kernels meet CostModel's layout contract: sums on the
+    ragged rows of all workers, on a prefix of them, or on one row per
+    point with each point its own worker (indices (R, K)), gives each
+    point the bits of one call per worker on its whole population, for
+    row counts from a single row to ones that leave a chunk of one row;
+    so does a 2-d call on one point alone, and log_potentials on
+    labelled copies, with worker 0 collapsed, or a lone worker collapsed
+    to one point."""
     monkeypatch.setattr(problems, "STACK_BUDGET", budget)
     n_data = max(k, 9000)
     spec = SigmoidProblemSpec(n=n_data) if name == "sigmoid" else MixtureProblemSpec(n=n_data)
@@ -243,43 +250,82 @@ def test_one_row_per_point_keeps_the_bits_of_whole_populations(name, k, budget, 
     w, p = 4, 30
     batch = np.stack([rng.permutation(n_data)[:k] for _ in range(w)])
     pts = rng.normal(size=(w, p, 2)) * 3
-    whole = np.stack([model.sums(batch[j:j + 1], pts[j:j + 1])[0] for j in range(w)])
-    assert model.sums(batch, pts).tobytes() == whole.tobytes()
+    whole = worker_sums(model, batch, pts)
     owner = np.repeat(np.arange(w), p)
+    assert model.sums(batch, pts.reshape(-1, 2), owner).tobytes() == whole.tobytes()
     for r in (1, 2, 3, 32, w * p):
-        rows = model.sums(np.take(batch, owner[:r], axis=0), pts.reshape(-1, 2)[:r, None])
-        assert rows.tobytes() == whole.ravel()[:r, None].tobytes()
+        assert model.sums(batch, pts.reshape(-1, 2)[:r], owner[:r]).tobytes() == whole.ravel()[:r].tobytes()
+        rows = model.sums(np.take(batch, owner[:r], axis=0), pts.reshape(-1, 2)[:r], np.arange(r))
+        assert rows.tobytes() == whole.ravel()[:r].tobytes()
     alone = [model.batch_eval(batch[j], pts[j, i:i + 1]) for j in range(w) for i in range(p)]
     assert np.concatenate(alone).tobytes() == whole.tobytes()
     labels = rng.integers(0, 5, size=(w, p))
     labels[0] = labels[0, 0]
     thetas = pts[np.arange(w)[:, None], labels]
-    want = np.stack([-model.sums(batch[j:j + 1], thetas[j:j + 1])[0] for j in range(w)])
+    want = -worker_sums(model, batch, thetas)
     assert log_potentials(model, batch, thetas, label_groups(labels)[1:]).tobytes() == want.tobytes()
     lone = np.repeat(pts[:1, :1], p, axis=1)
     got = log_potentials(model, batch[:1], lone, label_groups(np.zeros((1, p), dtype=int))[1:])
-    assert got.tobytes() == (-model.sums(batch[:1], lone)).tobytes()
+    assert got.tobytes() == (-worker_sums(model, batch[:1], lone)).tobytes()
 
 
 @pytest.mark.parametrize("name, per_pair", [("sigmoid", 1), ("mixture", 8)])
 def test_points_cut_into_chunks_keep_the_bits_of_one_call(name, per_pair, monkeypatch):
-    """A worker too big for a block is cut into chunks of points under
-    STACK_BUDGET: 64 points at K = 1000 go in chunks of 9, the last
-    holding one point alone, and every point keeps the bits of the
-    unchunked call."""
+    """A worker's rows are cut into chunks under STACK_BUDGET: 64 points
+    at K = 1000 go in chunks of 9, the last holding one point alone, and
+    every point keeps the bits of the unchunked call."""
     k, p = 1000, 64
     spec = SigmoidProblemSpec(n=k) if name == "sigmoid" else MixtureProblemSpec(n=k)
     model = (make_sigmoid_problem if name == "sigmoid" else make_mixture_problem)(spec).model
     rng = np.random.default_rng(3)
     batch = rng.permutation(k)[None]
-    pts = rng.normal(size=(1, p, 2)) * 3
+    pts = rng.normal(size=(p, 2)) * 3
+    owner = np.zeros(p, dtype=int)
     monkeypatch.setattr(problems, "STACK_BUDGET", p * per_pair * k)
-    whole = model.sums(batch, pts)
+    whole = model.sums(batch, pts, owner)
     monkeypatch.setattr(problems, "STACK_BUDGET", 9 * per_pair * k)
-    assert model.sums(batch, pts).tobytes() == whole.tobytes()
+    assert model.sums(batch, pts, owner).tobytes() == whole.tobytes()
     seen = []
-    problems._batch_kernel(lambda i, t: seen.append(t.shape) or t[..., 0], per_pair)(batch, pts)
-    assert seen == [(1, 9, 2)] * 7 + [(1, 1, 2)]
+    problems._batch_kernel(lambda i, t, o: seen.append(t.shape) or t[:, 0], per_pair)(batch, pts, owner)
+    assert seen == [(9, 2)] * 7 + [(1, 2)]
+
+
+@pytest.mark.parametrize("name, per_pair", [("sigmoid", 1), ("mixture", 8)])
+def test_ragged_chunks_across_workers_keep_the_bits_of_per_worker_calls(name, per_pair, monkeypatch):
+    """Workers of 3, 0, 6 and 2 rows in chunks of 4: the chunks cut
+    across workers 0 | 2 and 2 | 3 and inside worker 2, worker 1 owns no
+    row, and each chunk's kernel call gets only the batches of the
+    workers it spans.  Every row keeps the bits of its worker's 2-d
+    call, through the stacked kernel and through one call per worker."""
+    k = 50
+    model = STOCK_PROBLEMS[name]().model
+    rng = np.random.default_rng(8)
+    batch = np.stack([rng.permutation(300)[:k] for _ in range(4)])
+    counts = [3, 0, 6, 2]
+    owner = np.repeat(np.arange(4), counts)
+    pts = rng.normal(size=(len(owner), 2)) * 3
+    monkeypatch.setattr(problems, "STACK_BUDGET", 4 * per_pair * k)
+    edges = np.cumsum([0] + counts)
+    want = np.concatenate([model.batch_eval(batch[j], pts[edges[j]:edges[j + 1]]) for j in (0, 2, 3)])
+    assert model.sums(batch, pts, owner).tobytes() == want.tobytes()
+    two_d = dataclasses.replace(model, stacked=False)
+    assert two_d.sums(batch, pts, owner).tobytes() == want.tobytes()
+    seen = []
+    problems._batch_kernel(lambda i, t, o: seen.append((len(i), o.tolist())) or t[:, 0], per_pair)(batch, pts, owner)
+    assert seen == [(3, [0, 0, 0, 2]), (1, [0, 0, 0, 0]), (2, [0, 1, 1])]
+
+
+def test_sums_reject_an_owner_out_of_order_of_the_wrong_length_or_out_of_range():
+    """owner must hold R integers, nondecreasing, in [0, W): out of order,
+    the ragged kernel would give worker 0's row worker 2's sum."""
+    model = make_sigmoid_problem(SigmoidProblemSpec(n=300)).model
+    indices = np.arange(30).reshape(3, 10)
+    pts = np.full((3, 2), 0.5)
+    want = [model.batch_cost(b, p) for b, p in zip(indices, pts)]
+    assert model.sums(indices, pts, [0, 1, 2]).tolist() == want
+    for owner in ([1, 0, 2], [0, 1], [0, 1, 2, 2], [0, 1, 3], [-1, 0, 1], [0.0, 1.0, 2.0]):
+        with pytest.raises(ValueError, match="owner"):
+            model.sums(indices, pts, owner)
 
 
 def test_stock_kernels_are_freed_by_reference_counting():

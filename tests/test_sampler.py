@@ -257,7 +257,8 @@ def test_new_particles_drop_stale_labels():
     ps.particles = np.random.default_rng(3).uniform(-1, 1, size=(3, 6, 2))
     assert (ps.labels == np.arange(6)).all()
     _, log_w = weight_and_accumulate(ps, model, np.array([[0, 1]] * 3))
-    want = normalize_log_weights(-model.sums(np.array([[0, 1]] * 3), ps.particles))[1]
+    sums = model.sums(np.array([[0, 1]] * 3), ps.particles.reshape(-1, 2), np.repeat(np.arange(3), 6))
+    want = normalize_log_weights(-sums.reshape(3, 6))[1]
     assert log_w.tobytes() == want.tobytes()
     assert len(set(log_w[0].tolist())) == 6
 
