@@ -72,12 +72,6 @@ class SearchSpace:
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, thetas: np.ndarray) -> bool:
-        """True if the point, or every row of an array of points, lies
-        inside the box, bounds included."""
-        t = np.asarray(thetas, dtype=float)
-        return bool((t >= self.lower).all() and (t <= self.upper).all())
-
 
 def clip_to_space(thetas: np.ndarray, space: SearchSpace) -> np.ndarray:
     """Project points onto the box, coordinate-wise."""
@@ -89,26 +83,24 @@ class CostModel:
     """Finite-sum cost f(theta) = sum_{i=1}^{n} f_i(theta).
 
     component_eval(i, theta) evaluates a single component; indices are
-    0-based internally.  batch_eval, when given, takes (indices, thetas)
-    with thetas of shape (P, d) and returns the (P,) array of summed
-    component values over the batch; it must agree with component_eval.
-    stacked=True declares that batch_eval also takes the ragged form,
+    0-based internally.  batch_eval, when given, takes the ragged form:
     indices (W, K), thetas (R, d) and a nondecreasing owner (R,) in
-    [0, W) -> (R,), whose row r equals batch_eval(indices[owner[r]],
-    thetas[r:r + 1]) bit for bit; sums then evaluates all workers in one
-    call instead of one call per worker.  A run's schedule indices are
-    of dtype schedule_dtype(n), int32 up to n = 2**31.  Evaluations must
-    be deterministic and a point's bits must not depend on a call's
-    other points, nor on whether it is alone: the sampler evaluates each
-    group of copies once, in one row.  The stock kernels in problems
-    meet this layout contract.  name labels a run's trace rows.
+    [0, W) give the (R,) sums, row r summing f_i over indices[owner[r]]
+    at thetas[r]; it must agree with component_eval.  A kernel of points
+    f(indices (R, K), thetas (R, d)) adapts as
+    lambda idx, th, owner: f(np.take(idx, owner, axis=0), th).  A run's
+    schedule indices are of dtype schedule_dtype(n), int32 up to
+    n = 2**31.  Evaluations must be deterministic and a point's bits
+    must not depend on a call's other points, nor on whether it is
+    alone: the sampler evaluates each group of copies once, in one row.
+    The stock kernels in problems meet this layout contract.  name
+    labels a run's trace rows.
     """
 
     n: int
     component_eval: Callable[[int, np.ndarray], float]
-    batch_eval: Optional[Callable[..., np.ndarray]] = None
+    batch_eval: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
     name: str = "cost"
-    stacked: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -117,14 +109,16 @@ class CostModel:
     def sums(self, indices: np.ndarray, thetas: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """Batch sums over workers' own points, the one evaluation path:
         indices (W, K), thetas (R, d) and owner (R,) give (R,), row r
-        summing f_i over indices[owner[r]] at thetas[r].  owner must be
-        R integers, nondecreasing, in [0, W); else ValueError.  A
-        stacked batch_eval is called once, any other batch_eval once per
-        worker on its rows, and a bare component_eval is summed row by
-        row in batch order."""
+        summing f_i over indices[owner[r]] at thetas[r].  indices must be
+        2-d and owner R integers, nondecreasing, in [0, W); else
+        ValueError.  batch_eval is called once, and must return R sums
+        (else ValueError); a bare component_eval is summed row by row in
+        batch order."""
         indices = np.asarray(indices)
         thetas = np.asarray(thetas, dtype=float)
         owner = np.asarray(owner)
+        if indices.ndim != 2:
+            raise ValueError(f"indices must be 2-d (W, K), got shape {indices.shape}")
         if (owner.shape != thetas.shape[:1] or not np.issubdtype(owner.dtype, np.integer)
                 or (owner[1:] < owner[:-1]).any()
                 or owner.size and not 0 <= owner[0] <= owner[-1] < len(indices)):
@@ -137,25 +131,18 @@ class CostModel:
                     total += float(self.component_eval(int(i), theta))
                 out[r] = total
             return out
-        if self.stacked:
-            return np.asarray(self.batch_eval(indices, thetas, owner), dtype=float)
-        edges = np.searchsorted(owner, np.arange(len(indices) + 1))
-        return np.concatenate([np.empty(0)] + [
-            np.asarray(self.batch_eval(b, thetas[lo:hi]), dtype=float)
-            for b, lo, hi in zip(indices, edges[:-1], edges[1:]) if hi > lo
-        ])
-
-    def batch_cost(self, indices: np.ndarray, theta: np.ndarray) -> float:
-        """Sum of f_i(theta) over i in indices, for a single point."""
-        return float(self.sums([indices], [theta], np.zeros(1, dtype=np.intp))[0])
+        out = np.asarray(self.batch_eval(indices, thetas, owner), dtype=float)
+        if out.shape != owner.shape:
+            raise ValueError(f"batch_eval returned shape {out.shape}, not one sum per row {owner.shape}")
+        return out
 
     def total_cost(self, theta: np.ndarray) -> float:
         """Full cost f(theta); an O(n) sweep."""
-        return self.batch_cost(np.arange(self.n), theta)
+        return float(self.total_cost_many([theta])[0])
 
     def total_cost_many(self, thetas: np.ndarray) -> np.ndarray:
         """Full cost at each row of thetas."""
-        return self.sums([np.arange(self.n)], thetas, np.zeros(len(thetas), dtype=np.intp))
+        return self.sums(np.arange(self.n)[None], thetas, np.zeros(len(thetas), dtype=np.intp))
 
 
 def schedule_dtype(n: int) -> type:

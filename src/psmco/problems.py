@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy.special import expit
@@ -24,23 +24,18 @@ STACK_BUDGET = 1 << 18
 
 
 def _batch_kernel(block_eval, per_pair: int):
-    """A stacked batch_eval over block_eval(indices (V, K), thetas (C, d),
-    owner (C,)) -> (C,), whose temporaries hold per_pair elements per
-    (point, index) pair.
+    """A CostModel batch_eval over block_eval(indices (V, K), thetas
+    (C, d), owner (C,)) -> (C,), whose temporaries hold per_pair elements
+    per (point, index) pair.
 
-    Ragged input, indices (W, K), thetas (R, d) and owner (R,), is cut
+    The ragged call, indices (W, K), thetas (R, d) and owner (R,), is cut
     into chunks of rows under STACK_BUDGET; a chunk gets only the batches
     of the workers it spans, owner shifted to match, so block_eval can
-    gather each worker's batch once.  owner=None is the 2-d form, (K,)
-    and (P, d): one worker.  block_eval must give a point the same bits
-    whatever else the call holds, as both stock kernels do.
+    gather each worker's batch once.  block_eval must give a point the
+    same bits whatever else the call holds, as both stock kernels do.
     """
 
-    def batch_eval(indices: np.ndarray, thetas: np.ndarray, owner: Optional[np.ndarray] = None) -> np.ndarray:
-        indices = np.asarray(indices)
-        thetas = np.asarray(thetas, dtype=float)
-        if owner is None:
-            indices, owner = indices[None], np.zeros(len(thetas), dtype=np.intp)
+    def batch_eval(indices: np.ndarray, thetas: np.ndarray, owner: np.ndarray) -> np.ndarray:
         out = np.empty(len(thetas))
         chunk = max(1, STACK_BUDGET // (per_pair * max(1, indices.shape[1])))
         for c in range(0, len(thetas), chunk):
@@ -139,7 +134,6 @@ def make_mixture_problem(spec: MixtureProblemSpec) -> MixtureProblem:
         component_eval=component_eval,
         batch_eval=_batch_kernel(block_eval, k_parts * d),
         name="mixture",
-        stacked=True,
     )
     space = SearchSpace(
         lower=np.full(d, -spec.half_width), upper=np.full(d, spec.half_width)
@@ -262,7 +256,6 @@ def make_sigmoid_problem(spec: SigmoidProblemSpec) -> SigmoidProblem:
         component_eval=component_eval,
         batch_eval=_batch_kernel(block_eval, 1),
         name="sigmoid",
-        stacked=True,
     )
     space = SearchSpace(
         lower=np.full(2, -spec.half_width), upper=np.full(2, spec.half_width)

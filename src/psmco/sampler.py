@@ -124,8 +124,6 @@ def init_particles(
     shape = (n_particles, d)
     if init_point is None:
         width = space.upper - space.lower
-        if not (width > 0).all():
-            raise ValueError("box must have positive width in every coordinate")
         pts = space.lower + np.array([rng.random(shape) for rng in rngs]) * width
     else:
         center = np.asarray(init_point, dtype=float)

@@ -86,11 +86,11 @@ def component_sum(model: CostModel, batch: np.ndarray, theta: np.ndarray) -> flo
 
 
 def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """log G at each row of thetas, through the model's single-worker
-    batch_eval when it has one, else one component at a time."""
+    """log G at each row of thetas, through one batch_eval call with a
+    single worker when the model has one, else one component at a time."""
     if model.batch_eval is None:
         return np.array([-component_sum(model, batch, t) for t in thetas])
-    sums = np.asarray(model.batch_eval(batch, thetas), dtype=float)
+    sums = np.asarray(model.batch_eval(batch[None], thetas, np.zeros(len(thetas), dtype=np.intp)), dtype=float)
     bad = ~np.isfinite(sums)
     if bad.any():
         for p in np.nonzero(bad)[0]:

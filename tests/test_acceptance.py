@@ -136,7 +136,7 @@ def test_criterion_3_monte_carlo_rate(capsys):
     model = CostModel(
         n=1,
         component_eval=lambda i, th: float(th[0] ** 2),
-        batch_eval=lambda idx, thetas: thetas[:, 0] ** 2,
+        batch_eval=lambda idx, thetas, owner: thetas[:, 0] ** 2,
     )
 
     def rmse(n_particles):

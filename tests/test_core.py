@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -35,13 +36,10 @@ def box(lo, hi, d=2):
 
 
 def test_space_basic():
-    s = box(-50, 50)
+    s = SearchSpace([-50, -50], [50, 50])
     assert s.dim == 2
-    assert s.contains(np.array([0.0, 0.0]))
-    assert s.contains(np.array([50.0, -50.0]))  # boundary included
-    assert not s.contains(np.array([50.1, 0.0]))
-    assert s.contains(np.array([[0.0, 0.0], [50.0, -50.0]]))  # every row
-    assert not s.contains(np.array([[0.0, 0.0], [50.1, 0.0]]))
+    assert s.lower.dtype == s.upper.dtype == float
+    assert s.lower.tolist() == [-50.0, -50.0] and s.upper.tolist() == [50.0, 50.0]
 
 
 def test_space_rejects_degenerate_box():
@@ -190,11 +188,8 @@ def test_log_potentials_nonfinite_rescan_attributes_component():
     def bad(i, th):
         return math.inf if i == 2 else 0.0
 
-    def bad_batch(idx, thetas):
-        out = np.zeros(thetas.shape[0])
-        if 2 in np.asarray(idx):
-            out[:] = np.inf
-        return out
+    def bad_batch(idx, thetas, owner):
+        return np.where((np.take(idx, owner, axis=0) == 2).any(axis=-1), np.inf, 0.0)
 
     model = CostModel(n=4, component_eval=bad, batch_eval=bad_batch)
     with pytest.raises(EvaluationError) as exc:
@@ -208,16 +203,15 @@ def test_stacked_log_potentials_attribute_bad_component_to_its_worker():
     def comp(i, th):
         return math.nan if i == 5 and th[0] > 0 else float(th @ th)
 
-    def batch(idx, thetas, owner=None):
-        idx = np.asarray(idx) if owner is None else np.take(idx, owner, axis=0)
+    def batch(idx, thetas, owner):
+        idx = np.take(idx, owner, axis=0)
         out = idx.shape[-1] * np.einsum("pd,pd->p", thetas, thetas)
         bad = (idx == 5).any(axis=-1) & (thetas[:, 0] > 0)
         return np.where(bad, np.nan, out)
 
     thetas = np.array([[[1.0, 0.0], [2.0, 0.0]], [[-1.0, 0.0], [3.0, 1.0]]])
     batches = np.array([[0, 1], [4, 5]])
-    for stacked in (True, False):
-        model = CostModel(n=6, component_eval=comp, batch_eval=batch, stacked=stacked)
+    for model in (CostModel(n=6, component_eval=comp), CostModel(n=6, component_eval=comp, batch_eval=batch)):
         with pytest.raises(EvaluationError) as exc:
             log_potentials(model, batches, thetas)
         assert exc.value.index == 5
@@ -247,7 +241,7 @@ def test_log_potentials_overflowing_sum_of_finite_components():
     model = CostModel(
         n=2,
         component_eval=lambda i, th: 1e308,
-        batch_eval=lambda idx, th: np.full(th.shape[0], np.inf),
+        batch_eval=lambda idx, th, owner: np.full(th.shape[0], np.inf),
     )
     out = log_potentials(model, np.array([0, 1]), np.zeros((2, 1)))
     assert (out == -np.inf).all()
@@ -262,8 +256,8 @@ def test_log_potentials_matches_scalar_loop():
     def comp(i, th):
         return float(coefs[i] * (1.0 + th @ th))
 
-    def batch(idx, thetas):
-        s = coefs[np.asarray(idx)].sum()
+    def batch(idx, thetas, owner):
+        s = coefs[np.take(idx, owner, axis=0)].sum(axis=-1)
         return s * (1.0 + np.einsum("pd,pd->p", thetas, thetas))
 
     model = CostModel(n=30, component_eval=comp, batch_eval=batch)
@@ -338,7 +332,7 @@ def test_log_potentials_evaluate_each_group_once_and_keep_signed_zeros_apart():
         seen.append(thetas.shape)
         return np.copysign(1.0, thetas[..., 0]) * (1.0 + np.abs(thetas).sum(axis=-1)) * indices.shape[-1]
 
-    model = CostModel(n=3, component_eval=lambda i, th: 0.0, batch_eval=signs, stacked=True)
+    model = CostModel(n=3, component_eval=lambda i, th: 0.0, batch_eval=signs)
     rng = np.random.default_rng(4)
     thetas, labels = labelled_population(rng, 5, 9, 2)
     batch = np.zeros((5, 3), dtype=int)
@@ -377,10 +371,10 @@ def center_component(i, theta):
     return float(d * d)
 
 
-def center_batch(indices, thetas, owner=None):
+def center_batch(indices, thetas, owner):
     """Sum of center_component over the batch, added in batch order, for
-    (K,)/(P, d) or ragged (W, K)/(R, d)/(R,)."""
-    rows = np.asarray(indices) if owner is None else np.take(indices, owner, axis=0)
+    the ragged call (W, K)/(R, d)/(R,)."""
+    rows = np.take(indices, owner, axis=0)
     total = np.zeros(len(thetas))
     for k in range(rows.shape[-1]):
         d = thetas[:, 0] - CENTERS[rows[..., k]]
@@ -389,10 +383,9 @@ def center_batch(indices, thetas, owner=None):
 
 
 def counted_forms():
-    """The same cost as a stacked, a single-worker and a component-only
-    CostModel, and a dict holding the points of each call of each form's
-    function."""
-    calls = {"stacked": [], "single-worker": [], "component-only": []}
+    """The same cost as a batch_eval and a component-only CostModel, and
+    a dict holding the points of each call of each form's function."""
+    calls = {"batch_eval": [], "component-only": []}
 
     def counting(form, fn):
         def counted(*args):
@@ -401,12 +394,8 @@ def counted_forms():
         return counted
 
     models = {
-        "stacked": CostModel(
-            n=12, component_eval=center_component,
-            batch_eval=counting("stacked", center_batch), stacked=True,
-        ),
-        "single-worker": CostModel(
-            n=12, component_eval=center_component, batch_eval=counting("single-worker", center_batch)
+        "batch_eval": CostModel(
+            n=12, component_eval=center_component, batch_eval=counting("batch_eval", center_batch)
         ),
         "component-only": CostModel(n=12, component_eval=counting("component-only", center_component)),
     }
@@ -421,10 +410,9 @@ def unlabelled_twin(system):
 
 def test_step_calls_each_model_form_as_declared():
     """Per sampler step, with U_w the distinct labels of worker w's
-    jittered particles: a stacked model's batch_eval gets one call on
-    sum U_w points, a single-worker batch_eval one call per worker on
-    that worker's U_w points, and a bare component_eval K calls per
-    group; all three forms give the same steps."""
+    jittered particles: a model's batch_eval gets one call on sum U_w
+    points, and a bare component_eval K calls per group; both forms give
+    the same steps."""
     m, n, k = 3, 5, 4
     models, calls = counted_forms()
     batches = np.arange(m * k).reshape(m, k)
@@ -442,20 +430,16 @@ def test_step_calls_each_model_form_as_declared():
             widths.append([len(set(own.tolist())) for own in probe.labels])
             log_z = sampler_step(system, model, batches, kernel, draws)
             made = calls[form][before:]
-            if form == "stacked":
+            if form == "batch_eval":
                 assert [pts.shape for pts in made] == [(sum(widths[-1]), 1)]
-            elif form == "single-worker":
-                assert [len(pts) for pts in made] == widths[-1]
-                for pts, own in zip(made, probe.particles):
-                    assert {p.tobytes() for p in pts} <= {p.tobytes() for p in own}
             else:
                 assert len(made) == sum(widths[-1]) * k
         assert widths[0] == [n] * m and min(min(w) for w in widths) < n  # all distinct at first, then copies
         outcome[form] = (log_z.tobytes(), system.particles.tobytes())
-    assert outcome["stacked"] == outcome["single-worker"] == outcome["component-only"]
+    assert outcome["batch_eval"] == outcome["component-only"]
 
 
-@pytest.mark.parametrize("form", ["stacked", "single-worker", "component-only"])
+@pytest.mark.parametrize("form", ["batch_eval", "component-only"])
 def test_init_std_zero_start_is_all_copies_merged_by_resampling(form):
     """init_std=0 puts every particle on init_point under N distinct
     labels: the first step evaluates all of them, resampling then merges
@@ -495,29 +479,53 @@ def test_clipped_corner_collision_costs_a_duplicate_evaluation_only():
     jitter(system, kernel, u, np.array([[5.0, 5.0], [7.0, 3.0]]))
     assert system.particles[0, 0].tobytes() == system.particles[0, 1].tobytes()
     assert system.labels.tolist() == [[4, 5, 2, 3]]
-    _, log_w = weight_and_accumulate(system, models["stacked"], np.array([[3, 7]]))
-    assert calls["stacked"][-1].shape == (4, 2)
+    _, log_w = weight_and_accumulate(system, models["batch_eval"], np.array([[3, 7]]))
+    assert calls["batch_eval"][-1].shape == (4, 2)
     assert log_w[0, 0] == log_w[0, 1] and log_w[0, 2] == log_w[0, 3]
     assert system.labels.tolist() == [[2, 3, 0, 1]]
 
 
 def test_costs_agree_bit_for_bit_across_model_forms():
-    """batch_cost, total_cost and total_cost_many, the W=1 calls of sums,
-    give the same bits for all three forms of one cost."""
+    """A W=1 sums call, total_cost and total_cost_many give the same
+    bits for both forms of one cost, and total_cost is total_cost_many
+    on one point."""
     models, _ = counted_forms()
     thetas = np.random.default_rng(9).uniform(-2, 2, size=(7, 1))
-    indices = np.array([11, 0, 5, 3])
+    indices = np.array([[11, 0, 5, 3]])
     results = {
         form: (
-            [model.batch_cost(indices, t) for t in thetas],
+            model.sums(indices, thetas, np.zeros(len(thetas), dtype=int)).tobytes(),
             [model.total_cost(t) for t in thetas],
             model.total_cost_many(thetas).tobytes(),
         )
         for form, model in models.items()
     }
-    assert results["stacked"] == results["single-worker"] == results["component-only"]
+    assert results["batch_eval"] == results["component-only"]
+    assert np.array(results["batch_eval"][1]).tobytes() == results["batch_eval"][2]
     want = [sum(center_component(i, t) for i in range(12)) for t in thetas]
-    np.testing.assert_allclose(results["stacked"][1], want, rtol=1e-12)
+    np.testing.assert_allclose(results["batch_eval"][1], want, rtol=1e-12)
+
+
+def test_sums_reject_batches_that_are_not_2d_and_output_not_one_per_row():
+    """A kernel that returns one sum per worker (W,) instead of one per
+    row (R,) is refused, not read as rows; so is a 1-d batch of indices,
+    for both forms."""
+    models, _ = counted_forms()
+    indices = np.array([[0, 1], [2, 3], [4, 5]])
+    thetas = np.array([[0.5], [-0.5]])
+    owner = np.array([0, 2])
+    per_worker = dataclasses.replace(
+        models["batch_eval"], batch_eval=lambda idx, th, own: np.arange(len(idx), dtype=float)
+    )
+    with pytest.raises(ValueError, match="one sum per row"):
+        per_worker.sums(indices, thetas, owner)
+    scalar = dataclasses.replace(models["batch_eval"], batch_eval=lambda idx, th, own: 1.0)
+    with pytest.raises(ValueError, match="one sum per row"):
+        scalar.sums(indices[:1], thetas[:1], owner[:1])
+    for model in models.values():
+        assert model.sums(indices, thetas, owner).shape == (2,)
+        with pytest.raises(ValueError, match="2-d"):
+            model.sums(indices[0], thetas, np.zeros(2, dtype=int))
 
 
 # ---------------------------------------------------------------------------

@@ -85,10 +85,10 @@ def component(i, theta):
     return float(d * d)
 
 
-def batch(indices, thetas, owner=None):
+def batch(indices, thetas, owner):
     """Sum of component values over the batch, added in batch order as
-    a component-only model does, for (K,)/(P, 1) or ragged (W, K)/(R, 1)/(R,)."""
-    rows = np.asarray(indices) if owner is None else np.take(indices, owner, axis=0)
+    a component-only model does, for the ragged call (W, K)/(R, 1)/(R,)."""
+    rows = np.take(indices, owner, axis=0)
     theta = thetas[:, 0]
     d = theta - 0.5
     total = np.zeros(theta.shape)
@@ -100,8 +100,7 @@ def batch(indices, thetas, owner=None):
 
 
 MODELS = {
-    "stacked batch_eval": CostModel(n=21, component_eval=component, batch_eval=batch, stacked=True),
-    "single-worker batch_eval": CostModel(n=21, component_eval=component, batch_eval=batch),
+    "batch_eval": CostModel(n=21, component_eval=component, batch_eval=batch),
     "component_eval only": CostModel(n=21, component_eval=component),
 }
 

@@ -100,7 +100,7 @@ def test_rows_satisfy_selection_invariant():
     final, rec = run_psmco(prob.model, prob.space, cfg)
     for row in rec.rows:
         assert row.worker == int(np.argmax(row.log_z))
-        assert prob.space.contains(row.theta)
+        assert (prob.space.lower <= row.theta).all() and (row.theta <= prob.space.upper).all()
         assert row.f_value == pytest.approx(prob.model.total_cost(row.theta), rel=1e-12)
     assert final.theta is rec.rows[-1].theta
     assert final.log_z == rec.rows[-1].log_z[final.worker]
@@ -311,8 +311,7 @@ def test_selection_shift_invariance_end_to_end():
     shifted_model = CostModel(
         n=base_model.n,
         component_eval=shifted,
-        batch_eval=lambda idx, th: base_model.batch_eval(idx, th)
-        + shift * len(np.asarray(idx)),
+        batch_eval=lambda idx, th, owner: base_model.batch_eval(idx, th, owner) + shift * idx.shape[1],
     )
     cfg = small_config(batch_size=5, estimate_every=1)
     _, rec_a = run_psmco(base_model, prob.space, cfg)

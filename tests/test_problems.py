@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import weakref
@@ -48,7 +47,7 @@ def test_mixture_batch_eval_matches_components():
     rng = np.random.default_rng(1)
     thetas = rng.normal(size=(6, 2)) * 5
     batch = np.array([0, 3, 11, 49])
-    got = prob.model.batch_eval(batch, thetas)
+    got = prob.model.batch_eval(batch[None], thetas, np.zeros(len(thetas), dtype=np.intp))
     want = [
         sum(prob.model.component_eval(int(i), t) for i in batch) for t in thetas
     ]
@@ -140,7 +139,7 @@ def test_sigmoid_batch_eval_matches_components():
     rng = np.random.default_rng(3)
     thetas = rng.normal(size=(7, 2)) * np.array([2.0, 5.0])
     batch = rng.integers(0, 300, size=40)
-    got = prob.model.batch_eval(batch, thetas)
+    got = prob.model.batch_eval(batch[None], thetas, np.zeros(len(thetas), dtype=np.intp))
     want = [
         sum(prob.model.component_eval(int(i), t) for i in batch) for t in thetas
     ]
@@ -169,14 +168,14 @@ def test_stacked_batch_eval_equals_per_worker_calls(name, budget, monkeypatch):
     component_eval; a point whose squared distance overflows costs +inf."""
     monkeypatch.setattr(problems, "STACK_BUDGET", budget)
     model = STOCK_PROBLEMS[name]().model
-    assert model.stacked
     rng = np.random.default_rng(5)
     for w, n, k in ((5, 9, 40), (3, 1, 1), (1, 12, 7), (4, 20, 300)):
         indices = np.stack([rng.permutation(300)[:k] for _ in range(w)])
         thetas = rng.normal(size=(w, n, 2)) * 5
         got = model.batch_eval(indices, thetas.reshape(-1, 2), np.repeat(np.arange(w), n))
         assert got.shape == (w * n,)
-        want = np.concatenate([model.batch_eval(indices[j], thetas[j]) for j in range(w)])
+        want = np.concatenate([model.batch_eval(indices[j:j + 1], thetas[j], np.zeros(n, dtype=int))
+                               for j in range(w)])
         assert got.tobytes() == want.tobytes()
     if name != "mixture":
         return
@@ -188,22 +187,6 @@ def test_stacked_batch_eval_equals_per_worker_calls(name, budget, monkeypatch):
             for b, pts in zip(indices, thetas)]
     assert got[1, 0] == want[1][0] == math.inf
     np.testing.assert_allclose(got, want, rtol=1e-12)
-
-
-@pytest.mark.parametrize("budget", [problems.STACK_BUDGET, 1])
-def test_stock_kernels_two_d_input_equals_one_worker_stack(budget, monkeypatch):
-    """Single-worker input to a stock kernel gives the W=1 ragged result
-    bit for bit, in one chunk of rows or one row per chunk."""
-    monkeypatch.setattr(problems, "STACK_BUDGET", budget)
-    rng = np.random.default_rng(2)
-    for make in STOCK_PROBLEMS.values():
-        model = make().model
-        for p, k in ((1, 300), (25, 300), (40, 7)):
-            indices = rng.permutation(300)[:k]
-            thetas = rng.normal(size=(p, 2)) * 3
-            flat = model.batch_eval(indices, thetas)
-            stacked = model.batch_eval(indices[None], thetas, np.zeros(p, dtype=int))
-            assert flat.tobytes() == stacked.tobytes()
 
 
 @pytest.mark.parametrize("budget", [problems.STACK_BUDGET, 1])
@@ -239,7 +222,7 @@ def test_one_row_per_point_keeps_the_bits_of_whole_populations(name, k, budget, 
     point with each point its own worker (indices (R, K)), gives each
     point the bits of one call per worker on its whole population, for
     row counts from a single row to ones that leave a chunk of one row;
-    so does a 2-d call on one point alone, and log_potentials on
+    so does a W=1 call on one point alone, and log_potentials on
     labelled copies, with worker 0 collapsed, or a lone worker collapsed
     to one point."""
     monkeypatch.setattr(problems, "STACK_BUDGET", budget)
@@ -257,7 +240,8 @@ def test_one_row_per_point_keeps_the_bits_of_whole_populations(name, k, budget, 
         assert model.sums(batch, pts.reshape(-1, 2)[:r], owner[:r]).tobytes() == whole.ravel()[:r].tobytes()
         rows = model.sums(np.take(batch, owner[:r], axis=0), pts.reshape(-1, 2)[:r], np.arange(r))
         assert rows.tobytes() == whole.ravel()[:r].tobytes()
-    alone = [model.batch_eval(batch[j], pts[j, i:i + 1]) for j in range(w) for i in range(p)]
+    alone = [model.batch_eval(batch[j:j + 1], pts[j, i:i + 1], np.zeros(1, dtype=int))
+             for j in range(w) for i in range(p)]
     assert np.concatenate(alone).tobytes() == whole.tobytes()
     labels = rng.integers(0, 5, size=(w, p))
     labels[0] = labels[0, 0]
@@ -295,8 +279,8 @@ def test_ragged_chunks_across_workers_keep_the_bits_of_per_worker_calls(name, pe
     """Workers of 3, 0, 6 and 2 rows in chunks of 4: the chunks cut
     across workers 0 | 2 and 2 | 3 and inside worker 2, worker 1 owns no
     row, and each chunk's kernel call gets only the batches of the
-    workers it spans.  Every row keeps the bits of its worker's 2-d
-    call, through the stacked kernel and through one call per worker."""
+    workers it spans.  Every row keeps the bits of its worker's own W=1
+    call."""
     k = 50
     model = STOCK_PROBLEMS[name]().model
     rng = np.random.default_rng(8)
@@ -306,13 +290,24 @@ def test_ragged_chunks_across_workers_keep_the_bits_of_per_worker_calls(name, pe
     pts = rng.normal(size=(len(owner), 2)) * 3
     monkeypatch.setattr(problems, "STACK_BUDGET", 4 * per_pair * k)
     edges = np.cumsum([0] + counts)
-    want = np.concatenate([model.batch_eval(batch[j], pts[edges[j]:edges[j + 1]]) for j in (0, 2, 3)])
+    want = np.concatenate([model.batch_eval(batch[j:j + 1], pts[edges[j]:edges[j + 1]], np.zeros(counts[j], dtype=int))
+                           for j in (0, 2, 3)])
     assert model.sums(batch, pts, owner).tobytes() == want.tobytes()
-    two_d = dataclasses.replace(model, stacked=False)
-    assert two_d.sums(batch, pts, owner).tobytes() == want.tobytes()
     seen = []
     problems._batch_kernel(lambda i, t, o: seen.append((len(i), o.tolist())) or t[:, 0], per_pair)(batch, pts, owner)
     assert seen == [(3, [0, 0, 0, 2]), (1, [0, 0, 0, 0]), (2, [0, 1, 1])]
+
+
+@pytest.mark.parametrize("name", sorted(STOCK_PROBLEMS))
+def test_total_cost_is_one_row_of_total_cost_many(name):
+    """total_cost(theta) is total_cost_many on the one row theta, bit for
+    bit, and both agree with summed component_eval."""
+    model = STOCK_PROBLEMS[name]().model
+    thetas = np.random.default_rng(6).normal(size=(5, 2)) * 3
+    many = model.total_cost_many(thetas)
+    assert np.array([model.total_cost(t) for t in thetas]).tobytes() == many.tobytes()
+    want = [sum(model.component_eval(i, t) for i in range(model.n)) for t in thetas]
+    np.testing.assert_allclose(many, want, rtol=1e-12)
 
 
 def test_sums_reject_an_owner_out_of_order_of_the_wrong_length_or_out_of_range():
@@ -321,7 +316,7 @@ def test_sums_reject_an_owner_out_of_order_of_the_wrong_length_or_out_of_range()
     model = make_sigmoid_problem(SigmoidProblemSpec(n=300)).model
     indices = np.arange(30).reshape(3, 10)
     pts = np.full((3, 2), 0.5)
-    want = [model.batch_cost(b, p) for b, p in zip(indices, pts)]
+    want = [model.sums(b[None], p[None], [0])[0] for b, p in zip(indices, pts)]
     assert model.sums(indices, pts, [0, 1, 2]).tolist() == want
     for owner in ([1, 0, 2], [0, 1], [0, 1, 2, 2], [0, 1, 3], [-1, 0, 1], [0.0, 1.0, 2.0]):
         with pytest.raises(ValueError, match="owner"):
@@ -350,8 +345,7 @@ def test_sigmoid_gradient_against_finite_differences():
     for j in range(2):
         step = np.zeros(2)
         step[j] = eps
-        fp = prob.model.batch_cost(idx, theta + step) / len(idx)
-        fm = prob.model.batch_cost(idx, theta - step) / len(idx)
+        fp, fm = prob.model.sums(idx[None], np.stack([theta + step, theta - step]), [0, 0]) / len(idx)
         assert grad[j] == pytest.approx((fp - fm) / (2 * eps), rel=1e-5)
 
 
