@@ -18,7 +18,6 @@ from .core import (
 )
 from .kde import KernelDensitySpec, bandwidth_rule, kde_log_eval, map_estimate
 from .parallel import (
-    MinimumEstimate,
     NoViableWorkerError,
     OptimizerConfig,
     RunFailureError,
@@ -44,7 +43,6 @@ __all__ = [
     "EvaluationError",
     "JitterKernelSpec",
     "KernelDensitySpec",
-    "MinimumEstimate",
     "NoViableWorkerError",
     "OptimizerConfig",
     "ParticleSystem",

@@ -52,7 +52,7 @@ def _theta_columns(dim: int) -> List[str]:
 
 def psmco_trace_lines(record: RunRecord) -> Iterator[str]:
     m = record.config.m_workers
-    header = ["problem", "t", "m_star", "f_value"] + _theta_columns(record.final.theta.size)
+    header = ["problem", "t", "m_star", "f_value"] + _theta_columns(record.rows[-1].theta.size)
     header += [f"log_z_{j}" for j in range(m)]
     yield ",".join(header)
     for row in record.rows:
@@ -100,7 +100,7 @@ def run_and_persist(config: RunConfig, out_dir: str) -> None:
         trace = psmco_trace_lines(record)
         iterations, f_final, theta = final.iteration, final.f_value, final.theta
         before = [("best_worker", final.worker)]
-        after = [("log_z_final", _fmt(final.log_z))]
+        after = [("log_z_final", _fmt(final.log_z[final.worker]))]
         if record.final_particles is not None:
             particles = particles_lines(record)
         wall = record.wall_time
@@ -162,7 +162,10 @@ def _read_trace(path: str) -> Tuple[str, dict]:
         try:
             if len(cells) != len(header):
                 raise ValueError(f"{len(cells)} cells under a {len(header)}-column header")
-            values[int(cells[t_col])] = float(cells[f_col])
+            t = int(cells[t_col])
+            if t in values:
+                raise ValueError(f"iteration {t} repeats")
+            values[t] = float(cells[f_col])
         except ValueError as e:
             raise ConfigError(f"{path}: malformed row {ln!r}: {e}") from None
         if problem is None:

@@ -109,16 +109,16 @@ class CostModel:
     def sums(self, indices: np.ndarray, thetas: np.ndarray, owner: np.ndarray) -> np.ndarray:
         """Batch sums over workers' own points, the one evaluation path:
         indices (W, K), thetas (R, d) and owner (R,) give (R,), row r
-        summing f_i over indices[owner[r]] at thetas[r].  indices must be
-        2-d and owner R integers, nondecreasing, in [0, W); else
-        ValueError.  batch_eval is called once, and must return R sums
+        summing f_i over indices[owner[r]] at thetas[r].  indices and
+        thetas must be 2-d and owner R integers, nondecreasing, in [0, W);
+        else ValueError.  batch_eval is called once, and must return R sums
         (else ValueError); a bare component_eval is summed row by row in
         batch order."""
         indices = np.asarray(indices)
         thetas = np.asarray(thetas, dtype=float)
         owner = np.asarray(owner)
-        if indices.ndim != 2:
-            raise ValueError(f"indices must be 2-d (W, K), got shape {indices.shape}")
+        if indices.ndim != 2 or thetas.ndim != 2:
+            raise ValueError(f"indices (W, K) and thetas (R, d) must be 2-d, got {indices.shape}, {thetas.shape}")
         if (owner.shape != thetas.shape[:1] or not np.issubdtype(owner.dtype, np.integer)
                 or (owner[1:] < owner[:-1]).any()
                 or owner.size and not 0 <= owner[0] <= owner[-1] < len(indices)):
@@ -180,18 +180,20 @@ def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray, grou
     """log G = -(batch sum), never exponentiated, stacked over workers:
     batch (W, K) and thetas (W, N, d) give (W, N), row w holding worker
     w's batch potentials at its particles; batch (K,) and thetas (P, d)
-    give (P,).  Each group of groups, label_groups' last two results
-    (None: every particle), is evaluated once, in one sums call on a
-    point per group owned by its worker; the layout contract of
-    CostModel gives every copy the bits of its own evaluation.  A
-    non-finite sum triggers a component-by-component rescan that raises
-    EvaluationError with the offending index and point.
+    give (P,); a batch count other than W raises ValueError.  Each group
+    of groups, label_groups' last two results (None: every particle), is
+    evaluated once, in one sums call on a point per group owned by its
+    worker; the layout contract of CostModel gives every copy the bits of
+    its own evaluation.  A non-finite sum triggers a component-by-component
+    rescan that raises EvaluationError with the offending index and point.
     """
     batch = np.asarray(batch)
     thetas = np.asarray(thetas, dtype=float)
     if batch.ndim == 1:
         return log_potentials(model, batch[None], thetas[None], groups)[0]
     w_count, n, d = thetas.shape
+    if len(batch) != w_count:
+        raise ValueError(f"{len(batch)} batches for {w_count} workers")
     slots, rows = groups or label_groups(np.broadcast_to(np.arange(n), (w_count, n)))[1:]
     sums = np.take(model.sums(batch, np.take(thetas.reshape(-1, d), rows, axis=0), rows // n), slots)
     bad = ~np.isfinite(sums)

@@ -75,15 +75,6 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
-class MinimumEstimate:
-    theta: np.ndarray
-    worker: int
-    iteration: int
-    log_z: float
-    f_value: float
-
-
-@dataclass(frozen=True)
 class EstimateRow:
     iteration: int
     worker: int
@@ -98,7 +89,6 @@ class RunRecord:
     config: OptimizerConfig
     rows: List[EstimateRow]
     log_z: np.ndarray  # (E, M) cumulative log Z at each of the E emissions
-    final: MinimumEstimate
     log_z_by_step: np.ndarray  # (T, M) per-step normalizer estimates
     wall_time: float
     final_particles: Optional[np.ndarray] = None  # (M, N, d) when kept
@@ -121,9 +111,9 @@ def run_psmco(
     model: CostModel,
     space: SearchSpace,
     config: OptimizerConfig,
-) -> Tuple[MinimumEstimate, RunRecord]:
+) -> Tuple[EstimateRow, RunRecord]:
     """Run M independent samplers over one pass of the data; returns the
-    final estimate plus the full trace of best-worker estimates.
+    final estimate, the last emission row, plus the full record.
 
     Every worker consumes its own schedule of T = ceil(n/K) disjoint
     batches.  At each emission the workers are ranked by cumulative
@@ -194,23 +184,14 @@ def run_psmco(
         if (t + 1) % stride == 0 or t + 1 == total_steps:
             emit(t + 1)
 
-    last = rows[-1]
-    final = MinimumEstimate(
-        theta=last.theta,
-        worker=last.worker,
-        iteration=last.iteration,
-        log_z=float(last.log_z[last.worker]),
-        f_value=last.f_value,
-    )
     final_particles = system.particles if config.keep_final_particles else None
     record = RunRecord(
         problem=model.name,
         config=config,
         rows=rows,
         log_z=log_z_emitted,
-        final=final,
         log_z_by_step=log_z_by_step,
         wall_time=time.perf_counter() - start,
         final_particles=final_particles,
     )
-    return final, record
+    return rows[-1], record

@@ -73,25 +73,24 @@ class ParticleSystem:
 
     particles is (M, N, d) and rngs[m] is worker m's stream.
     log_z_cumulative, of shape (M,), is the running sum of the step
-    normalizer estimates, accumulated in step order.  labels (M, N), in
-    [0, 2N), mark copies: particles of one worker sharing a label are
-    equal.  New particles get arange(N), each its own label; equal
-    points with different labels only cost a duplicate evaluation.
+    normalizer estimates, accumulated in step order; None starts it at
+    zeros.  labels (M, N), in [0, 2N), mark copies: particles of one
+    worker sharing a label are equal.  None gives arange(N), each
+    particle its own label; equal points with different labels only cost
+    a duplicate evaluation.  Whoever replaces the particles replaces
+    their labels with them.
     """
 
     particles: np.ndarray
-    space: SearchSpace
     rngs: Tuple[np.random.Generator, ...]
     log_z_cumulative: Optional[np.ndarray] = None
-
-    def __setattr__(self, name, value):
-        super().__setattr__(name, value)
-        if name == "particles":  # labels describe one particle array
-            super().__setattr__("labels", np.broadcast_to(np.arange(np.shape(value)[1]), np.shape(value)[:2]))
+    labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.log_z_cumulative is None:
             self.log_z_cumulative = np.zeros(self.m_workers)
+        if self.labels is None:
+            self.labels = np.broadcast_to(np.arange(self.n_particles), self.particles.shape[:2])
 
     @property
     def m_workers(self) -> int:
@@ -131,7 +130,7 @@ def init_particles(
             raise ValueError("init_point has the wrong dimension")
         pts = center + np.array([rng.normal(0.0, init_std, size=shape) for rng in rngs])
         pts = clip_to_space(pts, space)
-    return ParticleSystem(particles=pts, space=space, rngs=rngs)
+    return ParticleSystem(particles=pts, rngs=rngs)
 
 
 # Stream format v3: a worker draws its randomness B steps at a time, with
@@ -183,21 +182,22 @@ def step_draws(system: ParticleSystem, kernel: JitterKernelSpec, steps: int):
 
 
 def jitter(system: ParticleSystem, kernel: JitterKernelSpec, u: np.ndarray, noise: np.ndarray) -> int:
-    """Apply the sticky Gaussian move to a copy of the particles, given the
-    step's (M, N) uniforms and the (moved, d) noise, one row per particle
-    with u < epsilon in flat (worker, particle) order; returns how many
-    particles moved, over all workers.  Particle j of a worker gets the
-    fresh label N + j when it moves.  Raises ValueError when the noise
-    has a different number of rows."""
+    """Apply the sticky Gaussian move, clipped into kernel.space, to copies
+    of the particles and labels, given the step's (M, N) uniforms and the
+    (moved, d) noise, one row per particle with u < epsilon in flat
+    (worker, particle) order; returns how many particles moved, over all
+    workers.  Particle j of a worker gets the fresh label N + j when it
+    moves.  Raises ValueError when the noise has a different number of
+    rows."""
     moved = np.flatnonzero(u < kernel.epsilon)  # an unmoved particle is in the box already
     if len(noise) != moved.size:
         raise ValueError(f"{len(noise)} noise rows for {moved.size} moved particles")
-    labels = np.array(system.labels)  # taken before the new particles reset them
-    system.particles = np.array(system.particles, dtype=float, order="C")  # never a caller's array
-    flat = system.particles.reshape(-1, system.space.dim)  # a view: rows are particles
-    flat[moved] = clip_to_space(np.take(flat, moved, axis=0) + noise, system.space)
+    particles = np.array(system.particles, dtype=float, order="C")  # never a caller's array
+    labels = np.array(system.labels, order="C")
+    flat = particles.reshape(-1, particles.shape[2])  # a view: rows are particles
+    flat[moved] = clip_to_space(np.take(flat, moved, axis=0) + noise, kernel.space)
     labels.reshape(-1)[moved] = moved % system.n_particles + system.n_particles
-    system.labels = labels
+    system.particles, system.labels = particles, labels
     return moved.size
 
 
@@ -270,9 +270,8 @@ def resample_multinomial(system: ParticleSystem, log_w: np.ndarray, u: np.ndarra
     m, n, d = system.particles.shape
     live = log_w.max(axis=1, keepdims=True) > -math.inf
     rows = np.where(live, inverse_cdf(log_w, u), np.arange(n)) + np.arange(m)[:, None] * n
-    labels = np.take(system.labels, rows)  # taken before the new particles reset them
     system.particles = np.take(system.particles.reshape(-1, d), rows, axis=0)
-    system.labels = labels
+    system.labels = np.take(system.labels, rows)
 
 
 def sampler_step(

@@ -474,6 +474,18 @@ def test_compare_malformed_rows(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_compare_rejects_a_repeated_iteration(tmp_path, capsys):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    write_trace(good, "mixture", [(1, 2.0)], cost_col="f_value")
+    write_trace(bad, "mixture", [(1, 4.0), (1, 3.0)])
+    out = tmp_path / "never.csv"
+    for argv in (["--psmco", str(good), "--psgd", str(bad)], ["--psmco", str(bad)]):
+        assert run_cli("compare", *argv, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "iteration 1 repeats" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # gen-data subcommand
 

@@ -16,6 +16,7 @@ from psmco.core import (
     logsumexp_last,
     normalize_log_weights,
 )
+from psmco.problems import SigmoidProblemSpec, make_sigmoid_problem
 from psmco.sampler import (
     JitterKernelSpec,
     ParticleSystem,
@@ -220,6 +221,18 @@ def test_stacked_log_potentials_attribute_bad_component_to_its_worker():
     np.testing.assert_array_equal(fine, -2 * np.einsum("wpd,wpd->wp", thetas, thetas))
 
 
+def test_log_potentials_reject_a_batch_count_other_than_the_workers():
+    """Batches (W', K) for particles (W, N, d) raise unless W' = W: an
+    extra batch is not dropped, and a missing one is named as such."""
+    model = CostModel(n=6, component_eval=lambda i, th: float(th @ th))
+    thetas = np.zeros((2, 3, 2))
+    for rows in (1, 3):
+        with pytest.raises(ValueError, match=f"{rows} batches for 2 workers"):
+            log_potentials(model, np.arange(rows * 2).reshape(rows, 2), thetas)
+    assert log_potentials(model, np.arange(4).reshape(2, 2), thetas).shape == (2, 3)
+    assert log_potentials(model, np.arange(2), thetas[0]).shape == (3,)  # one batch, (P, d) points
+
+
 def test_log_potentials_attribute_a_duplicated_bad_point_in_particle_order():
     """A bad point evaluated once for all its copies is still reported as
     the first bad (worker, particle) in worker-then-particle order: here
@@ -405,7 +418,7 @@ def counted_forms():
 def unlabelled_twin(system):
     """A copy of system whose particles carry no lineage, so a step
     evaluates every particle; same streams, so it draws the same."""
-    return ParticleSystem(system.particles.copy(), system.space, system.rngs, system.log_z_cumulative)
+    return ParticleSystem(system.particles.copy(), system.rngs, system.log_z_cumulative)
 
 
 def test_step_calls_each_model_form_as_declared():
@@ -418,8 +431,9 @@ def test_step_calls_each_model_form_as_declared():
     batches = np.arange(m * k).reshape(m, k)
     outcome = {}
     for form, model in models.items():
-        system = init_particles(box(-2, 2, d=1), n, [np.random.default_rng(s) for s in range(m)])
-        kernel = JitterKernelSpec(system.space, proposal_std=0.3, n_particles=n)
+        space = box(-2, 2, d=1)
+        system = init_particles(space, n, [np.random.default_rng(s) for s in range(m)])
+        kernel = JitterKernelSpec(space, proposal_std=0.3, n_particles=n)
         widths = []
         for _ in range(3):
             before = len(calls[form])
@@ -449,9 +463,10 @@ def test_init_std_zero_start_is_all_copies_merged_by_resampling(form):
     models, calls = counted_forms()
     model = models[form]
     rngs = lambda: [np.random.default_rng(s) for s in range(m)]  # noqa: E731
-    system = init_particles(box(-2, 2, d=1), n, rngs(), np.array([0.5]), init_std=0.0)
-    twin = init_particles(box(-2, 2, d=1), n, rngs(), np.array([0.5]), init_std=0.0)
-    kernel = JitterKernelSpec(system.space, proposal_std=0.3, n_particles=n)
+    space = box(-2, 2, d=1)
+    system = init_particles(space, n, rngs(), np.array([0.5]), init_std=0.0)
+    twin = init_particles(space, n, rngs(), np.array([0.5]), init_std=0.0)
+    kernel = JitterKernelSpec(space, proposal_std=0.3, n_particles=n)
     assert (system.labels == np.arange(n)).all()
     rows = []
     for t in range(4):
@@ -474,7 +489,7 @@ def test_clipped_corner_collision_costs_a_duplicate_evaluation_only():
     they get equal potentials."""
     models, calls = counted_forms()
     system = init_particles(box(-1, 1), 4, [np.random.default_rng(0)], np.zeros(2), init_std=0.0)
-    kernel = JitterKernelSpec(system.space, proposal_std=1.0, n_particles=4)
+    kernel = JitterKernelSpec(box(-1, 1), proposal_std=1.0, n_particles=4)
     u = np.array([[0.0, 0.0, 0.9, 0.9]])  # particles 0 and 1 move
     jitter(system, kernel, u, np.array([[5.0, 5.0], [7.0, 3.0]]))
     assert system.particles[0, 0].tobytes() == system.particles[0, 1].tobytes()
@@ -526,6 +541,19 @@ def test_sums_reject_batches_that_are_not_2d_and_output_not_one_per_row():
         assert model.sums(indices, thetas, owner).shape == (2,)
         with pytest.raises(ValueError, match="2-d"):
             model.sums(indices[0], thetas, np.zeros(2, dtype=int))
+
+
+def test_sums_reject_thetas_that_are_not_2d():
+    """thetas must be (R, d): one 1-d point is refused, not read as R
+    one-coordinate points, by both forms and by a stock kernel."""
+    models, _ = counted_forms()
+    models["stock sigmoid"] = make_sigmoid_problem(SigmoidProblemSpec(n=12)).model
+    for model in models.values():
+        for thetas in (np.array([1.0, 2.0]), np.zeros((2, 1, 1))):
+            with pytest.raises(ValueError, match="2-d"):
+                model.sums(np.array([[0, 1]]), thetas, np.zeros(2, dtype=int))
+            with pytest.raises(ValueError, match="2-d"):
+                model.total_cost_many(thetas)
 
 
 # ---------------------------------------------------------------------------

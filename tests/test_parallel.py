@@ -102,8 +102,8 @@ def test_rows_satisfy_selection_invariant():
         assert row.worker == int(np.argmax(row.log_z))
         assert (prob.space.lower <= row.theta).all() and (row.theta <= prob.space.upper).all()
         assert row.f_value == pytest.approx(prob.model.total_cost(row.theta), rel=1e-12)
-    assert final.theta is rec.rows[-1].theta
-    assert final.log_z == rec.rows[-1].log_z[final.worker]
+    assert final is rec.rows[-1]
+    assert final.log_z.tobytes() == rec.log_z[-1].tobytes()
     assert rec.log_z_by_step.shape == (8, 4)
     assert rec.wall_time > 0.0
 
@@ -140,7 +140,7 @@ def test_single_worker_reduces_to_plain_sampler():
     _, theta = map_estimate(spec, system.particles[0])
 
     np.testing.assert_array_equal(final.theta, theta)
-    assert final.log_z == system.log_z_cumulative[0]
+    assert final.log_z.tolist() == system.log_z_cumulative.tolist()
     assert final.worker == 0
 
 

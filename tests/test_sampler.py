@@ -166,29 +166,33 @@ def bits(a):
 )
 def test_jitter_leaves_caller_arrays_and_unmoved_bits_alone(layout):
     # unmoved particles on the box bounds, -0.0 at a lower bound of 0.0
-    # included, keep their bits; the array handed to ParticleSystem is
-    # never written, whatever its memory layout
+    # included, keep their bits and labels; the particle and label arrays
+    # handed to ParticleSystem are never written, whatever their memory
+    # layout
     s = SearchSpace(np.array([0.0, -1.0]), np.array([1.0, 1.0]))
     pts = np.array([[[-0.0, 0.5], [0.0, -1.0], [1.0, 1.0], [0.25, -0.0], [0.5, 0.5]]] * 2)
     pts[1] *= np.array([0.5, -1.0])
+    labels = np.array([[0, 1, 7, 3, 9], [1, 6, 2, 8, 4]])
     u = np.array([[0.9, 0.9, 0.9, 0.9, 0.0], [0.0, 0.9, 0.9, 0.5, 0.9]])
     noise = np.random.default_rng(8).normal(size=(2, 2)) * 2  # one row per moved particle
     k = JitterKernelSpec(space=s, proposal_std=2.0, n_particles=5, epsilon=0.1)
-    arr = layout(pts.copy())
-    held = arr.copy()
-    ps = ParticleSystem(arr, s, rngs=())
+    arr, lab = layout(pts.copy()), layout(labels.copy())
+    held, held_labels = arr.copy(), lab.copy()
+    ps = ParticleSystem(arr, rngs=(), labels=lab)
     assert jitter(ps, k, u, noise) == 2
     np.testing.assert_array_equal(bits(arr), bits(held))
+    np.testing.assert_array_equal(bits(lab), bits(held_labels))
     move = u < k.epsilon
     np.testing.assert_array_equal(bits(ps.particles[~move]), bits(pts[~move]))
     np.testing.assert_array_equal(ps.particles[move], np.clip(pts[move] + noise, s.lower, s.upper))
+    assert ps.labels.tolist() == np.where(move, np.arange(5) + 5, labels).tolist()
 
 
 @pytest.mark.parametrize("rows", [0, 1, 3])
 def test_jitter_rejects_noise_rows_other_than_the_moved_count(rows):
     s = box(-1, 1)
     pts = np.zeros((1, 4, 2))
-    ps = ParticleSystem(pts, s, rngs=())
+    ps = ParticleSystem(pts, rngs=())
     k = JitterKernelSpec(space=s, proposal_std=1.0, n_particles=4, epsilon=0.5)
     u = np.array([[0.1, 0.9, 0.2, 0.9]])  # two particles move
     with pytest.raises(ValueError, match="noise rows"):
@@ -197,15 +201,25 @@ def test_jitter_rejects_noise_rows_other_than_the_moved_count(rows):
     assert jitter(ps, k, u, np.ones((2, 2))) == 2
 
 
+def test_jitter_clips_into_the_kernels_box():
+    """The box is a setting of the kernel: a move clips into kernel.space."""
+    k = JitterKernelSpec(space=box(-100, 100), proposal_std=1.0, n_particles=2, epsilon=0.5)
+    ps = ParticleSystem(np.zeros((1, 2, 2)), rngs=())
+    assert jitter(ps, k, np.array([[0.0, 0.0]]), np.array([[5.0, -7.0], [150.0, -0.5]])) == 2
+    assert ps.particles.tolist() == [[[5.0, -7.0], [100.0, -0.5]]]
+
+
 def test_step_leaves_caller_particles_unchanged():
     s = box(-1, 1)
     arr = np.random.default_rng(9).uniform(-1, 1, size=(3, 8, 2))
-    held = arr.copy()
-    ps = ParticleSystem(arr, s, rngs=tuple(np.random.default_rng(i) for i in range(3)))
+    labels = np.tile(np.arange(15, 7, -1), (3, 1))  # distinct, in [N, 2N)
+    held, held_labels = arr.copy(), labels.copy()
+    ps = ParticleSystem(arr, rngs=tuple(np.random.default_rng(i) for i in range(3)), labels=labels)
     k = JitterKernelSpec(space=s, proposal_std=0.3, n_particles=8)
     step(ps, quadratic_model(), np.zeros((3, 2), dtype=int), k)
     np.testing.assert_array_equal(bits(arr), bits(held))
-    assert ps.particles is not arr
+    np.testing.assert_array_equal(bits(labels), bits(held_labels))
+    assert ps.particles is not arr and ps.labels is not labels
 
 
 # ---------------------------------------------------------------------------
@@ -251,21 +265,30 @@ def test_weights_degenerate_returns_minus_inf():
     assert ps.log_z_cumulative.tolist() == [-np.inf]
 
 
-def test_new_particles_drop_stale_labels():
-    """Labels describe one particle array: a caller's new particles start
-    unlabelled, so labels that merged the old copies cannot merge the
-    new, distinct points, and the potentials are each particle's own."""
-    s = box(-1, 1)
-    ps = init_particles(s, 6, [np.random.default_rng(seed) for seed in range(3)], np.zeros(2), init_std=0.0)
-    ps.labels = np.zeros((3, 6), dtype=int)  # all copies, one label per worker
-    model = CostModel(n=2, component_eval=lambda i, th: float((i + 1) * (th @ th)))
-    ps.particles = np.random.default_rng(3).uniform(-1, 1, size=(3, 6, 2))
-    assert (ps.labels == np.arange(6)).all()
-    _, log_w = weight_and_accumulate(ps, model, np.array([[0, 1]] * 3))
-    sums = model.sums(np.array([[0, 1]] * 3), ps.particles.reshape(-1, 2), np.repeat(np.arange(3), 6))
-    want = normalize_log_weights(-sums.reshape(3, 6))[1]
-    assert log_w.tobytes() == want.tobytes()
-    assert len(set(log_w[0].tolist())) == 6
+def test_labels_default_to_arange_and_given_labels_are_kept():
+    """A system built without labels gives each particle its own label,
+    arange(N) in every worker, and so evaluates each particle; labels
+    passed in are the system's labels, and their groups are evaluated
+    once each."""
+    pts = np.random.default_rng(3).uniform(-1, 1, size=(3, 6, 2))
+    pts[:, 1::2] = pts[:, ::2]  # particles 2j and 2j + 1 are copies
+    rows = []
+    model = CostModel(
+        n=2,
+        component_eval=lambda i, th: float((i + 1) * (th @ th)),
+        batch_eval=lambda idx, th, owner: rows.append(len(th)) or 3.0 * (th * th).sum(axis=1),
+    )
+    plain = ParticleSystem(pts, rngs=())
+    assert plain.labels.shape == (3, 6) and (plain.labels == np.arange(6)).all()
+    drawn = init_particles(box(-1, 1), 6, [np.random.default_rng(j) for j in range(3)])
+    assert (drawn.labels == np.arange(6)).all()
+    labels = np.array([[0, 0, 2, 2, 4, 4], [7, 7, 1, 1, 11, 11], [3, 3, 9, 9, 5, 5]])
+    given = ParticleSystem(pts, rngs=(), labels=labels)
+    assert given.labels is labels
+    _, plain_w = weight_and_accumulate(plain, model, np.array([[0, 1]] * 3))
+    _, given_w = weight_and_accumulate(given, model, np.array([[0, 1]] * 3))
+    assert rows == [18, 9]
+    assert plain_w.tobytes() == given_w.tobytes()
 
 
 def test_labels_never_merge_distinct_particles():
@@ -421,11 +444,12 @@ def test_resample_matches_per_worker_loop(m):
     np.testing.assert_array_equal(want[live], per_row_search(w[live], u[live]))
 
     pts = rng.normal(size=(m, n, 2))
-    ps = ParticleSystem(pts.copy(), box(-9, 9), rngs=())
+    ps = ParticleSystem(pts.copy(), rngs=())
     resample_multinomial(ps, w, u)
     for r in range(m):
         expected = pts[r][want[r]] if live[r] else pts[r]
         np.testing.assert_array_equal(bits(ps.particles[r]), bits(expected))
+        assert ps.labels[r].tolist() == (want[r] if live[r] else np.arange(n)).tolist()  # labels go with ancestors
 
 
 def test_resample_skips_degenerate_worker():
@@ -596,7 +620,7 @@ def test_each_worker_makes_two_calls_per_block_and_draws_only_moved_noise():
     n, m, steps = 100, 4, 25  # B = 10: blocks of 10, 10 and 5
     kernel = JitterKernelSpec(space=s, proposal_std=0.2, n_particles=n)
     rngs = [CountingGenerator(j) for j in range(m)]
-    ps = ParticleSystem(np.zeros((m, n, 2)), s, rngs=tuple(rngs))
+    ps = ParticleSystem(np.zeros((m, n, 2)), rngs=tuple(rngs))
     moved = sum(jitter(ps, kernel, u, z) for u, z, _ in step_draws(ps, kernel, steps))
     assert [g.calls for g in rngs] == [2 * 3] * m
     assert sum(g.normals for g in rngs) == 2 * moved
