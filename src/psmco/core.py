@@ -142,7 +142,8 @@ class CostModel:
 
     def total_cost_many(self, thetas: np.ndarray) -> np.ndarray:
         """Full cost at each row of thetas."""
-        return self.sums(np.arange(self.n)[None], thetas, np.zeros(len(thetas), dtype=np.intp))
+        index = np.arange(self.n, dtype=schedule_dtype(self.n))[None]
+        return self.sums(index, thetas, np.zeros(len(thetas), dtype=np.intp))
 
 
 def schedule_dtype(n: int) -> type:

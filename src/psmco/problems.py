@@ -14,33 +14,48 @@ from dataclasses import dataclass, field
 from typing import Tuple
 
 import numpy as np
-from scipy.special import expit
 
 from .core import CostModel, SearchSpace, logsumexp_last, schedule_dtype
 
-# Elements in one temporary of a ragged kernel call: rows are evaluated
-# in chunks of as many as fit, and at least one.
-STACK_BUDGET = 1 << 18
+# Elements in one temporary of a ragged kernel call: rows go in chunks of
+# as many as fit, at least one, and a longer row in slabs of at least 128.
+STACK_BUDGET = 1 << 15
+
+
+def _pairwise_slabs(block_eval, width: int, indices, thetas, owner) -> np.ndarray:
+    """block_eval's sums over the K columns of indices, in slabs of at
+    most width >= 128 columns added in numpy's pairwise order (above 128
+    elements .sum() adds its halves, the first rounded down to a multiple
+    of 8), so that a row keeps the bits of one .sum() over it."""
+    if indices.shape[1] <= width:
+        return block_eval(indices, thetas, owner)
+    half = indices.shape[1] // 16 * 8  # K // 2, rounded down to a multiple of 8
+    left = _pairwise_slabs(block_eval, width, indices[:, :half], thetas, owner)
+    with np.errstate(over="ignore"):  # as a whole-row .sum() would overflow to inf
+        return left + _pairwise_slabs(block_eval, width, indices[:, half:], thetas, owner)
 
 
 def _batch_kernel(block_eval, per_pair: int):
     """A CostModel batch_eval over block_eval(indices (V, K), thetas
-    (C, d), owner (C,)) -> (C,), whose temporaries hold per_pair elements
-    per (point, index) pair.
+    (C, d), owner (C,)) -> (C,) row sums, each one .sum(), whose
+    temporaries hold per_pair elements per (point, index) pair.
 
     The ragged call, indices (W, K), thetas (R, d) and owner (R,), is cut
-    into chunks of rows under STACK_BUDGET; a chunk gets only the batches
-    of the workers it spans, owner shifted to match, so block_eval can
-    gather each worker's batch once.  block_eval must give a point the
-    same bits whatever else the call holds, as both stock kernels do.
+    into chunks of rows and pairwise column slabs under STACK_BUDGET; a
+    chunk gets only the batches of the workers it spans, owner shifted to
+    match, so block_eval can gather each worker's batch once.  block_eval
+    must give a point the same bits whatever else the call holds, as both
+    stock kernels do.
     """
 
     def batch_eval(indices: np.ndarray, thetas: np.ndarray, owner: np.ndarray) -> np.ndarray:
         out = np.empty(len(thetas))
-        chunk = max(1, STACK_BUDGET // (per_pair * max(1, indices.shape[1])))
+        width = max(128, STACK_BUDGET // per_pair)
+        chunk = max(1, STACK_BUDGET // (per_pair * max(1, min(indices.shape[1], width))))
         for c in range(0, len(thetas), chunk):
             own = owner[c:c + chunk]
-            out[c:c + chunk] = block_eval(indices[own[0]:own[-1] + 1], thetas[c:c + chunk], own - own[0])
+            out[c:c + chunk] = _pairwise_slabs(block_eval, width, indices[own[0]:own[-1] + 1], thetas[c:c + chunk],
+                                               own - own[0])
         return out
 
     return batch_eval
@@ -127,12 +142,13 @@ def make_mixture_problem(spec: MixtureProblemSpec) -> MixtureProblem:
             m = a.max(axis=0)
             safe = np.where(np.isfinite(m), m, 0.0)  # all -inf gives -inf, not NaN
             inner = safe + np.log(np.exp(a - safe).sum(axis=0)) - log_norm
-        return -inner.sum(axis=-1) / spec.lam
+        return inner.sum(axis=-1)
 
+    inner_sums = _batch_kernel(block_eval, k_parts * d)
     model = CostModel(
         n=spec.n,
         component_eval=component_eval,
-        batch_eval=_batch_kernel(block_eval, k_parts * d),
+        batch_eval=lambda indices, thetas, owner: -inner_sums(indices, thetas, owner) / spec.lam,
         name="mixture",
     )
     space = SearchSpace(
@@ -220,6 +236,7 @@ class SigmoidProblem:
     def mean_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Average gradient of the components in `indices` at theta,
         stacked: theta (..., 2) and indices (..., K) give (..., 2)."""
+        from scipy.special import expit
         theta = np.asarray(theta, dtype=float)
         xb = self.x[indices]
         yb = self.y[indices]
@@ -229,6 +246,7 @@ class SigmoidProblem:
 
 
 def make_sigmoid_problem(spec: SigmoidProblemSpec) -> SigmoidProblem:
+    from scipy.special import expit  # only the sigmoid problem needs scipy
     rng = np.random.default_rng(spec.seed)
     x = rng.uniform(spec.x_low, spec.x_high, size=spec.n)
     t0, t1 = spec.theta_true

@@ -74,11 +74,11 @@ class ParticleSystem:
     particles is (M, N, d) and rngs[m] is worker m's stream.
     log_z_cumulative, of shape (M,), is the running sum of the step
     normalizer estimates, accumulated in step order; None starts it at
-    zeros.  labels (M, N), in [0, 2N), mark copies: particles of one
-    worker sharing a label are equal.  None gives arange(N), each
-    particle its own label; equal points with different labels only cost
-    a duplicate evaluation.  Whoever replaces the particles replaces
-    their labels with them.
+    zeros.  labels (M, N), integers in [0, 2N), mark copies: particles
+    of one worker sharing a label are equal; other labels raise
+    ValueError.  None gives arange(N), each particle its own label; equal
+    points with different labels only cost a duplicate evaluation.
+    Whoever replaces the particles replaces their labels with them.
     """
 
     particles: np.ndarray
@@ -91,6 +91,10 @@ class ParticleSystem:
             self.log_z_cumulative = np.zeros(self.m_workers)
         if self.labels is None:
             self.labels = np.broadcast_to(np.arange(self.n_particles), self.particles.shape[:2])
+        labels = np.asarray(self.labels)
+        if (labels.shape != self.particles.shape[:2] or not np.issubdtype(labels.dtype, np.integer)
+                or ((labels < 0) | (labels >= 2 * self.n_particles)).any()):
+            raise ValueError(f"labels must be {self.particles.shape[:2]} integers in [0, {2 * self.n_particles})")
 
     @property
     def m_workers(self) -> int:
@@ -188,7 +192,9 @@ def jitter(system: ParticleSystem, kernel: JitterKernelSpec, u: np.ndarray, nois
     (worker, particle) order; returns how many particles moved, over all
     workers.  Particle j of a worker gets the fresh label N + j when it
     moves.  Raises ValueError when the noise has a different number of
-    rows."""
+    rows, or kernel.space a dimension other than the particles' d."""
+    if kernel.space.dim != system.particles.shape[2]:
+        raise ValueError(f"a {kernel.space.dim}-d kernel box for {system.particles.shape[2]}-d particles")
     moved = np.flatnonzero(u < kernel.epsilon)  # an unmoved particle is in the box already
     if len(noise) != moved.size:
         raise ValueError(f"{len(noise)} noise rows for {moved.size} moved particles")

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import psmco
 from psmco.cli import main
 from psmco.config import (
     ConfigError,
@@ -529,3 +534,24 @@ def test_gen_data_errors(tmp_path):
     assert run_cli("gen-data", "--profile", "nope", "--out", str(tmp_path / "x")) == 2
     missing_dir = tmp_path / "no" / "such" / "dir.csv"
     assert run_cli("gen-data", "--profile", "mixture-5.1", "--out", str(missing_dir)) == 4
+
+
+LOADS_SCIPY = """
+import sys
+import psmco.cli
+assert "scipy" not in sys.modules
+assert psmco.cli.main(["run", *sys.argv[1:]]) == 0
+print("scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("profile, loads", [("mixture-5.1", False), ("sigmoid-5.2", True)])
+def test_scipy_is_imported_only_for_the_sigmoid_problem(profile, loads, tmp_path):
+    """In a fresh interpreter, import psmco.cli and a mixture run never
+    load scipy; a sigmoid run does."""
+    env = dict(os.environ, PYTHONPATH=str(Path(psmco.__file__).resolve().parents[1]))
+    argv = ["--profile", profile, "--override", "n=200", "--override", "m_workers=2",
+            "--override", "n_particles=10", "--out", str(tmp_path)]
+    done = subprocess.run([sys.executable, "-c", LOADS_SCIPY, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == str(loads)

@@ -225,7 +225,10 @@ def test_one_row_per_point_keeps_the_bits_of_whole_populations(name, k, budget, 
     so does a W=1 call on one point alone, and log_potentials on
     labelled copies, with worker 0 collapsed, or a lone worker collapsed
     to one point."""
-    monkeypatch.setattr(problems, "STACK_BUDGET", budget)
+    # slabs of at least K // 8 columns: a budget of 1 would cut K = 131073
+    # into 1024 slabs of 128 per row, where about eight keep one row per chunk
+    per_pair = 8 if name == "mixture" else 1
+    monkeypatch.setattr(problems, "STACK_BUDGET", max(budget, per_pair * (k // 8)))
     n_data = max(k, 9000)
     spec = SigmoidProblemSpec(n=n_data) if name == "sigmoid" else MixtureProblemSpec(n=n_data)
     model = (make_sigmoid_problem if name == "sigmoid" else make_mixture_problem)(spec).model
@@ -296,6 +299,43 @@ def test_ragged_chunks_across_workers_keep_the_bits_of_per_worker_calls(name, pe
     seen = []
     problems._batch_kernel(lambda i, t, o: seen.append((len(i), o.tolist())) or t[:, 0], per_pair)(batch, pts, owner)
     assert seen == [(3, [0, 0, 0, 2]), (1, [0, 0, 0, 0]), (2, [0, 1, 1])]
+
+
+@pytest.mark.parametrize("n", [100_000, 131_073, 129, 7])
+@pytest.mark.parametrize("name, per_pair", [("sigmoid", 1), ("mixture", 8)])
+def test_sweeps_cut_into_column_slabs_keep_the_bits_of_one_row_sum(name, per_pair, n, monkeypatch):
+    """A full-cost sweep wider than STACK_BUDGET // per_pair columns is
+    cut into column slabs, at least 128 wide, added in numpy's pairwise
+    order: at budgets that cut K = n into a few slabs, into many, or
+    down to the 128-column floor, every row keeps the bits of one .sum()
+    over the whole row.  A numpy that changes its pairwise rule fails
+    here."""
+    spec = SigmoidProblemSpec(n=n) if name == "sigmoid" else MixtureProblemSpec(n=n)
+    model = (make_sigmoid_problem if name == "sigmoid" else make_mixture_problem)(spec).model
+    thetas = np.random.default_rng(n).normal(size=(3, 2)) * 3
+    monkeypatch.setattr(problems, "STACK_BUDGET", 3 * per_pair * n)
+    whole = model.total_cost_many(thetas)
+    for budget in (per_pair * (n // 3), per_pair * 1000, 1):
+        monkeypatch.setattr(problems, "STACK_BUDGET", budget)
+        assert model.total_cost_many(thetas).tobytes() == whole.tobytes()
+        width, seen = max(128, budget // per_pair), []
+        problems._batch_kernel(lambda i, t, o: seen.append(i.shape[1]) or t[:, 0], per_pair)(
+            np.arange(n)[None], thetas[:1], np.zeros(1, dtype=int))
+        assert sum(seen) == n and max(seen) <= width and (len(seen) > 1) == (n > width)
+
+
+def test_grid_minima_keep_their_bits_in_column_slabs(monkeypatch):
+    """find_grid_minima's sweeps give the same minima, bit for bit, with
+    every grid node in one call, in slabs of 375 columns, or in one row
+    per call in slabs at the 128-column floor."""
+    model = make_mixture_problem(MixtureProblemSpec(n=1000)).model
+    monkeypatch.setattr(problems, "STACK_BUDGET", 8 * 1000 * 30 * 30)
+    coords, values = find_grid_minima(model, [-8, -8], [8, 8], num_points=30)
+    assert len(values) >= 4
+    for budget in (8 * 375, 1):
+        monkeypatch.setattr(problems, "STACK_BUDGET", budget)
+        got = find_grid_minima(model, [-8, -8], [8, 8], num_points=30)
+        assert (got[0].tobytes(), got[1].tobytes()) == (coords.tobytes(), values.tobytes())
 
 
 @pytest.mark.parametrize("name", sorted(STOCK_PROBLEMS))

@@ -209,6 +209,16 @@ def test_jitter_clips_into_the_kernels_box():
     assert ps.particles.tolist() == [[[5.0, -7.0], [100.0, -0.5]]]
 
 
+def test_jitter_rejects_a_kernel_box_of_another_dimension():
+    """A 1-d kernel box would broadcast over both coordinates of 2-d
+    particles, clipping a move by (5, 5) to (1, 1)."""
+    k = JitterKernelSpec(space=box(-1, 1, d=1), proposal_std=1.0, n_particles=1, epsilon=1.0)
+    ps = ParticleSystem(np.zeros((1, 1, 2)), rngs=())
+    with pytest.raises(ValueError, match="1-d kernel box for 2-d particles"):
+        jitter(ps, k, np.array([[0.0]]), np.array([[5.0, 5.0]]))
+    assert ps.particles.tolist() == [[[0.0, 0.0]]]
+
+
 def test_step_leaves_caller_particles_unchanged():
     s = box(-1, 1)
     arr = np.random.default_rng(9).uniform(-1, 1, size=(3, 8, 2))
@@ -289,6 +299,17 @@ def test_labels_default_to_arange_and_given_labels_are_kept():
     _, given_w = weight_and_accumulate(given, model, np.array([[0, 1]] * 3))
     assert rows == [18, 9]
     assert plain_w.tobytes() == given_w.tobytes()
+
+
+@pytest.mark.parametrize("labels", [[[0, 5], [0, 1]], [[0, -1], [0, 1]], [[0.0, 1.0], [0.0, 1.0]],
+                                    [[0, 1]], [0, 1, 0, 1]])
+def test_system_rejects_labels_other_than_m_by_n_integers_below_2n(labels):
+    """Labels are (M, N) integers in [0, 2N).  With N=2, worker 0's label
+    5 would fall in worker 1's range and share its evaluation."""
+    pts = np.array([[[1.0], [1.0]], [[3.0], [3.0]]])
+    with pytest.raises(ValueError, match=r"labels must be \(2, 2\) integers in \[0, 4\)"):
+        ParticleSystem(pts, rngs=(), labels=np.array(labels))
+    ParticleSystem(pts, rngs=(), labels=np.array([[0, 3], [2, 1]]))
 
 
 def test_labels_never_merge_distinct_particles():
