@@ -28,7 +28,6 @@ from .parallel import (
 from .sampler import (
     JitterKernelSpec,
     ParticleSystem,
-    draw_block,
     init_particles,
     jitter,
     resample_multinomial,
@@ -52,7 +51,6 @@ __all__ = [
     "bandwidth_rule",
     "build_schedule",
     "clip_to_space",
-    "draw_block",
     "init_particles",
     "jitter",
     "kde_log_eval",

@@ -13,19 +13,19 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 
-def logsumexp_last(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) over the last axis via the max-shift trick.
+def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(a))) over one axis via the max-shift trick.
 
     Lean replacement for the general scipy routine on hot paths; inputs
     are log-values in [-inf, inf).  Rows that are all -inf map to -inf.
     """
     a = np.asarray(a, dtype=float)
-    m = np.max(a, axis=-1, keepdims=True)
+    m = np.max(a, axis=axis, keepdims=True)
     # freeze all--inf rows so the subtraction below cannot produce NaN;
     # those rows then reduce to 0 + log(0) = -inf, which is the answer
     safe = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
-        return safe[..., 0] + np.log(np.sum(np.exp(a - safe), axis=-1))
+        return np.squeeze(safe, axis) + np.log(np.sum(np.exp(a - safe), axis=axis))
 
 
 class EvaluationError(RuntimeError):

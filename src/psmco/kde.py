@@ -9,7 +9,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import label_groups, logsumexp_last
+from .core import label_groups, logsumexp
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def kde_log_eval(
         block = points[start:start + chunk]
         diff = block[:, None, :] - particles[None, :, :]
         sq = np.einsum("pnd,pnd->pn", diff, diff)
-        out[start:start + block.shape[0]] = logsumexp_last(-sq / (2.0 * h * h))
+        out[start:start + block.shape[0]] = logsumexp(-sq / (2.0 * h * h))
     return out + const
 
 

@@ -6,8 +6,9 @@ from the master seed, builds its own mini-batch schedule, and runs the
 same number of steps; a worker's trajectory therefore depends only on
 the seed and its index.  All workers advance together: their states are
 stacked into one ParticleSystem and each step is one sampler_step over
-the (M, K) batches of that step and the step's draws, which step_draws
-takes from the workers' streams a block of steps at a time (stream
+the (M, K) batches of that step and the step's draws.  step_draws is
+the one reader of the workers' streams after their schedules and
+initial particles: it takes them a block of steps at a time (stream
 format v3: each worker's uniforms, then noise for its moved particles).
 """
 
@@ -127,10 +128,6 @@ def run_psmco(
     seq = np.random.SeedSequence(config.seed)
     rngs = [np.random.default_rng(child) for child in seq.spawn(m_workers)]
 
-    init_point = None
-    if config.init_point is not None:
-        init_point = np.asarray(config.init_point, dtype=float)
-
     kernel = JitterKernelSpec(
         space=space,
         proposal_std=config.proposal_std,
@@ -143,7 +140,7 @@ def run_psmco(
     for m, rng in enumerate(rngs):  # row by row: one permutation held at a time
         schedule[m] = build_schedule(model.n, config.batch_size, rng)
     system = init_particles(
-        space, config.n_particles, rngs, init_point=init_point, init_std=config.init_std
+        space, config.n_particles, rngs, init_point=config.init_point, init_std=config.init_std
     )
 
     batch_size = config.batch_size

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import CostModel, SearchSpace, logsumexp_last, schedule_dtype
+from .core import CostModel, SearchSpace, logsumexp, schedule_dtype
 
 # Elements in one temporary of a ragged kernel call: rows go in chunks of
 # as many as fit, at least one, and a longer row in slabs of at least 128.
@@ -130,19 +130,16 @@ def make_mixture_problem(spec: MixtureProblemSpec) -> MixtureProblem:
     def component_eval(i: int, theta: np.ndarray) -> float:
         diff = np.asarray(theta, dtype=float)[None, :] - means[i]  # (4, 2)
         sq = np.einsum("kd,kd->k", diff, diff)
-        return float(-(logsumexp_last(-sq * inv_two_r) - log_norm) / spec.lam)
+        return float(-(logsumexp(-sq * inv_two_r) - log_norm) / spec.lam)
 
     def block_eval(indices: np.ndarray, thetas: np.ndarray, owner: np.ndarray) -> np.ndarray:
         # (d, 4, C, K) centers minus (d, 1, C, 1) points; every reduction
         # runs over a leading axis of (C, K) slabs
         diff = np.take(by_coord, np.take(indices, owner, axis=0), axis=2)
         diff -= thetas.T[:, None, :, None]
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore"):
             a = -(diff * diff).sum(axis=0) * inv_two_r  # (4, C, K)
-            m = a.max(axis=0)
-            safe = np.where(np.isfinite(m), m, 0.0)  # all -inf gives -inf, not NaN
-            inner = safe + np.log(np.exp(a - safe).sum(axis=0)) - log_norm
-        return inner.sum(axis=-1)
+        return (logsumexp(a, axis=0) - log_norm).sum(axis=-1)
 
     inner_sums = _batch_kernel(block_eval, k_parts * d)
     model = CostModel(

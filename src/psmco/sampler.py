@@ -4,11 +4,12 @@ A ParticleSystem holds M independent workers' populations in one
 (M, N, d) array.  One step processes one mini-batch per worker: every
 particle is jittered, weighted by its worker's batch potential, and each
 population is resampled from its own normalized weights.  Each phase is
-one array operation over all workers.  The random draws (stream format
-v3) are taken a block of steps at a time by draw_block, each worker from
-its own generator in two calls: its uniforms, then Gaussian noise for
-only the particles those uniforms move.  A worker's stream therefore
-never depends on the others, nor on its data or weights.
+one array operation over all workers.  After the schedules and initial
+particles, step_draws alone reads the streams (format v3): a block of
+steps at a time, each worker from its own generator in two calls, its
+uniforms, then Gaussian noise for only the particles those uniforms
+move.  A worker's stream therefore never depends on the others, nor on
+its data or weights.
 The per-step normalizer estimates are accumulated in the log domain so
 workers can later be ranked.  A single-worker experiment is M=1.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,7 +110,7 @@ def init_particles(
     space: SearchSpace,
     n_particles: int,
     rngs: Sequence[np.random.Generator],
-    init_point: Optional[np.ndarray] = None,
+    init_point: Optional[Sequence[float]] = None,
     init_std: float = 0.0,
 ) -> ParticleSystem:
     """Draw the initial populations, one per generator in rngs.
@@ -142,47 +143,39 @@ def init_particles(
 BLOCK_ELEMENTS = 2**11
 
 
-def draw_block(
-    system: ParticleSystem, kernel: JitterKernelSpec, steps: int
-) -> Tuple[np.ndarray, np.ndarray, List[int]]:
-    """Every worker's draws for the next b = min(B, steps) steps.
+def step_draws(system: ParticleSystem, kernel: JitterKernelSpec, steps: int):
+    """Yield the draws of each of the next `steps` steps, as sampler_step
+    takes them: the (M, N) jitter uniforms, the (moved, d) noise rows in
+    flat (worker, particle) order, and the (M, N) resampling uniforms.
 
-    Each worker makes two calls on its own stream: random((b, 2, N)),
+    The steps are drawn b = min(B, steps left) at a time.  For a block
+    each worker makes two calls on its own stream: random((b, 2, N)),
     step j's N jitter uniforms then its N resampling uniforms, and one
     normal(0, proposal_std, (moved, d)), a row for each (step, particle)
     whose jitter uniform is below epsilon, in step then particle order.
-    Returns the uniforms as a (b, 2, M, N) view, the noise rows in step
-    then flat (worker, particle) order, and the b + 1 row bounds that
-    give step j the rows bounds[j]:bounds[j + 1].
+    Raises ValueError unless the system has one generator per worker.
     """
     m_workers, n, d = system.particles.shape
-    b = min(max(1, BLOCK_ELEMENTS // (2 * n)), steps)
-    u = np.empty((m_workers, b, 2, n))
-    for rng, u_m in zip(system.rngs, u):
-        rng.random(out=u_m)
-    moved = np.count_nonzero(u[:, :, 0] < kernel.epsilon, axis=2)  # (M, b)
-    noise = np.concatenate([
-        rng.normal(0.0, kernel.proposal_std, size=(count, d))
-        for rng, count in zip(system.rngs, moved.sum(axis=1).tolist())
-    ])
-    # the rows come in runs, one run per (worker, step), worker by worker;
-    # each run moves from its worker-major start to its step-major one
-    runs = moved.T.ravel()
-    src = (np.cumsum(moved) - moved.ravel()).reshape(moved.shape).T.ravel()
-    dst = np.cumsum(runs) - runs
-    noise = np.take(noise, np.repeat(src - dst, runs) + np.arange(len(noise)), axis=0)
-    bounds = [0] + np.cumsum(moved.sum(axis=0)).tolist()
-    return u.transpose(1, 2, 0, 3), noise, bounds
-
-
-def step_draws(system: ParticleSystem, kernel: JitterKernelSpec, steps: int):
-    """Yield the draws of each of the next `steps` steps, as sampler_step
-    takes them, drawing a block at a time with draw_block."""
+    if len(system.rngs) != m_workers:
+        raise ValueError(f"{len(system.rngs)} generators for {m_workers} workers")
     while steps > 0:
-        u, noise, bounds = draw_block(system, kernel, steps)
-        steps -= len(u)
-        for (u_jitter, u_resample), lo, hi in zip(u, bounds, bounds[1:]):
-            yield u_jitter, noise[lo:hi], u_resample
+        b = min(max(1, BLOCK_ELEMENTS // (2 * n)), steps)
+        steps -= b
+        u = np.empty((m_workers, b, 2, n))
+        for rng, u_m in zip(system.rngs, u):
+            rng.random(out=u_m)
+        moved = np.count_nonzero(u[:, :, 0] < kernel.epsilon, axis=2)  # (M, b)
+        noise = np.concatenate([
+            rng.normal(0.0, kernel.proposal_std, size=(count, d))
+            for rng, count in zip(system.rngs, moved.sum(axis=1).tolist())
+        ])
+        # the rows come worker by worker; a stable sort by step number
+        # puts them step by step, in flat (worker, particle) order
+        step_of = np.repeat(np.tile(np.arange(b, dtype=np.int16), m_workers), moved.ravel())
+        noise = np.take(noise, np.argsort(step_of, kind="stable"), axis=0)
+        rows = np.split(noise, np.cumsum(moved.sum(axis=0))[:-1])
+        for j, rows_j in enumerate(rows):
+            yield u[:, j, 0], rows_j, u[:, j, 1]
 
 
 def jitter(system: ParticleSystem, kernel: JitterKernelSpec, u: np.ndarray, noise: np.ndarray) -> int:
@@ -192,9 +185,12 @@ def jitter(system: ParticleSystem, kernel: JitterKernelSpec, u: np.ndarray, nois
     (worker, particle) order; returns how many particles moved, over all
     workers.  Particle j of a worker gets the fresh label N + j when it
     moves.  Raises ValueError when the noise has a different number of
-    rows, or kernel.space a dimension other than the particles' d."""
+    rows, kernel.space a dimension other than the particles' d, or the
+    kernel another population size than the system's N."""
     if kernel.space.dim != system.particles.shape[2]:
         raise ValueError(f"a {kernel.space.dim}-d kernel box for {system.particles.shape[2]}-d particles")
+    if kernel.n_particles != system.n_particles:
+        raise ValueError(f"a kernel for {kernel.n_particles} particles applied to {system.n_particles}")
     moved = np.flatnonzero(u < kernel.epsilon)  # an unmoved particle is in the box already
     if len(noise) != moved.size:
         raise ValueError(f"{len(noise)} noise rows for {moved.size} moved particles")

@@ -13,7 +13,7 @@ from psmco.core import (
     clip_to_space,
     label_groups,
     log_potentials,
-    logsumexp_last,
+    logsumexp,
     normalize_log_weights,
 )
 from psmco.problems import SigmoidProblemSpec, make_sigmoid_problem
@@ -625,21 +625,23 @@ def test_normalize_rejects_nan_and_plus_inf():
 # the lean log-sum-exp helper, against the scipy oracle
 
 
-def test_logsumexp_last_matches_scipy():
+def test_logsumexp_matches_scipy():
     rng = np.random.default_rng(21)
     flat = rng.normal(scale=100.0, size=64)
     np.testing.assert_allclose(
-        logsumexp_last(flat), scipy_logsumexp(flat), rtol=1e-13
+        logsumexp(flat), scipy_logsumexp(flat), rtol=1e-13
     )
     grid = rng.normal(scale=10.0, size=(5, 7, 4))
-    np.testing.assert_allclose(
-        logsumexp_last(grid), scipy_logsumexp(grid, axis=-1), rtol=1e-13
-    )
+    for axis in (-1, 0, 1):
+        np.testing.assert_allclose(
+            logsumexp(grid, axis=axis), scipy_logsumexp(grid, axis=axis), rtol=1e-13
+        )
 
 
-def test_logsumexp_last_minus_inf_rows():
+def test_logsumexp_minus_inf_rows():
     a = np.array([[-np.inf, -np.inf], [0.0, -np.inf]])
-    out = logsumexp_last(a)
+    out = logsumexp(a)
     assert out[0] == -np.inf
     assert out[1] == pytest.approx(0.0, abs=1e-15)
-    assert logsumexp_last(np.array([-np.inf, -np.inf])) == -np.inf
+    assert logsumexp(a.T, axis=0).tolist() == out.tolist()
+    assert logsumexp(np.array([-np.inf, -np.inf])) == -np.inf

@@ -9,7 +9,7 @@ filled in, so its digest also moves when a key, a default or the JSON
 form of a value changes, even if no sampled value does.
 
 The digests pin stream format v3, the order in which each worker draws
-its randomness (see psmco.sampler.draw_block and the README); runs
+its randomness (see psmco.sampler.step_draws and the README); runs
 written under the earlier formats (v2's full noise blocks, or the
 per-step layout before it) differ for the same config.
 A digest may only change together with a CHANGES.md entry saying why.

@@ -9,7 +9,6 @@ from psmco.sampler import (
     BLOCK_ELEMENTS,
     JitterKernelSpec,
     ParticleSystem,
-    draw_block,
     init_particles,
     inverse_cdf,
     jitter,
@@ -217,6 +216,16 @@ def test_jitter_rejects_a_kernel_box_of_another_dimension():
     with pytest.raises(ValueError, match="1-d kernel box for 2-d particles"):
         jitter(ps, k, np.array([[0.0]]), np.array([[5.0, 5.0]]))
     assert ps.particles.tolist() == [[[0.0, 0.0]]]
+
+
+def test_jitter_rejects_a_kernel_for_another_population_size():
+    """A kernel for 9 particles has epsilon 1/3, above the cap 0.1 of 100
+    particles; applied to them it would move about a third."""
+    k = JitterKernelSpec(space=box(-1, 1), proposal_std=0.1, n_particles=9)
+    ps = ParticleSystem(np.zeros((1, 100, 2)), rngs=())
+    with pytest.raises(ValueError, match="kernel for 9 particles applied to 100"):
+        jitter(ps, k, np.zeros((1, 100)), np.zeros((100, 2)))
+    assert ps.particles.tolist() == np.zeros((1, 100, 2)).tolist()
 
 
 def test_step_leaves_caller_particles_unchanged():
@@ -568,18 +577,43 @@ def test_degenerate_worker_stays_disqualified():
 
 
 # ---------------------------------------------------------------------------
-# stream format v3: draw blocks
+# stream format v3: the blocks of step_draws
+
+
+class CountingGenerator:
+    """A generator that counts its calls and the normals it draws, and
+    records the length of each block of uniforms."""
+
+    def __init__(self, seed):
+        self.rng, self.calls, self.normals, self.blocks = np.random.default_rng(seed), 0, 0, []
+
+    def random(self, *args, **kwargs):
+        self.calls += 1
+        out = self.rng.random(*args, **kwargs)
+        self.blocks.append(len(out))
+        return out
+
+    def normal(self, loc, scale, size):
+        self.calls += 1
+        self.normals += math.prod(size)
+        return self.rng.normal(loc, scale, size)
+
+
+def first_block(n, d, m, steps):
+    """The length of the first block of `steps` steps, which every worker
+    draws alike; checks the shapes of the first step's draws."""
+    kernel = JitterKernelSpec(space=box(-1, 1, d=d), proposal_std=0.1, n_particles=n)
+    rngs = tuple(CountingGenerator(j) for j in range(m))
+    u, noise, u_resample = next(step_draws(ParticleSystem(np.zeros((m, n, d)), rngs), kernel, steps))
+    assert u.shape == u_resample.shape == (m, n)
+    assert noise.shape == (np.count_nonzero(u < kernel.epsilon), d)
+    (blocks,) = {tuple(g.blocks) for g in rngs}
+    return blocks[0]
 
 
 def block_length(n, d, m):
-    s = box(-1, 1, d=d)
-    kernel = JitterKernelSpec(space=s, proposal_std=0.1, n_particles=n)
-    ps = init_particles(s, n, [np.random.default_rng(j) for j in range(m)])
-    u, noise, bounds = draw_block(ps, kernel, 10**6)
-    b = u.shape[0]
-    assert u.shape == (b, 2, m, n)
-    assert noise.shape == (bounds[-1], d) and len(bounds) == b + 1
-    assert draw_block(ps, kernel, 2)[0].shape == (min(b, 2), 2, m, n)
+    b = first_block(n, d, m, 10**6)
+    assert first_block(n, d, m, 2) == min(b, 2)
     return b
 
 
@@ -593,11 +627,11 @@ def test_block_length_depends_on_particle_count_only():
     assert [block_length(n, 2, 1) for n in (50, 40, 400)] == [20, 25, 2]
 
 
-def test_block_is_each_workers_two_calls_replayed():
-    """Worker m's uniforms are one random((b, 2, N)) call and its noise one
-    normal(0, proposal_std, (moved, d)) call, rows in step then particle
-    order; draw_block lays the rows out step by step, in flat (worker,
-    particle) order within a step."""
+def test_step_draws_are_each_workers_two_calls_per_block_replayed():
+    """Per block, worker m's uniforms are one random((b, 2, N)) call and
+    its noise one normal(0, proposal_std, (moved, d)) call, rows in step
+    then particle order; step_draws hands each step its rows in flat
+    (worker, particle) order.  70 steps of B = 34 end in a partial block."""
     s = box(-1, 1, d=3)
     n, m = 30, 3
     kernel = JitterKernelSpec(space=s, proposal_std=0.7, n_particles=n)
@@ -605,35 +639,21 @@ def test_block_is_each_workers_two_calls_replayed():
     replays = [np.random.default_rng(j) for j in range(m)]
     for rng in replays:
         rng.random((n, 3))  # the initial particles
-    for left in (70, 36, 2):  # blocks of 34, 34 and 2 steps
-        u, noise, bounds = draw_block(ps, kernel, left)
-        steps = [noise[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    draws = step_draws(ps, kernel, 70)
+    for b in (34, 34, 2):
+        block = [next(draws) for _ in range(b)]
         for w, rng in enumerate(replays):
-            want_u = rng.random((len(u), 2, n))
+            want_u = rng.random((b, 2, n))
             moves = want_u[:, 0] < kernel.epsilon
             want_noise = rng.normal(0.0, kernel.proposal_std, size=(int(moves.sum()), 3))
-            assert u[:, :, w].tobytes() == want_u.tobytes()
+            got_u = np.stack([(u[w], u_resample[w]) for u, _, u_resample in block])
+            assert got_u.tobytes() == want_u.tobytes()
             # step j's rows of worker w: the moved flat rows w*N .. (w+1)*N - 1
-            mine = [z[np.flatnonzero(uj < kernel.epsilon) // n == w] for uj, z in zip(u[:, 0], steps)]
+            mine = [z[np.flatnonzero(u < kernel.epsilon) // n == w] for u, z, _ in block]
             assert np.concatenate(mine).tobytes() == want_noise.tobytes()
         for rng, replay in zip(ps.rngs, replays):
             assert rng.bit_generator.state == replay.bit_generator.state
-
-
-class CountingGenerator:
-    """A generator that counts its calls and the normals it draws."""
-
-    def __init__(self, seed):
-        self.rng, self.calls, self.normals = np.random.default_rng(seed), 0, 0
-
-    def random(self, *args, **kwargs):
-        self.calls += 1
-        return self.rng.random(*args, **kwargs)
-
-    def normal(self, loc, scale, size):
-        self.calls += 1
-        self.normals += math.prod(size)
-        return self.rng.normal(loc, scale, size)
+    assert next(draws, None) is None
 
 
 def test_each_worker_makes_two_calls_per_block_and_draws_only_moved_noise():
@@ -644,26 +664,17 @@ def test_each_worker_makes_two_calls_per_block_and_draws_only_moved_noise():
     ps = ParticleSystem(np.zeros((m, n, 2)), rngs=tuple(rngs))
     moved = sum(jitter(ps, kernel, u, z) for u, z, _ in step_draws(ps, kernel, steps))
     assert [g.calls for g in rngs] == [2 * 3] * m
+    assert [g.blocks for g in rngs] == [[10, 10, 5]] * m
     assert sum(g.normals for g in rngs) == 2 * moved
     # the cap epsilon = 1/sqrt(N) moves about sqrt(N) particles a step
     assert 0 < moved < 2 * m * steps * math.sqrt(n)
 
 
-def test_step_draws_cover_the_steps_block_by_block():
-    # 25 steps of B = 10: blocks of 10, 10 and 5, read in step order
-    s = box(-1, 1)
-    kernel = JitterKernelSpec(space=s, proposal_std=0.1, n_particles=100)
-    ps = init_particles(s, 100, [np.random.default_rng(j) for j in range(2)])
-    direct = init_particles(s, 100, [np.random.default_rng(j) for j in range(2)])
-    got = list(step_draws(ps, kernel, 25))
-    assert len(got) == 25
-    blocks = [draw_block(direct, kernel, left) for left in (25, 15, 5)]
-    assert [len(u) for u, _, _ in blocks] == [10, 10, 5]
-    want = [
-        (u[j, 0], noise[bounds[j]:bounds[j + 1]], u[j, 1])
-        for u, noise, bounds in blocks for j in range(len(u))
-    ]
-    for g, w in zip(got, want):
-        assert len(g[1]) == int((g[0] < kernel.epsilon).sum())
-        for a, b in zip(g, w):
-            assert a.tobytes() == b.tobytes()
+@pytest.mark.parametrize("count", [2, 4])
+def test_step_draws_need_one_generator_per_worker(count):
+    """Two generators for three workers would leave a row of uniforms
+    unfilled; a fourth would go unread."""
+    kernel = JitterKernelSpec(space=box(-1, 1), proposal_std=0.1, n_particles=5)
+    ps = ParticleSystem(np.zeros((3, 5, 2)), rngs=tuple(np.random.default_rng(j) for j in range(count)))
+    with pytest.raises(ValueError, match=f"{count} generators for 3 workers"):
+        next(step_draws(ps, kernel, 1))
