@@ -16,9 +16,8 @@ from .core import (
     log_potentials,
     normalize_log_weights,
 )
-from .kde import KernelDensitySpec, bandwidth_rule, kde_log_eval, map_estimate
+from .kde import bandwidth_rule, kde_log_eval, map_estimate
 from .parallel import (
-    NoViableWorkerError,
     OptimizerConfig,
     RunFailureError,
     RunRecord,
@@ -41,8 +40,6 @@ __all__ = [
     "CostModel",
     "EvaluationError",
     "JitterKernelSpec",
-    "KernelDensitySpec",
-    "NoViableWorkerError",
     "OptimizerConfig",
     "ParticleSystem",
     "RunFailureError",

@@ -36,10 +36,8 @@ from .problems import PSGDRecord, run_psgd_baseline
 
 
 def _fmt(x) -> str:
-    """Deterministic scalar formatting: shortest round-trip repr."""
-    if isinstance(x, (np.floating, float)):
-        return repr(float(x))
-    return str(x)
+    """Deterministic float formatting: shortest round-trip repr."""
+    return repr(float(x))
 
 
 # ---------------------------------------------------------------------------
@@ -50,21 +48,19 @@ def _theta_columns(dim: int) -> List[str]:
     return [f"theta_{j}" for j in range(dim)]
 
 
-def psmco_trace_lines(record: RunRecord) -> Iterator[str]:
-    m = record.config.m_workers
+def psmco_trace_lines(problem_name: str, record: RunRecord) -> Iterator[str]:
     header = ["problem", "t", "m_star", "f_value"] + _theta_columns(record.rows[-1].theta.size)
-    header += [f"log_z_{j}" for j in range(m)]
+    header += [f"log_z_{j}" for j in range(record.log_z.shape[1])]
     yield ",".join(header)
     for row in record.rows:
-        cells = [record.problem, str(row.iteration), str(row.worker), _fmt(row.f_value)]
+        cells = [problem_name, str(row.iteration), str(row.worker), _fmt(row.f_value)]
         cells += [_fmt(v) for v in row.theta]
         cells += map(repr, row.log_z.tolist())
         yield ",".join(cells)
 
 
 def particles_lines(record: RunRecord) -> Iterator[str]:
-    """One row per final particle of every worker; needs a record that
-    kept its final particles."""
+    """One row per final particle of every worker."""
     dim = record.final_particles.shape[2]
     yield ",".join(["worker", "particle"] + _theta_columns(dim))
     for w, worker in enumerate(record.final_particles):
@@ -97,18 +93,18 @@ def run_and_persist(config: RunConfig, out_dir: str) -> None:
     particles = wall = None
     if config.algorithm == "psmco":
         final, record = run_psmco(problem.model, problem.space, to_optimizer_config(config))
-        trace = psmco_trace_lines(record)
+        trace = psmco_trace_lines(config.problem, record)
         iterations, f_final, theta = final.iteration, final.f_value, final.theta
         before = [("best_worker", final.worker)]
         after = [("log_z_final", _fmt(final.log_z[final.worker]))]
-        if record.final_particles is not None:
+        if config.keep_final_particles:
             particles = particles_lines(record)
         wall = record.wall_time
     else:
         record = run_psgd_baseline(problem, to_psgd_config(config))
         trace = psgd_trace_lines(config.problem, record)
         best = int(np.argmin(record.f_final))
-        iterations, f_final, theta = record.config.iterations, record.f_final[best], record.thetas[best]
+        iterations, f_final, theta = len(record.f_best) - 1, record.f_final[best], record.thetas[best]
         before = after = []
     pairs = [
         ("problem", config.problem),

@@ -291,7 +291,6 @@ def to_optimizer_config(config: RunConfig) -> OptimizerConfig:
         estimate_every=config.estimate_every,
         init_point=config.init_point,
         init_std=_std("init_var", config.init_var),
-        keep_final_particles=config.keep_final_particles,
     )
 
 

@@ -93,14 +93,12 @@ class CostModel:
     n = 2**31.  Evaluations must be deterministic and a point's bits
     must not depend on a call's other points, nor on whether it is
     alone: the sampler evaluates each group of copies once, in one row.
-    The stock kernels in problems meet this layout contract.  name
-    labels a run's trace rows.
+    The stock kernels in problems meet this layout contract.
     """
 
     n: int
     component_eval: Callable[[int, np.ndarray], float]
     batch_eval: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
-    name: str = "cost"
 
     def __post_init__(self):
         if self.n < 1:
@@ -180,8 +178,8 @@ def label_groups(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray
 def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray, groups=None) -> np.ndarray:
     """log G = -(batch sum), never exponentiated, stacked over workers:
     batch (W, K) and thetas (W, N, d) give (W, N), row w holding worker
-    w's batch potentials at its particles; batch (K,) and thetas (P, d)
-    give (P,); a batch count other than W raises ValueError.  Each group
+    w's batch potentials at its particles; a batch that is not 2-d, or a
+    batch count other than W, raises ValueError.  Each group
     of groups, label_groups' last two results (None: every particle), is
     evaluated once, in one sums call on a point per group owned by its
     worker; the layout contract of CostModel gives every copy the bits of
@@ -190,8 +188,8 @@ def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray, grou
     """
     batch = np.asarray(batch)
     thetas = np.asarray(thetas, dtype=float)
-    if batch.ndim == 1:
-        return log_potentials(model, batch[None], thetas[None], groups)[0]
+    if batch.ndim != 2:
+        raise ValueError(f"batch must be (W, K), got shape {batch.shape}")
     w_count, n, d = thetas.shape
     if len(batch) != w_count:
         raise ValueError(f"{len(batch)} batches for {w_count} workers")

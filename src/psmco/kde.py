@@ -4,26 +4,11 @@ particle-restricted mode search used to read off a point estimate."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .core import label_groups, logsumexp
-
-
-@dataclass(frozen=True)
-class KernelDensitySpec:
-    """Gaussian product kernel with a single scalar bandwidth."""
-
-    dim: int
-    bandwidth: float
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be at least 1")
-        if not (self.bandwidth > 0.0 and math.isfinite(self.bandwidth)):
-            raise ValueError("bandwidth must be positive and finite")
 
 
 def bandwidth_rule(n_particles: int, dim: int) -> float:
@@ -45,20 +30,22 @@ def bandwidth_rule(n_particles: int, dim: int) -> float:
     return 1.0 / k
 
 
-def kde_log_eval(
-    spec: KernelDensitySpec, particles: np.ndarray, points: np.ndarray
-) -> np.ndarray:
+def kde_log_eval(particles: np.ndarray, points: np.ndarray, bandwidth: float) -> np.ndarray:
     """Log-density of the particle KDE at each query row, shape (P,).
 
     density(x) = (1/N) sum_i h^-d k((x - x_i)/h) with k the standard
-    Gaussian; the sum over particles runs through logsumexp.
+    Gaussian and h the bandwidth; the sum over particles runs through
+    logsumexp.  Raises ValueError unless h is positive and finite and
+    the points have the particles' d.
     """
     particles = np.asarray(particles, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = particles.shape
-    if d != spec.dim or points.shape[1] != spec.dim:
-        raise ValueError("dimension mismatch")
-    h = spec.bandwidth
+    if points.shape[1] != d:
+        raise ValueError(f"points of dimension {points.shape[1]} for particles of dimension {d}")
+    h = float(bandwidth)
+    if not (h > 0.0 and math.isfinite(h)):
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")
     const = -math.log(n) - d * math.log(h) - 0.5 * d * math.log(2.0 * math.pi)
     out = np.empty(points.shape[0])
     # chunk the P x N distance matrix to bound memory
@@ -72,10 +59,10 @@ def kde_log_eval(
 
 
 def map_estimate(
-    spec: KernelDensitySpec, particles: np.ndarray, labels: Optional[np.ndarray] = None
+    particles: np.ndarray, bandwidth: float, labels: Optional[np.ndarray] = None
 ) -> Tuple[int, np.ndarray]:
-    """(index, particle) of the highest KDE value; ties go to the lowest
-    index.
+    """(index, particle) of the highest value of the particles' KDE at
+    the given bandwidth; ties go to the lowest index.
 
     Searches only over the particles themselves, not the continuous
     space.  labels, a worker's row of ParticleSystem.labels, mark copies:
@@ -89,6 +76,6 @@ def map_estimate(
     if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer) or ((labels < 0) | (labels >= 2 * n)).any():
         raise ValueError(f"labels must be {n} integers in [0, {2 * n})")
     _, slots, rows = label_groups(labels[None])
-    logs = kde_log_eval(spec, particles, particles[rows])[slots[0]]
+    logs = kde_log_eval(particles, particles[rows], bandwidth)[slots[0]]
     best = int(np.argmax(logs))
     return best, particles[best].copy()

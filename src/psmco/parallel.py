@@ -22,12 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import CostModel, SearchSpace, build_schedule, schedule_dtype
-from .kde import KernelDensitySpec, bandwidth_rule, map_estimate
+from .kde import bandwidth_rule, map_estimate
 from .sampler import JitterKernelSpec, init_particles, jitter_epsilon, sampler_step, step_draws
-
-
-class NoViableWorkerError(RuntimeError):
-    """Every worker's accumulated normalizer is -inf; none can be ranked."""
 
 
 class RunFailureError(RuntimeError):
@@ -59,7 +55,6 @@ class OptimizerConfig:
     estimate_every: Optional[int] = None
     init_point: Optional[Tuple[float, ...]] = None
     init_std: float = 0.0
-    keep_final_particles: bool = False
 
     def __post_init__(self):
         if self.m_workers < 1:
@@ -86,25 +81,25 @@ class EstimateRow:
 
 @dataclass
 class RunRecord:
-    problem: str
-    config: OptimizerConfig
     rows: List[EstimateRow]
     log_z: np.ndarray  # (E, M) cumulative log Z at each of the E emissions
     log_z_by_step: np.ndarray  # (T, M) per-step normalizer estimates
+    final_particles: np.ndarray  # (M, N, d) after the last step
     wall_time: float
-    final_particles: Optional[np.ndarray] = None  # (M, N, d) when kept
 
 
 def select_best_worker(log_z: Sequence[float]) -> int:
     """Index of the highest accumulated normalizer; ties pick the lowest
-    index.  All -inf raises NoViableWorkerError; NaN is rejected."""
+    index.  Raises ValueError on an empty input, a NaN, or all -inf
+    (run_psmco stops with RunFailureError before an emission can see
+    that)."""
     arr = np.asarray(log_z, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("need a non-empty 1-d array of values")
     if np.isnan(arr).any():
         raise ValueError("NaN normalizer value")
     if (arr == -np.inf).all():
-        raise NoViableWorkerError("all workers have log Z = -inf")
+        raise ValueError("all workers have log Z = -inf")
     return int(np.argmax(arr))
 
 
@@ -149,16 +144,14 @@ def run_psmco(
     log_z_by_step = np.empty((total_steps, m_workers))
     log_z_emitted = np.empty((-(-total_steps // stride), m_workers))
     rows: List[EstimateRow] = []
-    kde_spec = KernelDensitySpec(
-        dim=space.dim, bandwidth=bandwidth_rule(config.n_particles, space.dim)
-    )
+    bandwidth = bandwidth_rule(config.n_particles, space.dim)
     costs = {}  # theta bytes -> full cost; emissions repeat thetas often
 
     def emit(iteration: int) -> None:
         cumulative = log_z_emitted[len(rows)]
         cumulative[:] = system.log_z_cumulative
         winner = select_best_worker(cumulative)
-        _, theta = map_estimate(kde_spec, system.particles[winner], system.labels[winner])
+        _, theta = map_estimate(system.particles[winner], bandwidth, system.labels[winner])
         key = theta.tobytes()
         if key not in costs:
             costs[key] = model.total_cost(theta)
@@ -181,14 +174,11 @@ def run_psmco(
         if (t + 1) % stride == 0 or t + 1 == total_steps:
             emit(t + 1)
 
-    final_particles = system.particles if config.keep_final_particles else None
     record = RunRecord(
-        problem=model.name,
-        config=config,
         rows=rows,
         log_z=log_z_emitted,
         log_z_by_step=log_z_by_step,
+        final_particles=system.particles,
         wall_time=time.perf_counter() - start,
-        final_particles=final_particles,
     )
     return rows[-1], record

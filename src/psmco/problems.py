@@ -146,7 +146,6 @@ def make_mixture_problem(spec: MixtureProblemSpec) -> MixtureProblem:
         n=spec.n,
         component_eval=component_eval,
         batch_eval=lambda indices, thetas, owner: -inner_sums(indices, thetas, owner) / spec.lam,
-        name="mixture",
     )
     space = SearchSpace(
         lower=np.full(d, -spec.half_width), upper=np.full(d, spec.half_width)
@@ -270,7 +269,6 @@ def make_sigmoid_problem(spec: SigmoidProblemSpec) -> SigmoidProblem:
         n=spec.n,
         component_eval=component_eval,
         batch_eval=_batch_kernel(block_eval, 1),
-        name="sigmoid",
     )
     space = SearchSpace(
         lower=np.full(2, -spec.half_width), upper=np.full(2, spec.half_width)
@@ -317,7 +315,6 @@ class PSGDConfig:
 
 @dataclass
 class PSGDRecord:
-    config: PSGDConfig
     f_best: np.ndarray        # (iterations + 1,), entry t is min over chains after t updates
     thetas: np.ndarray        # (n_chains, 2) final chain positions
     f_final: np.ndarray       # (n_chains,) final full costs
@@ -353,7 +350,6 @@ def run_psgd_baseline(problem: SigmoidProblem, config: PSGDConfig) -> PSGDRecord
         f_best[t] = problem.model.total_cost_many(thetas).min()
 
     return PSGDRecord(
-        config=config,
         f_best=f_best,
         thetas=thetas,
         f_final=problem.model.total_cost_many(thetas),

@@ -231,17 +231,23 @@ def inverse_cdf(log_w: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     u lands in the first slot whose cumulative weight reaches it, so a u
     exactly on a boundary selects the lower index.  Every u must lie on
-    Generator.random's grid, k * 2**-53 with 0 <= k < 2**53; anything
-    else raises ValueError.
+    Generator.random's grid, k * 2**-53 with 0 <= k < 2**53, and each
+    row's weights must sum to 1 within 1e-9 or be all zero (a degenerate
+    row, whose indices the caller discards); anything else raises
+    ValueError.
     """
     scaled = u * 2.0**53
     k = scaled.astype(np.int64)
     if (k != scaled).any() or (k >> 53).any():
         raise ValueError("uniforms must be multiples of 2**-53 in [0, 1)")
+    cum = np.cumsum(np.exp(log_w), axis=-1)
+    total = cum[:, -1]
+    if (~(np.abs(total - 1.0) <= 1e-9) & (total != 0.0)).any():
+        raise ValueError("log-weights must be normalized: each row's weights must sum to 1")
     # u <= c exactly when k <= floor(c * 2**53), so the search runs on
     # exact int64 keys; a slot before the last may round above 1, and
     # clipping keeps it out of the next row's key range.
-    cum = np.minimum(np.cumsum(np.exp(log_w), axis=-1), 1.0)
+    np.minimum(cum, 1.0, out=cum)
     cum[:, -1] = 1.0  # guard against round-off shortfall at the top
     (m, n), width = cum.shape, u.shape[1]
     # One search per chunk of 1023 rows: the r-th row of a chunk has its

@@ -24,7 +24,7 @@ from psmco.core import (
     build_schedule,
     clip_to_space,
 )
-from psmco.kde import KernelDensitySpec, bandwidth_rule, map_estimate
+from psmco.kde import bandwidth_rule, map_estimate
 from psmco.parallel import OptimizerConfig, RunFailureError, select_best_worker
 from psmco.sampler import JitterKernelSpec
 
@@ -157,7 +157,7 @@ def run(model: CostModel, space: SearchSpace, config: OptimizerConfig):
         systems.append(init_particles(space, config.n_particles, rng, config.init_point, config.init_std))
     total = len(schedules[0])
     stride = config.estimate_every or total
-    kde = KernelDensitySpec(dim=space.dim, bandwidth=bandwidth_rule(config.n_particles, space.dim))
+    bandwidth = bandwidth_rule(config.n_particles, space.dim)
     log_z_by_step = np.empty((total, config.m_workers))
     rows = []
     for t in range(total):
@@ -168,6 +168,6 @@ def run(model: CostModel, space: SearchSpace, config: OptimizerConfig):
         if (t + 1) % stride == 0 or t + 1 == total:
             cumulative = tuple(s.log_z_cumulative for s in systems)
             winner = select_best_worker(cumulative)
-            _, theta = map_estimate(kde, systems[winner].particles)
+            _, theta = map_estimate(systems[winner].particles, bandwidth)
             rows.append((t + 1, winner, cumulative, theta, model.total_cost(theta)))
     return log_z_by_step, np.stack([s.particles for s in systems]), rows

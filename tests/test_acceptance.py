@@ -172,7 +172,7 @@ def test_criterion_4_schedule_potentials_tile_cost(capsys):
         schedule = build_schedule(problem.model.n, 1, rng)
         acc = np.zeros(len(points))
         for batch in schedule[:, None]:  # K=1: one index per batch
-            acc += log_potentials(problem.model, batch, points)
+            acc += log_potentials(problem.model, batch[None], points[None])[0]
         worst = max(worst, float(np.max(np.abs(acc - want) / np.abs(want))))
 
     passed = worst <= 1e-9

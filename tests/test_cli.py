@@ -248,7 +248,8 @@ def test_run_writes_particles_when_kept(tmp_path):
 
 
 def test_trace_and_particles_headers_follow_dimension():
-    """A 3-d library run: one theta_j column per coordinate in both files."""
+    """A 3-d library run: one theta_j column per coordinate in both files,
+    and every trace row's problem cell is the name passed in."""
     from psmco.cli import particles_lines, psmco_trace_lines
     from psmco.core import CostModel, SearchSpace
     from psmco.parallel import OptimizerConfig, run_psmco
@@ -256,13 +257,14 @@ def test_trace_and_particles_headers_follow_dimension():
     space = SearchSpace(np.full(3, -2.0), np.full(3, 2.0))
     model = CostModel(n=6, component_eval=lambda i, th: float(th @ th))
     cfg = OptimizerConfig(m_workers=2, n_particles=5, batch_size=2, proposal_std=0.3,
-                          estimate_every=1, keep_final_particles=True)
+                          estimate_every=1)
     _, record = run_psmco(model, space, cfg)
     thetas = ["theta_0", "theta_1", "theta_2"]
-    trace = [ln.split(",") for ln in psmco_trace_lines(record)]
+    trace = [ln.split(",") for ln in psmco_trace_lines("bowl", record)]
     assert trace[0] == ["problem", "t", "m_star", "f_value", *thetas, "log_z_0", "log_z_1"]
     assert len(trace) == 1 + 3
     assert all(len(row) == len(trace[0]) for row in trace[1:])
+    assert [row[0] for row in trace[1:]] == ["bowl"] * 3
     particles = [ln.split(",") for ln in particles_lines(record)]
     assert particles[0] == ["worker", "particle", *thetas]
     assert len(particles) == 1 + 2 * 5

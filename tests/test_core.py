@@ -133,7 +133,7 @@ def constant_model(n, value):
 
 def log_g(model, batch, theta):
     """log G of one batch at one point, through log_potentials."""
-    return log_potentials(model, np.asarray(batch), np.asarray(theta, dtype=float)[None])[0]
+    return log_potentials(model, np.asarray(batch)[None], np.asarray(theta, dtype=float)[None, None])[0, 0]
 
 
 def test_log_potential_zero_cost():
@@ -194,7 +194,7 @@ def test_log_potentials_nonfinite_rescan_attributes_component():
 
     model = CostModel(n=4, component_eval=bad, batch_eval=bad_batch)
     with pytest.raises(EvaluationError) as exc:
-        log_potentials(model, np.array([1, 2]), np.zeros((3, 2)))
+        log_potentials(model, np.array([[1, 2]]), np.zeros((1, 3, 2)))
     assert exc.value.index == 2
 
 
@@ -230,7 +230,15 @@ def test_log_potentials_reject_a_batch_count_other_than_the_workers():
         with pytest.raises(ValueError, match=f"{rows} batches for 2 workers"):
             log_potentials(model, np.arange(rows * 2).reshape(rows, 2), thetas)
     assert log_potentials(model, np.arange(4).reshape(2, 2), thetas).shape == (2, 3)
-    assert log_potentials(model, np.arange(2), thetas[0]).shape == (3,)  # one batch, (P, d) points
+
+
+def test_log_potentials_take_only_one_batch_per_worker():
+    """A 1-d batch (K,) raises, with (P, d) points or with (W, N, d)
+    particles even when K equals W: there is no one-batch form."""
+    model = CostModel(n=6, component_eval=lambda i, th: float(th @ th))
+    for thetas in (np.zeros((3, 2)), np.zeros((2, 3, 2))):
+        with pytest.raises(ValueError, match=r"batch must be \(W, K\)"):
+            log_potentials(model, np.arange(2), thetas)
 
 
 def test_log_potentials_attribute_a_duplicated_bad_point_in_particle_order():
@@ -256,7 +264,7 @@ def test_log_potentials_overflowing_sum_of_finite_components():
         component_eval=lambda i, th: 1e308,
         batch_eval=lambda idx, th, owner: np.full(th.shape[0], np.inf),
     )
-    out = log_potentials(model, np.array([0, 1]), np.zeros((2, 1)))
+    out = log_potentials(model, np.array([[0, 1]]), np.zeros((1, 2, 1)))
     assert (out == -np.inf).all()
     components_only = CostModel(n=2, component_eval=model.component_eval)
     assert log_g(components_only, [0, 1], np.zeros(1)) == -np.inf
@@ -275,7 +283,7 @@ def test_log_potentials_matches_scalar_loop():
 
     model = CostModel(n=30, component_eval=comp, batch_eval=batch)
     thetas = rng.normal(size=(8, 3))
-    got = log_potentials(model, np.arange(0, 30, 2), thetas)
+    got = log_potentials(model, np.arange(0, 30, 2)[None], thetas[None])[0]
     want = np.array([-sum(comp(i, t) for i in range(0, 30, 2)) for t in thetas])
     np.testing.assert_allclose(got, want, rtol=1e-12)
 

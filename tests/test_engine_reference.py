@@ -50,7 +50,7 @@ def test_stock_problems_match_reference_at_any_block_size(name, m_workers, monke
     problem = STOCK[name]()
     config = OptimizerConfig(
         m_workers=m_workers, n_particles=12, batch_size=5, proposal_std=0.5, seed=4,
-        estimate_every=2, keep_final_particles=True,
+        estimate_every=2,
     )
     default = assert_matches_reference(problem.model, problem.space, config)
     monkeypatch.setattr(problems, "STACK_BUDGET", 1)
@@ -66,7 +66,7 @@ def test_draw_blocks_match_reference():
     problem = STOCK["mixture"]()
     config = OptimizerConfig(
         m_workers=3, n_particles=100, batch_size=1, proposal_std=0.5, seed=7,
-        estimate_every=5, keep_final_particles=True,
+        estimate_every=5,
     )
     record = assert_matches_reference(problem.model, problem.space, config)
     assert record.log_z_by_step.shape == (23, 3)
@@ -113,7 +113,7 @@ def test_degenerate_worker_matches_reference(form):
     space = SearchSpace(np.array([-1.0]), np.array([1.0]))
     config = OptimizerConfig(
         m_workers=3, n_particles=8, batch_size=4, proposal_std=0.3, seed=3,
-        estimate_every=1, keep_final_particles=True,
+        estimate_every=1,
     )
     record = assert_matches_reference(MODELS[form], space, config)
     dead = (record.log_z_by_step == -np.inf).tolist()

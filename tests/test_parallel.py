@@ -7,7 +7,6 @@ import pytest
 
 from psmco.core import CostModel, SearchSpace, build_schedule, log_potentials, schedule_dtype
 from psmco.parallel import (
-    NoViableWorkerError,
     OptimizerConfig,
     RunFailureError,
     run_psmco,
@@ -45,7 +44,7 @@ def test_select_examples():
 
 
 def test_select_all_minus_inf():
-    with pytest.raises(NoViableWorkerError):
+    with pytest.raises(ValueError, match="-inf"):
         select_best_worker([-np.inf, -np.inf])
 
 
@@ -120,7 +119,7 @@ def test_constant_cost_ties_select_first_worker():
 
 def test_single_worker_reduces_to_plain_sampler():
     """M=1 must equal one hand-driven sampler sharing the rng stream."""
-    from psmco.kde import KernelDensitySpec, bandwidth_rule, map_estimate
+    from psmco.kde import bandwidth_rule, map_estimate
     from psmco.sampler import JitterKernelSpec, init_particles, sampler_step, step_draws
 
     prob = small_mixture(n=24)
@@ -136,19 +135,21 @@ def test_single_worker_reduces_to_plain_sampler():
     kernel = JitterKernelSpec(space=prob.space, proposal_std=0.5, n_particles=20)
     for batch, draws in zip(sched, step_draws(system, kernel, len(sched))):
         sampler_step(system, prob.model, batch[None], kernel, draws)
-    spec = KernelDensitySpec(dim=2, bandwidth=bandwidth_rule(20, 2))
-    _, theta = map_estimate(spec, system.particles[0])
+    _, theta = map_estimate(system.particles[0], bandwidth_rule(20, 2))
 
     np.testing.assert_array_equal(final.theta, theta)
     assert final.log_z.tolist() == system.log_z_cumulative.tolist()
     assert final.worker == 0
+    # the record keeps the final particles with no option asked for
+    assert rec.final_particles.shape == (1, 20, 2)
+    assert rec.final_particles.tobytes() == system.particles.tobytes()
 
 
 def test_run_deterministic_across_repeats():
     prob = small_mixture(n=36)
     outs = []
     for _ in range(3):
-        cfg = small_config(batch_size=3, estimate_every=2, keep_final_particles=True)
+        cfg = small_config(batch_size=3, estimate_every=2)
         _, rec = run_psmco(prob.model, prob.space, cfg)
         outs.append(rec)
     for other in outs[1:]:
@@ -167,10 +168,8 @@ def test_worker_trajectory_independent_of_worker_count():
     spawn, whatever M is, so the first workers of a larger run repeat a
     smaller run exactly."""
     prob = small_mixture(n=30)
-    cfg_small = small_config(m_workers=3, batch_size=5, estimate_every=1,
-                             keep_final_particles=True)
-    cfg_big = small_config(m_workers=5, batch_size=5, estimate_every=1,
-                           keep_final_particles=True)
+    cfg_small = small_config(m_workers=3, batch_size=5, estimate_every=1)
+    cfg_big = small_config(m_workers=5, batch_size=5, estimate_every=1)
     _, small = run_psmco(prob.model, prob.space, cfg_small)
     _, big = run_psmco(prob.model, prob.space, cfg_big)
     np.testing.assert_array_equal(big.log_z_by_step[:, :3], small.log_z_by_step)
@@ -185,7 +184,7 @@ def test_worker_trajectory_independent_of_worker_count_across_draw_blocks():
     prob = small_mixture(n=30)
     small, big = (
         run_psmco(prob.model, prob.space, small_config(
-            m_workers=m, n_particles=40, batch_size=1, estimate_every=1, keep_final_particles=True,
+            m_workers=m, n_particles=40, batch_size=1, estimate_every=1,
         ))[1]
         for m in (2, 5)
     )
@@ -268,7 +267,7 @@ def test_schedule_sum_recovers_total_cost_at_random_points():
             perm = build_schedule(300, k, wrng)
             sched = [perm[start:start + k] for start in range(0, 300, k)]
             for theta in points:
-                acc = sum(log_potentials(components, b, theta[None])[0] for b in sched)
+                acc = sum(log_potentials(components, b[None], theta[None, None])[0, 0] for b in sched)
                 assert acc == pytest.approx(-prob.model.total_cost(theta), rel=1e-9)
 
 

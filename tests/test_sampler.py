@@ -450,6 +450,19 @@ def test_inverse_cdf_rejects_off_grid_uniforms():
             inverse_cdf(w, np.array([[0.5], [bad]]))
 
 
+def test_inverse_cdf_rejects_unnormalized_log_weights():
+    """Clipping the cumulative weights at 1 would turn weights that do not
+    sum to 1 into wrong ancestors with no error: plain weights passed as
+    log-weights all land on slot 0, and log(3w) never reaches slot 2.  A
+    row of all -inf, a degenerate worker, sums to exactly 0 and passes."""
+    w = np.array([0.25, 0.25, 0.5])
+    u = np.random.default_rng(17).random((2, 100))
+    for bad in (w, np.log(3 * w), np.log(w) + [0.0, 0.0, 1e-8], np.log(w) + [0.0, np.nan, 0.0]):
+        with pytest.raises(ValueError, match="normalized"):
+            inverse_cdf(np.stack([np.log(w), bad]), u)
+    assert inverse_cdf(np.stack([np.log(w), np.full(3, -np.inf)]), u).shape == (2, 100)
+
+
 @pytest.mark.parametrize("m", [1, 1023, 1024])
 def test_resample_matches_per_worker_loop(m):
     # the stacked search and gather against one inverse_cdf call per
