@@ -44,6 +44,9 @@ class EvaluationError(RuntimeError):
             f"at theta={self.theta.tolist()}"
         )
 
+    def __reduce__(self):
+        return type(self), (self.index, self.theta, self.value)
+
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -93,7 +96,9 @@ class CostModel:
     n = 2**31.  Evaluations must be deterministic and a point's bits
     must not depend on a call's other points, nor on whether it is
     alone: the sampler evaluates each group of copies once, in one row.
-    The stock kernels in problems meet this layout contract.
+    The stock kernels in problems meet this layout contract.  run_psmco
+    may call both callables in forked children: the caller sees none of
+    their side effects, such as counters or caches, and no bit changes.
     """
 
     n: int

@@ -4,17 +4,26 @@ normalizer estimates, with the point estimate read off the best worker.
 Workers never exchange particles.  Each one owns an RNG stream spawned
 from the master seed, builds its own mini-batch schedule, and runs the
 same number of steps; a worker's trajectory therefore depends only on
-the seed and its index.  All workers advance together: their states are
-stacked into one ParticleSystem and each step is one sampler_step over
-the (M, K) batches of that step and the step's draws.  step_draws is
-the one reader of the workers' streams after their schedules and
-initial particles: it takes them a block of steps at a time (stream
-format v3: each worker's uniforms, then noise for its moved particles).
+the seed and its index.  So the M workers run in P = min(M, usable CPUs)
+contiguous parts, part 0 here and each other one in a child forked at
+the start of the run that pipes its results back.  A part stacks its
+workers into one ParticleSystem; each step is one sampler_step over the
+step's batches and draws.  step_draws is the one reader of the workers'
+streams after their schedules and initial particles: it takes them a
+block of steps at a time (stream format v3: each worker's uniforms, then
+noise for its moved particles).  At an emission each part offers its
+best worker's KDE mode; the caller ranks all workers, evaluates the full
+cost and raises what one process would raise first, so the results are
+the same bytes whatever P is.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import multiprocessing
+import os
+import sys
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -33,6 +42,9 @@ class RunFailureError(RuntimeError):
     def __init__(self, message: str, log_z_by_step: np.ndarray):
         self.log_z_by_step = np.asarray(log_z_by_step)
         super().__init__(message)
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.log_z_by_step)
 
 
 @dataclass(frozen=True)
@@ -103,6 +115,98 @@ def select_best_worker(log_z: Sequence[float]) -> int:
     return int(np.argmax(arr))
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on: the most parts a run takes."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _fork_is_quiet() -> bool:
+    """Whether this process can fork without a warning.  Python 3.12 and
+    later warn when a process with more than one thread forks, and numpy's
+    BLAS may start threads; without /proc they go uncounted."""
+    if sys.version_info < (3, 12) or not hasattr(os, "fork"):
+        return hasattr(os, "fork")
+    return os.path.isdir("/proc/self/task") and len(os.listdir("/proc/self/task")) == 1
+
+
+def _send_result(conn, function, args) -> None:
+    conn.send(function(*args))
+
+
+def _in_processes(function, arg_tuples):
+    """function's result for each tuple of arguments, in order: the first
+    computed here, each other in a child forked for it.  A child that ends
+    with no result that can be read raises RuntimeError; no child outlives
+    the call."""
+    context = multiprocessing.get_context("fork")
+    results, children = [], []
+    try:
+        for args in arg_tuples[1:]:
+            reader, writer = context.Pipe(duplex=False)
+            child = context.Process(target=_send_result, args=(writer, function, args))
+            child.start()
+            children.append((child, reader))
+            writer.close()
+        results.append(function(*arg_tuples[0]))
+        for part, (child, reader) in enumerate(children, 1):
+            try:
+                results.append(reader.recv())
+            except Exception as e:  # no result, or one that cannot be unpickled
+                child.join()
+                raise RuntimeError(f"worker part {part} ended with no result, exit code {child.exitcode}") from e
+        return results
+    finally:
+        for part, (child, reader) in enumerate(children, 1):
+            reader.close()
+            if part >= len(results):  # its result is no longer wanted
+                child.terminate()
+            child.join()
+
+
+def _run_part(model: CostModel, space: SearchSpace, config: OptimizerConfig,
+              lo: int, hi: int, marks: np.ndarray, part: int):
+    """Run workers lo..hi-1 stacked: returns their (T, W) step and (E, W)
+    emitted log Z, best worker's KDE mode per emission, final particles
+    and the exception that stopped them, or None.  marks (2, P), shared,
+    from T, get the part's first step with every cumulative log Z -inf
+    (it stays so) and the step that raised, -1 in the setup; the part
+    stops after the step by which the marks end the run."""
+    batch_size = config.batch_size
+    total_steps = -(-model.n // batch_size)
+    stride = config.estimate_every if config.estimate_every is not None else total_steps
+    log_z_by_step = np.empty((total_steps, hi - lo))
+    log_z_emitted = np.empty((-(-total_steps // stride), hi - lo))
+    thetas: List[np.ndarray] = []
+    t = -1
+    try:
+        seeds = np.random.SeedSequence(config.seed).spawn(config.m_workers)[lo:hi]
+        rngs = [np.random.default_rng(child) for child in seeds]
+        kernel = JitterKernelSpec(space, config.proposal_std, config.n_particles, config.epsilon)
+        # row m is worker lo + m's permutation; step t's batches are its
+        # columns [t*K, (t+1)*K), the last step taking the remainder
+        schedule = np.empty((hi - lo, model.n), dtype=schedule_dtype(model.n))
+        for m, rng in enumerate(rngs):  # row by row: one permutation held at a time
+            schedule[m] = build_schedule(model.n, batch_size, rng)
+        system = init_particles(space, config.n_particles, rngs, config.init_point, config.init_std)
+        bandwidth = bandwidth_rule(config.n_particles, space.dim)
+        for t, draws in enumerate(step_draws(system, kernel, total_steps)):
+            batches = schedule[:, t * batch_size:(t + 1) * batch_size]
+            log_z_by_step[t] = sampler_step(system, model, batches, kernel, draws)
+            if (system.log_z_cumulative == -math.inf).all():
+                marks[0, part] = min(marks[0, part], t)
+            if (t + 1) % stride == 0 or t + 1 == total_steps:
+                cumulative = log_z_emitted[len(thetas)]
+                cumulative[:] = system.log_z_cumulative
+                best = int(np.argmax(cumulative))  # select_best_worker's pick, where it has one
+                thetas.append(map_estimate(system.particles[best], bandwidth, system.labels[best])[1])
+            if min(marks[0].max(), marks[1].min()) <= t:
+                break
+    except Exception as e:  # the caller raises it if it is the run's first
+        marks[1, part] = t
+        return log_z_by_step, log_z_emitted, thetas, None, e
+    return log_z_by_step, log_z_emitted, thetas, system.particles, None
+
+
 def run_psmco(
     model: CostModel,
     space: SearchSpace,
@@ -116,69 +220,39 @@ def run_psmco(
     log-normalizer, the winner's particle cloud is summarized by its
     KDE mode (bandwidth from the population-size rule), and the full
     cost is evaluated there.  RunFailureError is raised at the first
-    step after which every worker's cumulative log Z is -inf.
+    step after which every worker's cumulative log Z is -inf.  Of the
+    errors of the P parts (module docstring), the one of the earliest
+    step, then of the lowest worker, is raised.
     """
     start = time.perf_counter()
-    m_workers = config.m_workers
-    seq = np.random.SeedSequence(config.seed)
-    rngs = [np.random.default_rng(child) for child in seq.spawn(m_workers)]
-
-    kernel = JitterKernelSpec(
-        space=space,
-        proposal_std=config.proposal_std,
-        n_particles=config.n_particles,
-        epsilon=config.epsilon,
-    )
-    # row m is worker m's permutation; step t's batches are its columns
-    # [t*K, (t+1)*K), the last step taking the remainder
-    schedule = np.empty((m_workers, model.n), dtype=schedule_dtype(model.n))
-    for m, rng in enumerate(rngs):  # row by row: one permutation held at a time
-        schedule[m] = build_schedule(model.n, config.batch_size, rng)
-    system = init_particles(
-        space, config.n_particles, rngs, init_point=config.init_point, init_std=config.init_std
-    )
-
-    batch_size = config.batch_size
-    total_steps = -(-model.n // batch_size)
+    parts = min(config.m_workers, _usable_cpus()) if _fork_is_quiet() else 1
+    total_steps = -(-model.n // config.batch_size)
+    marks = np.frombuffer(mmap.mmap(-1, 16 * parts), dtype=np.int64).reshape(2, parts)
+    marks[:] = total_steps
+    bounds = [config.m_workers * j // parts for j in range(parts + 1)]
+    by_step, emitted, thetas, particles, errors = zip(*_in_processes(_run_part, [
+        (model, space, config, bounds[j], bounds[j + 1], marks, j) for j in range(parts)
+    ]))
+    log_z_by_step, log_z_emitted = (np.concatenate(a, axis=1) for a in (by_step, emitted))
     stride = config.estimate_every if config.estimate_every is not None else total_steps
-    log_z_by_step = np.empty((total_steps, m_workers))
-    log_z_emitted = np.empty((-(-total_steps // stride), m_workers))
+    failed, raised = int(marks[0].max()), int(marks[1].min())
+    ended = min(failed, raised)  # T when the run went through
     rows: List[EstimateRow] = []
-    bandwidth = bandwidth_rule(config.n_particles, space.dim)
     costs = {}  # theta bytes -> full cost; emissions repeat thetas often
-
-    def emit(iteration: int) -> None:
-        cumulative = log_z_emitted[len(rows)]
-        cumulative[:] = system.log_z_cumulative
+    for e, cumulative in enumerate(log_z_emitted):
+        iteration = min((e + 1) * stride, total_steps)
+        if iteration > ended:
+            break
         winner = select_best_worker(cumulative)
-        _, theta = map_estimate(system.particles[winner], bandwidth, system.labels[winner])
+        theta = thetas[np.searchsorted(bounds, winner, side="right") - 1][e]
         key = theta.tobytes()
         if key not in costs:
             costs[key] = model.total_cost(theta)
-        rows.append(
-            EstimateRow(
-                iteration=iteration,
-                worker=winner,
-                log_z=cumulative,
-                theta=theta,
-                f_value=costs[key],
-            )
-        )
-
-    for t, draws in enumerate(step_draws(system, kernel, total_steps)):
-        batches = schedule[:, t * batch_size:(t + 1) * batch_size]
-        log_z_by_step[t] = sampler_step(system, model, batches, kernel, draws)
-        if (system.log_z_cumulative == -math.inf).all():
-            message = f"every worker's cumulative log Z is -inf by iteration {t + 1}"
-            raise RunFailureError(message, log_z_by_step[:t + 1])
-        if (t + 1) % stride == 0 or t + 1 == total_steps:
-            emit(t + 1)
-
-    record = RunRecord(
-        rows=rows,
-        log_z=log_z_emitted,
-        log_z_by_step=log_z_by_step,
-        final_particles=system.particles,
-        wall_time=time.perf_counter() - start,
-    )
-    return rows[-1], record
+        rows.append(EstimateRow(iteration, winner, cumulative, theta, costs[key]))
+    if raised == ended < total_steps:
+        raise errors[int(np.argmin(marks[1]))]
+    if failed == ended < total_steps:
+        message = f"every worker's cumulative log Z is -inf by iteration {failed + 1}"
+        raise RunFailureError(message, log_z_by_step[:failed + 1])
+    final_particles = np.concatenate(particles)
+    return rows[-1], RunRecord(rows, log_z_emitted, log_z_by_step, final_particles, time.perf_counter() - start)

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import psmco.parallel as parallel
 from psmco.core import CostModel, SearchSpace, build_schedule, log_potentials, schedule_dtype
 from psmco.parallel import (
     OptimizerConfig,
@@ -223,8 +224,10 @@ def test_step_normalizers_telescope_to_emitted_log_z(case):
         assert record.log_z_by_step.sum(axis=0).tolist() == record.rows[-1].log_z.tolist()
 
 
-def test_schedules_hold_int32_indices_while_they_fit():
+def test_schedules_hold_int32_indices_while_they_fit(monkeypatch):
     assert schedule_dtype(2**31) is np.int32  # indices up to 2**31 - 1
+    # the recorder sees only this process's calls: one part runs every worker
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
     assert schedule_dtype(2**31 + 1) is np.intp
     seen = []
 
