@@ -18,6 +18,7 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Dict, Optional, Tuple, get_args, get_origin, get_type_hints
 
+from .core import step_count
 from .parallel import OptimizerConfig
 from .problems import (
     MixtureProblemSpec,
@@ -207,11 +208,8 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"algorithm must be 'psmco' or 'psgd', got {config.algorithm!r}")
     if config.algorithm == "psgd" and problem != "sigmoid":
         raise ConfigError("the gradient baseline is only defined for the sigmoid problem")
-    if not 1 <= config.batch_size <= config.n:
-        raise ConfigError(
-            f"batch_size must be in [1, n={config.n}], got {config.batch_size}"
-        )
     try:
+        step_count(config.n, config.batch_size)
         spec = problem_spec(config)
         to_optimizer_config(config)
         to_psgd_config(config)
@@ -295,13 +293,12 @@ def to_optimizer_config(config: RunConfig) -> OptimizerConfig:
 
 
 def to_psgd_config(config: RunConfig) -> PSGDConfig:
-    iterations = -(-config.n // config.batch_size)  # matches the sampler's step count
     return PSGDConfig(
         n_chains=config.m_workers,
         step_size=config.step_size,
         init_point=config.init_point or (0.0, 0.0),
         init_std=_std("init_var", config.init_var),
         batch_size=config.batch_size,
-        iterations=iterations,
+        iterations=step_count(config.n, config.batch_size),  # the sampler's steps
         seed=config.seed,
     )

@@ -154,14 +154,18 @@ def schedule_dtype(n: int) -> type:
     return np.int32 if n <= 2**31 else np.intp
 
 
+def step_count(n: int, batch_size: int) -> int:
+    """ceil(n / batch_size) steps, or ValueError unless 1 <= batch_size <= n."""
+    if batch_size < 1 or batch_size > n:
+        raise ValueError(f"batch_size must be in [1, n={n}], got {batch_size}")
+    return -(-n // batch_size)
+
+
 def build_schedule(n: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
     """A uniformly random permutation of the n indices, to be read as a
     schedule of mini-batches of batch_size consecutive entries, the last
-    holding the remainder.  Raises ValueError when batch_size is 0,
-    negative, or larger than n.
-    """
-    if batch_size < 1 or batch_size > n:
-        raise ValueError(f"batch_size must be in [1, n={n}], got {batch_size}")
+    holding the remainder; step_count's ValueError unless 1 <= batch_size <= n."""
+    step_count(n, batch_size)
     return rng.permutation(n)
 
 

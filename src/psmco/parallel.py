@@ -11,10 +11,10 @@ workers into one ParticleSystem; each step is one sampler_step over the
 step's batches and draws.  step_draws is the one reader of the workers'
 streams after their schedules and initial particles: it takes them a
 block of steps at a time (stream format v3: each worker's uniforms, then
-noise for its moved particles).  At an emission each part offers its
-best worker's KDE mode; the caller ranks all workers, evaluates the full
-cost and raises what one process would raise first, so the results are
-the same bytes whatever P is.
+noise for its moved particles).  A part returns its per-step normalizers,
+best worker's KDE mode per emission, final particles and error.  The caller
+sums the normalizers into cumulative log Z, ranks all workers, evaluates the
+full cost and raises what one process would raise first: no byte depends on P.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import math
 import mmap
 import multiprocessing
 import os
+import pickle
 import sys
 import time
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import CostModel, SearchSpace, build_schedule, schedule_dtype
+from .core import CostModel, SearchSpace, build_schedule, schedule_dtype, step_count
 from .kde import bandwidth_rule, map_estimate
 from .sampler import JitterKernelSpec, init_particles, jitter_epsilon, sampler_step, step_draws
 
@@ -163,19 +164,15 @@ def _in_processes(function, arg_tuples):
             child.join()
 
 
-def _run_part(model: CostModel, space: SearchSpace, config: OptimizerConfig,
+def _run_part(model: CostModel, space: SearchSpace, config: OptimizerConfig, emissions: List[int],
               lo: int, hi: int, marks: np.ndarray, part: int):
-    """Run workers lo..hi-1 stacked: returns their (T, W) step and (E, W)
-    emitted log Z, best worker's KDE mode per emission, final particles
-    and the exception that stopped them, or None.  marks (2, P), shared,
-    from T, get the part's first step with every cumulative log Z -inf
-    (it stays so) and the step that raised, -1 in the setup; the part
-    stops after the step by which the marks end the run."""
-    batch_size = config.batch_size
-    total_steps = -(-model.n // batch_size)
-    stride = config.estimate_every if config.estimate_every is not None else total_steps
-    log_z_by_step = np.empty((total_steps, hi - lo))
-    log_z_emitted = np.empty((-(-total_steps // stride), hi - lo))
+    """Run workers lo..hi-1 stacked for T = emissions[-1] steps: returns their
+    (T, W) per-step log Z, best worker's KDE mode after each step in emissions,
+    final particles and the exception that stopped them (a RuntimeError if it
+    cannot be pickled) or None.  marks (2, P), shared, from T, get the part's
+    first step with every cumulative log Z -inf (it stays so) and the step that
+    raised, -1 in the setup; the part stops once the marks end the run."""
+    log_z_by_step = np.empty((emissions[-1], hi - lo))
     thetas: List[np.ndarray] = []
     t = -1
     try:
@@ -186,25 +183,27 @@ def _run_part(model: CostModel, space: SearchSpace, config: OptimizerConfig,
         # columns [t*K, (t+1)*K), the last step taking the remainder
         schedule = np.empty((hi - lo, model.n), dtype=schedule_dtype(model.n))
         for m, rng in enumerate(rngs):  # row by row: one permutation held at a time
-            schedule[m] = build_schedule(model.n, batch_size, rng)
+            schedule[m] = build_schedule(model.n, config.batch_size, rng)
         system = init_particles(space, config.n_particles, rngs, config.init_point, config.init_std)
         bandwidth = bandwidth_rule(config.n_particles, space.dim)
-        for t, draws in enumerate(step_draws(system, kernel, total_steps)):
-            batches = schedule[:, t * batch_size:(t + 1) * batch_size]
+        for t, draws in enumerate(step_draws(system, kernel, len(log_z_by_step))):
+            batches = schedule[:, t * config.batch_size:(t + 1) * config.batch_size]
             log_z_by_step[t] = sampler_step(system, model, batches, kernel, draws)
             if (system.log_z_cumulative == -math.inf).all():
                 marks[0, part] = min(marks[0, part], t)
-            if (t + 1) % stride == 0 or t + 1 == total_steps:
-                cumulative = log_z_emitted[len(thetas)]
-                cumulative[:] = system.log_z_cumulative
-                best = int(np.argmax(cumulative))  # select_best_worker's pick, where it has one
+            if t + 1 == emissions[len(thetas)]:
+                best = int(np.argmax(system.log_z_cumulative))  # select_best_worker's pick, where it has one
                 thetas.append(map_estimate(system.particles[best], bandwidth, system.labels[best])[1])
             if min(marks[0].max(), marks[1].min()) <= t:
                 break
     except Exception as e:  # the caller raises it if it is the run's first
         marks[1, part] = t
-        return log_z_by_step, log_z_emitted, thetas, None, e
-    return log_z_by_step, log_z_emitted, thetas, system.particles, None
+        try:
+            pickle.loads(pickle.dumps(e))
+        except Exception:  # pickling may run any code of its class
+            e = RuntimeError(f"{type(e).__name__}: {e}")
+        return log_z_by_step, thetas, None, e
+    return log_z_by_step, thetas, system.particles, None
 
 
 def run_psmco(
@@ -217,42 +216,46 @@ def run_psmco(
 
     Every worker consumes its own schedule of T = ceil(n/K) disjoint
     batches.  At each emission the workers are ranked by cumulative
-    log-normalizer, the winner's particle cloud is summarized by its
-    KDE mode (bandwidth from the population-size rule), and the full
-    cost is evaluated there.  RunFailureError is raised at the first
-    step after which every worker's cumulative log Z is -inf.  Of the
-    errors of the P parts (module docstring), the one of the earliest
-    step, then of the lowest worker, is raised.
+    log-normalizer, the running sum of the per-step ones, the winner's
+    particle cloud is summarized by its KDE mode (bandwidth from the
+    population-size rule), and the full cost is evaluated there.
+    RunFailureError is raised at the first step after which every
+    worker's cumulative log Z is -inf.  Of the errors of the P parts
+    (module docstring), the one of the earliest step, then of the lowest
+    worker, is raised.
     """
     start = time.perf_counter()
+    total_steps = step_count(model.n, config.batch_size)
+    stride = config.estimate_every or total_steps
+    emissions = [*range(stride, total_steps, stride), total_steps]
     parts = min(config.m_workers, _usable_cpus()) if _fork_is_quiet() else 1
-    total_steps = -(-model.n // config.batch_size)
     marks = np.frombuffer(mmap.mmap(-1, 16 * parts), dtype=np.int64).reshape(2, parts)
     marks[:] = total_steps
     bounds = [config.m_workers * j // parts for j in range(parts + 1)]
-    by_step, emitted, thetas, particles, errors = zip(*_in_processes(_run_part, [
-        (model, space, config, bounds[j], bounds[j + 1], marks, j) for j in range(parts)
+    by_step, thetas, particles, errors = zip(*_in_processes(_run_part, [
+        (model, space, config, emissions, bounds[j], bounds[j + 1], marks, j) for j in range(parts)
     ]))
-    log_z_by_step, log_z_emitted = (np.concatenate(a, axis=1) for a in (by_step, emitted))
-    stride = config.estimate_every if config.estimate_every is not None else total_steps
+    log_z_by_step = np.concatenate(by_step, axis=1)
     failed, raised = int(marks[0].max()), int(marks[1].min())
     ended = min(failed, raised)  # T when the run went through
+    with np.errstate(over="ignore"):  # the same additions as weight_and_accumulate's
+        cumulative = np.cumsum(log_z_by_step[:max(ended, 0)], axis=0)
+    log_z = cumulative[stride - 1::stride]  # a view: the (E, M) copy costs peak memory
+    if total_steps % stride and ended == total_steps:
+        log_z = np.concatenate([log_z, cumulative[-1:]])
     rows: List[EstimateRow] = []
     costs = {}  # theta bytes -> full cost; emissions repeat thetas often
-    for e, cumulative in enumerate(log_z_emitted):
-        iteration = min((e + 1) * stride, total_steps)
-        if iteration > ended:
-            break
-        winner = select_best_worker(cumulative)
+    for e, (iteration, row) in enumerate(zip(emissions, log_z)):
+        winner = select_best_worker(row)
         theta = thetas[np.searchsorted(bounds, winner, side="right") - 1][e]
         key = theta.tobytes()
         if key not in costs:
             costs[key] = model.total_cost(theta)
-        rows.append(EstimateRow(iteration, winner, cumulative, theta, costs[key]))
+        rows.append(EstimateRow(iteration, winner, row, theta, costs[key]))
     if raised == ended < total_steps:
         raise errors[int(np.argmin(marks[1]))]
     if failed == ended < total_steps:
         message = f"every worker's cumulative log Z is -inf by iteration {failed + 1}"
         raise RunFailureError(message, log_z_by_step[:failed + 1])
     final_particles = np.concatenate(particles)
-    return rows[-1], RunRecord(rows, log_z_emitted, log_z_by_step, final_particles, time.perf_counter() - start)
+    return rows[-1], RunRecord(rows, log_z, log_z_by_step, final_particles, time.perf_counter() - start)

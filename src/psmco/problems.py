@@ -334,8 +334,8 @@ def run_psgd_baseline(problem: SigmoidProblem, config: PSGDConfig) -> PSGDRecord
     thetas = np.asarray(config.init_point, dtype=float)[None, :] + rng.normal(
         0.0, config.init_std, size=(m, 2)
     )
-    f_best = np.empty(config.iterations + 1)
-    f_best[0] = problem.model.total_cost_many(thetas).min()
+    costs = problem.model.total_cost_many(thetas)
+    f_best = [costs.min()]
 
     perms = np.empty((m, n), dtype=schedule_dtype(n))
     offset = n  # forces a reshuffle on first use
@@ -347,10 +347,11 @@ def run_psgd_baseline(problem: SigmoidProblem, config: PSGDConfig) -> PSGDRecord
         grad = problem.mean_gradient(thetas, perms[:, offset:offset + k])
         offset += k
         thetas = thetas - (config.step_size / math.sqrt(t)) * grad
-        f_best[t] = problem.model.total_cost_many(thetas).min()
+        costs = problem.model.total_cost_many(thetas)
+        f_best.append(costs.min())
 
     return PSGDRecord(
-        f_best=f_best,
+        f_best=np.array(f_best),
         thetas=thetas,
-        f_final=problem.model.total_cost_many(thetas),
+        f_final=costs,
     )

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -202,26 +203,44 @@ def poisoned(i, theta):
     return 1e308 if (i < 3 and theta[0] > 0) else 20.0 * (theta[0] - 0.5) ** 2
 
 
+@pytest.mark.parametrize("estimate_every", [1, 3, None])
 @pytest.mark.parametrize("case", ["healthy", "one worker degenerates"])
-def test_step_normalizers_telescope_to_emitted_log_z(case):
+def test_step_normalizers_telescope_to_emitted_log_z(case, estimate_every):
     """The per-step normalizers of each worker sum, in step order, to the
-    cumulative log Z of the last emission, bit for bit; a worker that
+    cumulative log Z of every emission, bit for bit; a worker that
     degenerates mid-run has -inf in both."""
     if case == "healthy":
-        prob = small_mixture(n=30)
-        model, space, cfg = prob.model, prob.space, small_config(batch_size=4)
+        prob = small_mixture(n=30)  # 8 steps
+        model, space = prob.model, prob.space
+        cfg = small_config(batch_size=4, estimate_every=estimate_every)
     else:
-        model = CostModel(n=9, component_eval=poisoned)
+        model = CostModel(n=9, component_eval=poisoned)  # 5 steps
         space = SearchSpace(np.array([-1.0]), np.array([1.0]))
-        cfg = OptimizerConfig(m_workers=3, n_particles=4, batch_size=2, proposal_std=0.3, seed=0)
+        cfg = OptimizerConfig(m_workers=3, n_particles=4, batch_size=2, proposal_std=0.3, seed=0,
+                              estimate_every=estimate_every)
     _, record = run_psmco(model, space, cfg)
     dead = (record.log_z_by_step == -np.inf).tolist()
     if case == "healthy":
         assert not np.any(dead)
     else:
         assert dead == [[False] * 3] * 3 + [[False, True, False]] + [[False] * 3]
-    with np.errstate(over="ignore"):  # a sum may sink to -inf, as the cumulative one does
-        assert record.log_z_by_step.sum(axis=0).tolist() == record.rows[-1].log_z.tolist()
+    steps = len(record.log_z_by_step)
+    stride = estimate_every or steps
+    assert [row.iteration for row in record.rows] == [*range(stride, steps, stride), steps]
+    assert len(record.log_z) == len(record.rows)
+    for row, log_z in zip(record.rows, record.log_z):
+        assert np.shares_memory(row.log_z, log_z) and row.log_z.tolist() == log_z.tolist()
+        with np.errstate(over="ignore"):  # a sum may sink to -inf, as the cumulative one does
+            assert record.log_z_by_step[:row.iteration].sum(axis=0).tolist() == row.log_z.tolist()
+
+
+@pytest.mark.parametrize("batch_size", [0, -5, 11])
+def test_batch_size_outside_one_to_n_is_refused_before_any_fork(batch_size, monkeypatch):
+    monkeypatch.setattr(parallel, "_in_processes", None)  # a call would raise TypeError
+    prob = small_mixture(n=10)
+    message = re.escape(f"batch_size must be in [1, n=10], got {batch_size}")
+    with pytest.raises(ValueError, match=message):
+        run_psmco(prob.model, prob.space, small_config(batch_size=batch_size))
 
 
 def test_schedules_hold_int32_indices_while_they_fit(monkeypatch):

@@ -82,7 +82,8 @@ def test_degenerate_runs_whatever_the_part_count(parts, force_parts):
     force_parts(parts)
     one_process.test_all_workers_degenerate_is_run_failure()
     one_process.test_cumulative_overflow_is_run_failure()
-    one_process.test_step_normalizers_telescope_to_emitted_log_z("one worker degenerates")
+    for estimate_every in (1, 3, None):
+        one_process.test_step_normalizers_telescope_to_emitted_log_z("one worker degenerates", estimate_every)
 
 
 def raised(model, space, config):
@@ -146,14 +147,24 @@ def first_nan_steps(config, n):
     return [int(np.flatnonzero(np.random.default_rng(c).permutation(n) == NAN_AT)[0]) for c in children]
 
 
-def later_part_errs_first():
-    """A config whose workers 2-3 meet the NaN before workers 0-1 do."""
+def part_errs_first(part):
+    """A config of two parts, workers 0-1 and 2-3, whose given part meets
+    the NaN at an earlier step than the other part does."""
     for seed in range(100):
         config = OptimizerConfig(m_workers=4, n_particles=5, batch_size=1, proposal_std=0.3, seed=seed)
         steps = first_nan_steps(config, 8)
-        if min(steps[2:]) < min(steps[:2]):
+        first = [min(steps[:2]), min(steps[2:])]
+        if first[part] < first[1 - part]:
             return config
     raise AssertionError("no seed in range(100) orders the errors so")
+
+
+def run_argv(config, tmp_path, *overrides):
+    """psmco run with a config's sizes on a model the test puts in place."""
+    argv = ["run", "--profile", "mixture-5.1", "--seed", str(config.seed), "--out", str(tmp_path)]
+    for override in ("n=8", "m_workers=4", "n_particles=5", "batch_size=1", "jitter_var=0.09", *overrides):
+        argv += ["--override", override]
+    return argv
 
 
 @needs_fork
@@ -163,18 +174,19 @@ def test_error_of_the_earliest_step_wins_over_a_lower_part(force_parts, monkeypa
     caller gets part 1's error, as one process would raise it, and the
     command line exits with code 3."""
     model, space = CostModel(n=8, component_eval=nan_at), SearchSpace(np.array([-1.0]), np.array([1.0]))
-    config = later_part_errs_first()
+    config = part_errs_first(1)
     force_parts(1)
     one = raised(model, space, config)
     assert type(one) is EvaluationError and one.index == NAN_AT
 
     run_part, errors = parallel._run_part, []
 
-    def ordered(model, space, config, lo, hi, marks, part):
+    def ordered(*args):
+        marks, part = args[-2:]
         deadline = time.monotonic() + 30.0
         while part == 1 and marks[1, 0] == 8 and time.monotonic() < deadline:
             time.sleep(0.001)  # until part 0 has raised: its mark leaves T = 8
-        result = run_part(model, space, config, lo, hi, marks, part)
+        result = run_part(*args)
         errors.append((part, int(marks[1, part]), result[-1]))
         return result
 
@@ -189,11 +201,70 @@ def test_error_of_the_earliest_step_wins_over_a_lower_part(force_parts, monkeypa
 
     problem = SimpleNamespace(model=model, space=space)
     monkeypatch.setattr(cli, "build_problem", lambda config: problem)
-    argv = ["run", "--profile", "mixture-5.1", "--seed", str(config.seed), "--out", str(tmp_path)]
-    for override in ("n=8", "m_workers=4", "n_particles=5", "batch_size=1", "jitter_var=0.09"):
-        argv += ["--override", override]
-    assert cli.main(argv) == 3
+    assert cli.main(run_argv(config, tmp_path)) == 3
     assert capsys.readouterr().err == f"run failed: {one}\n"
+
+
+class Boom(Exception):
+    """Pickles, but cannot be unpickled: its args hold the message, not
+    the two arguments __init__ takes."""
+
+    def __init__(self, where, why):
+        super().__init__(f"{why} at component {where}")
+
+
+def boom_at(i, theta):
+    if i == NAN_AT:
+        raise Boom(i, "boom")
+    return float((theta[0] - 0.5) ** 2)
+
+
+@pytest.mark.parametrize("parts", FORCED)
+def test_an_error_that_cannot_be_unpickled_is_named(parts, force_parts, monkeypatch, tmp_path, capsys):
+    """Every part turns such an error into a RuntimeError naming it, so
+    it crosses the pipe and the run raises the same error whatever P is,
+    here from part 1 when there are two; the command exits with code 3."""
+    force_parts(parts)
+    model, config = CostModel(n=8, component_eval=boom_at), part_errs_first(1)
+    error = raised(model, LINE, config)
+    assert (type(error), str(error)) == (RuntimeError, "Boom: boom at component 5")
+    monkeypatch.setattr(cli, "build_problem", lambda config: SimpleNamespace(model=model, space=LINE))
+    # one emission, at the end: a full-cost sweep would meet the Boom here
+    assert cli.main(run_argv(config, tmp_path, "estimate_every=null")) == 3
+    assert capsys.readouterr().err == "run failed: Boom: boom at component 5\n"
+
+
+@needs_fork
+def test_an_earlier_error_wins_over_one_that_cannot_be_unpickled(force_parts, monkeypatch):
+    """Part 1 raises a Boom in its child at a later step than part 0's
+    EvaluationError, and part 0 is held until it has: the run raises part
+    0's error, as one process would."""
+    parent = os.getpid()
+
+    def component(i, theta):
+        if i == NAN_AT and os.getpid() != parent:
+            raise Boom(i, "boom")
+        return nan_at(i, theta)
+
+    model, config = CostModel(n=8, component_eval=component), part_errs_first(0)
+    force_parts(1)
+    one = raised(model, LINE, config)
+    assert type(one) is EvaluationError and one.index == NAN_AT
+
+    run_part = parallel._run_part
+
+    def ordered(*args):
+        marks, part = args[-2:]
+        deadline = time.monotonic() + 30.0
+        while part == 0 and marks[1, 1] == 8 and time.monotonic() < deadline:
+            time.sleep(0.001)  # until part 1 has raised: its mark leaves T = 8
+        return run_part(*args)
+
+    monkeypatch.setattr(parallel, "_run_part", ordered)
+    force_parts(2)
+    got = raised(model, LINE, config)
+    assert type(got) is EvaluationError
+    assert (got.index, got.theta.tobytes(), str(got)) == (one.index, one.theta.tobytes(), str(one))
 
 
 # ---------------------------------------------------------------------------

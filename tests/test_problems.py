@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -474,6 +475,25 @@ def test_psgd_benign_init_descends():
     assert rec.f_best[-1] < rec.f_best[0]
     assert rec.f_best.shape == (151,)
     np.testing.assert_allclose(rec.f_final.min(), rec.f_best[-1], rtol=1e-12)
+
+
+@pytest.mark.parametrize("iterations", [0, 7])
+def test_psgd_sweeps_each_iterate_once(iterations):
+    """One full-cost sweep of the chains per iterate, the start and each
+    update; the last sweep's costs are f_final."""
+    prob = make_sigmoid_problem(SigmoidProblemSpec(n=200))
+    sweeps = []
+
+    def counting(indices, thetas, owner):
+        sweeps.append(len(thetas))
+        return prob.model.batch_eval(indices, thetas, owner)
+
+    counted = dataclasses.replace(prob, model=dataclasses.replace(prob.model, batch_eval=counting))
+    cfg = PSGDConfig(n_chains=4, init_std=0.1, batch_size=20, iterations=iterations, seed=5)
+    rec = run_psgd_baseline(counted, cfg)
+    assert sweeps == [4] * (iterations + 1)
+    assert rec.f_final.tobytes() == prob.model.total_cost_many(rec.thetas).tobytes()
+    assert rec.f_best[-1] == rec.f_final.min() and rec.f_best.shape == (iterations + 1,)
 
 
 def test_psgd_config_validation():
