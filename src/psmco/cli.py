@@ -13,6 +13,7 @@ rerun of the same config produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -214,19 +215,12 @@ def emit_compare(psmco_path: str, psgd_paths: Sequence[str], out_path: str) -> N
 def write_dataset(config: RunConfig, out_path: str) -> None:
     problem = build_problem(config)
     if config.problem == "sigmoid":
-        lines = ["x,y"]
-        for xi, yi in zip(problem.x, problem.y):
-            lines.append(f"{_fmt(xi)},{_fmt(yi)}")
+        header = "x,y"
+        rows = (f"{_fmt(xi)},{_fmt(yi)}" for xi, yi in zip(problem.x, problem.y))
     else:
-        parts = problem.means.shape[1]
-        header = []
-        for k in range(parts):
-            header += [f"mean{k}_x", f"mean{k}_y"]
-        lines = [",".join(["i"] + header)]
-        for i in range(problem.means.shape[0]):
-            flat = problem.means[i].ravel()
-            lines.append(",".join([str(i)] + [_fmt(v) for v in flat]))
-    _write_lines(out_path, lines)
+        header = ",".join(["i"] + [f"mean{k}_{axis}" for k in range(problem.means.shape[1]) for axis in "xy"])
+        rows = (",".join([str(i)] + [_fmt(v) for v in centers.ravel()]) for i, centers in enumerate(problem.means))
+    _write_lines(out_path, itertools.chain([header], rows))
 
 
 # ---------------------------------------------------------------------------

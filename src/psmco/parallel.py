@@ -41,7 +41,7 @@ class RunFailureError(RuntimeError):
     for diagnosis."""
 
     def __init__(self, message: str, log_z_by_step: np.ndarray):
-        self.log_z_by_step = np.asarray(log_z_by_step)
+        self.log_z_by_step = np.array(log_z_by_step)  # its own rows, not a view of the run's
         super().__init__(message)
 
     def __reduce__(self):
@@ -164,6 +164,16 @@ def _in_processes(function, arg_tuples):
             child.join()
 
 
+def _picklable(e: Exception) -> Exception:
+    """e, or a RuntimeError naming it if it cannot be pickled and loaded
+    back (pickling may run any code of its class)."""
+    try:
+        pickle.loads(pickle.dumps(e))
+    except Exception:
+        return RuntimeError(f"{type(e).__name__}: {e}")
+    return e
+
+
 def _run_part(model: CostModel, space: SearchSpace, config: OptimizerConfig, emissions: List[int],
               lo: int, hi: int, marks: np.ndarray, part: int):
     """Run workers lo..hi-1 stacked for T = emissions[-1] steps: returns their
@@ -198,11 +208,7 @@ def _run_part(model: CostModel, space: SearchSpace, config: OptimizerConfig, emi
                 break
     except Exception as e:  # the caller raises it if it is the run's first
         marks[1, part] = t
-        try:
-            pickle.loads(pickle.dumps(e))
-        except Exception:  # pickling may run any code of its class
-            e = RuntimeError(f"{type(e).__name__}: {e}")
-        return log_z_by_step, thetas, None, e
+        return log_z_by_step, thetas, None, _picklable(e)
     return log_z_by_step, thetas, system.particles, None
 
 
@@ -240,9 +246,8 @@ def run_psmco(
     ended = min(failed, raised)  # T when the run went through
     with np.errstate(over="ignore"):  # the same additions as weight_and_accumulate's
         cumulative = np.cumsum(log_z_by_step[:max(ended, 0)], axis=0)
-    log_z = cumulative[stride - 1::stride]  # a view: the (E, M) copy costs peak memory
-    if total_steps % stride and ended == total_steps:
-        log_z = np.concatenate([log_z, cumulative[-1:]])
+    # the emissions' rows, owning their memory: at stride 1 all of cumulative, uncopied
+    log_z = cumulative if stride == 1 else cumulative[[e - 1 for e in emissions if e <= ended]]
     rows: List[EstimateRow] = []
     costs = {}  # theta bytes -> full cost; emissions repeat thetas often
     for e, (iteration, row) in enumerate(zip(emissions, log_z)):
@@ -250,7 +255,10 @@ def run_psmco(
         theta = thetas[np.searchsorted(bounds, winner, side="right") - 1][e]
         key = theta.tobytes()
         if key not in costs:
-            costs[key] = model.total_cost(theta)
+            try:
+                costs[key] = model.total_cost(theta)
+            except Exception as error:  # the route of an error in a part
+                raise _picklable(error)
         rows.append(EstimateRow(iteration, winner, row, theta, costs[key]))
     if raised == ended < total_steps:
         raise errors[int(np.argmin(marks[1]))]

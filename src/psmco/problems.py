@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import CostModel, SearchSpace, logsumexp, schedule_dtype
+from .core import CostModel, SearchSpace, build_schedule, logsumexp, schedule_dtype, step_count
 
 # Elements in one temporary of a ragged kernel call: rows go in chunks of
 # as many as fit, at least one, and a longer row in slabs of at least 128.
@@ -284,10 +284,12 @@ def make_sigmoid_problem(spec: SigmoidProblemSpec) -> SigmoidProblem:
 class PSGDConfig:
     """Independent gradient-descent chains on the same finite sum.
 
-    Each chain starts at init_point plus Gaussian noise of std init_std,
-    walks its own without-replacement mini-batch stream, and uses the
-    decaying step eta_t = step_size / sqrt(t).  step_size=0 freezes the
-    chains at their starting points.
+    Each chain starts at init_point plus Gaussian noise of std init_std
+    and uses the decaying step eta_t = step_size / sqrt(t); step_size=0
+    freezes the chains at their starting points.  Batches follow the
+    sampler's pass: step_count(n, batch_size) steps, the last holding the
+    remainder, over a fresh build_schedule permutation per chain each pass,
+    so run_psgd_baseline refuses a batch_size above n as the sampler does.
     """
 
     n_chains: int = 25
@@ -330,7 +332,8 @@ def run_psgd_baseline(problem: SigmoidProblem, config: PSGDConfig) -> PSGDRecord
     rng = np.random.default_rng(config.seed)
     m = config.n_chains
     n = problem.spec.n
-    k = min(config.batch_size, n)
+    k = config.batch_size
+    steps = step_count(n, k)
     thetas = np.asarray(config.init_point, dtype=float)[None, :] + rng.normal(
         0.0, config.init_std, size=(m, 2)
     )
@@ -338,16 +341,16 @@ def run_psgd_baseline(problem: SigmoidProblem, config: PSGDConfig) -> PSGDRecord
     f_best = [costs.min()]
 
     perms = np.empty((m, n), dtype=schedule_dtype(n))
-    offset = n  # forces a reshuffle on first use
     for t in range(1, config.iterations + 1):
-        if offset + k > n:
+        s = (t - 1) % steps  # step s of the pass reads columns [sK, (s+1)K)
+        if s == 0:
             for c in range(m):
-                perms[c] = rng.permutation(n)
-            offset = 0
-        grad = problem.mean_gradient(thetas, perms[:, offset:offset + k])
-        offset += k
-        thetas = thetas - (config.step_size / math.sqrt(t)) * grad
-        costs = problem.model.total_cost_many(thetas)
+                perms[c] = build_schedule(n, k, rng)
+        grad = problem.mean_gradient(thetas, perms[:, s * k:(s + 1) * k])
+        before, thetas = thetas, thetas - (config.step_size / math.sqrt(t)) * grad
+        moved = (thetas.view(np.int64) != before.view(np.int64)).any(axis=1)
+        if moved.any():  # a row's cost does not depend on the call's other rows
+            costs[moved] = problem.model.total_cost_many(thetas[moved])
         f_best.append(costs.min())
 
     return PSGDRecord(

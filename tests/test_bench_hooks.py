@@ -5,6 +5,9 @@ renames or moves one fails here instead of as an absent layer in a run."""
 import importlib
 import importlib.util
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -70,3 +73,18 @@ def test_timed_kernel_passes_the_ragged_call_through():
     assert timed.batch_eval is not problem.model.batch_eval
     assert timed.sums(indices, thetas, owner).tobytes() == problem.model.sums(indices, thetas, owner).tobytes()
     assert len(tracer.payloads) == 3 and not tracer.missing
+
+
+def test_traced_child_prints_its_result_and_plain_json_metrics(tmp_path):
+    """A traced repetition of mixture-5.1, shrunk, run as the benchmark
+    runs one: the child exits 0, its last line is its JSON result, and its
+    layer metrics are JSON without NaN or Infinity."""
+    cmd = [sys.executable, str(SPANS.parent / "child.py"), "--profile", "mixture-5.1", "--seed", "0",
+           "--out", str(tmp_path), "--trace"]
+    for item in ("n=200", "m_workers=6", "n_particles=20"):
+        cmd += ["--override", item]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120, cwd=SPANS.parent.parent)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert isinstance(result, dict) and result["exit_code"] == 0
+    json.dumps(load_spans().layer_metrics(str(tmp_path / "spans.npz")), allow_nan=False)

@@ -197,6 +197,11 @@ def test_worker_trajectory_independent_of_worker_count_across_draw_blocks():
     np.testing.assert_array_equal(big.log_z[:, :2], small.log_z)
 
 
+def owns_its_rows(array):
+    """Not a view that keeps a larger array alive."""
+    return array.base is None or array.base.shape == array.shape
+
+
 def poisoned(i, theta):
     """Components 0-2 cost 1e308 where theta > 0, so a batch of two of them
     overflows to log G = -inf there; the rest pull theta towards 0.5."""
@@ -228,6 +233,8 @@ def test_step_normalizers_telescope_to_emitted_log_z(case, estimate_every):
     stride = estimate_every or steps
     assert [row.iteration for row in record.rows] == [*range(stride, steps, stride), steps]
     assert len(record.log_z) == len(record.rows)
+    for array in (record.log_z, record.log_z_by_step, record.final_particles):
+        assert owns_its_rows(array)
     for row, log_z in zip(record.rows, record.log_z):
         assert np.shares_memory(row.log_z, log_z) and row.log_z.tolist() == log_z.tolist()
         with np.errstate(over="ignore"):  # a sum may sink to -inf, as the cumulative one does
@@ -300,6 +307,7 @@ def test_all_workers_degenerate_is_run_failure():
     with pytest.raises(RunFailureError) as exc:
         run_psmco(model, space, cfg)
     assert exc.value.log_z_by_step.shape == (1, 2)  # stops at the first all--inf step
+    assert owns_its_rows(exc.value.log_z_by_step)
     assert (exc.value.log_z_by_step == -np.inf).all()
 
 

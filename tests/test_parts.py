@@ -223,15 +223,17 @@ def boom_at(i, theta):
 def test_an_error_that_cannot_be_unpickled_is_named(parts, force_parts, monkeypatch, tmp_path, capsys):
     """Every part turns such an error into a RuntimeError naming it, so
     it crosses the pipe and the run raises the same error whatever P is,
-    here from part 1 when there are two; the command exits with code 3."""
+    here from part 1 when there are two; the command exits with code 3.
+    The caller's full-cost sweep at an emission meets the Boom first when
+    it emits every step, and names it the same way."""
     force_parts(parts)
     model, config = CostModel(n=8, component_eval=boom_at), part_errs_first(1)
     error = raised(model, LINE, config)
     assert (type(error), str(error)) == (RuntimeError, "Boom: boom at component 5")
     monkeypatch.setattr(cli, "build_problem", lambda config: SimpleNamespace(model=model, space=LINE))
-    # one emission, at the end: a full-cost sweep would meet the Boom here
-    assert cli.main(run_argv(config, tmp_path, "estimate_every=null")) == 3
-    assert capsys.readouterr().err == "run failed: Boom: boom at component 5\n"
+    for every in ("null", "1"):  # one emission, at the end, or a full-cost sweep at each step
+        assert cli.main(run_argv(config, tmp_path, f"estimate_every={every}")) == 3
+        assert capsys.readouterr().err == "run failed: Boom: boom at component 5\n"
 
 
 @needs_fork

@@ -1,13 +1,14 @@
 import dataclasses
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
 import pytest
 
 import psmco.problems as problems
-from psmco.core import label_groups, log_potentials
+from psmco.core import build_schedule, label_groups, log_potentials
 from psmco.problems import (
     MixtureProblemSpec,
     PSGDConfig,
@@ -477,10 +478,40 @@ def test_psgd_benign_init_descends():
     np.testing.assert_allclose(rec.f_final.min(), rec.f_best[-1], rtol=1e-12)
 
 
+def test_psgd_walks_the_samplers_pass():
+    """A pass is step_count(n, K) steps over a fresh build_schedule
+    permutation per chain, drawn in chain order, the last step holding
+    the remainder; the step after a pass starts a new one."""
+    sig = make_sigmoid_problem(SigmoidProblemSpec(n=50))
+    gradient, batches = type(sig).mean_gradient, []
+
+    class Recording(type(sig)):
+        def mean_gradient(self, theta, indices):
+            batches.append(indices.copy())
+            return gradient(self, theta, indices)
+
+    run_psgd_baseline(Recording(**vars(sig)), PSGDConfig(n_chains=3, batch_size=20, iterations=4, seed=2))
+    assert [b.shape for b in batches] == [(3, 20), (3, 20), (3, 10), (3, 20)]
+    one_pass = np.concatenate(batches[:3], axis=1)
+    assert all(sorted(chain) == list(range(50)) for chain in one_pass.tolist())
+    rng = np.random.default_rng(2)
+    rng.normal(0.0, 0.0, size=(3, 2))  # the chains' starting points
+    np.testing.assert_array_equal(one_pass, [build_schedule(50, 20, rng) for _ in range(3)])
+    np.testing.assert_array_equal(batches[3], [build_schedule(50, 20, rng)[:20] for _ in range(3)])
+
+
+def test_psgd_refuses_a_batch_above_n():
+    prob = make_sigmoid_problem(SigmoidProblemSpec(n=50))
+    with pytest.raises(ValueError, match=re.escape("batch_size must be in [1, n=50], got 51")):
+        run_psgd_baseline(prob, PSGDConfig(batch_size=51, iterations=3))
+
+
+@pytest.mark.parametrize("step_size", [0.5, 0.0])
 @pytest.mark.parametrize("iterations", [0, 7])
-def test_psgd_sweeps_each_iterate_once(iterations):
-    """One full-cost sweep of the chains per iterate, the start and each
-    update; the last sweep's costs are f_final."""
+def test_psgd_sweeps_each_iterate_once(iterations, step_size):
+    """One full-cost sweep per iterate, the start and each update, of the
+    chains whose theta bits changed: frozen chains keep their costs, and
+    the last costs are f_final."""
     prob = make_sigmoid_problem(SigmoidProblemSpec(n=200))
     sweeps = []
 
@@ -489,9 +520,9 @@ def test_psgd_sweeps_each_iterate_once(iterations):
         return prob.model.batch_eval(indices, thetas, owner)
 
     counted = dataclasses.replace(prob, model=dataclasses.replace(prob.model, batch_eval=counting))
-    cfg = PSGDConfig(n_chains=4, init_std=0.1, batch_size=20, iterations=iterations, seed=5)
+    cfg = PSGDConfig(n_chains=4, step_size=step_size, init_std=0.1, batch_size=20, iterations=iterations, seed=5)
     rec = run_psgd_baseline(counted, cfg)
-    assert sweeps == [4] * (iterations + 1)
+    assert sweeps == [4] * (iterations + 1 if step_size else 1)
     assert rec.f_final.tobytes() == prob.model.total_cost_many(rec.thetas).tobytes()
     assert rec.f_best[-1] == rec.f_final.min() and rec.f_best.shape == (iterations + 1,)
 
