@@ -50,13 +50,13 @@ def _theta_columns(dim: int) -> List[str]:
 
 
 def psmco_trace_lines(problem_name: str, record: RunRecord) -> Iterator[str]:
-    header = ["problem", "t", "m_star", "f_value"] + _theta_columns(record.rows[-1].theta.size)
+    header = ["problem", "t", "m_star", "f_value"] + _theta_columns(record.thetas.shape[1])
     header += [f"log_z_{j}" for j in range(record.log_z.shape[1])]
     yield ",".join(header)
-    for row in record.rows:
-        cells = [problem_name, str(row.iteration), str(row.worker), _fmt(row.f_value)]
-        cells += [_fmt(v) for v in row.theta]
-        cells += map(repr, row.log_z.tolist())
+    columns = (record.iterations.tolist(), record.winners.tolist(), record.f_values.tolist(), record.thetas.tolist())
+    for iteration, worker, f_value, theta, log_z in zip(*columns, record.log_z):
+        cells = [problem_name, str(iteration), str(worker), repr(f_value), *map(repr, theta)]
+        cells += map(repr, log_z.tolist())  # row by row: all of log_z as floats would raise peak memory
         yield ",".join(cells)
 
 
@@ -93,11 +93,11 @@ def run_and_persist(config: RunConfig, out_dir: str) -> None:
 
     particles = wall = None
     if config.algorithm == "psmco":
-        final, record = run_psmco(problem.model, problem.space, to_optimizer_config(config))
+        record = run_psmco(problem.model, problem.space, to_optimizer_config(config))
         trace = psmco_trace_lines(config.problem, record)
-        iterations, f_final, theta = final.iteration, final.f_value, final.theta
-        before = [("best_worker", final.worker)]
-        after = [("log_z_final", _fmt(final.log_z[final.worker]))]
+        iterations, f_final, theta = record.iterations[-1], record.f_values[-1], record.thetas[-1]
+        before = [("best_worker", record.winners[-1])]
+        after = [("log_z_final", _fmt(record.log_z[-1, record.winners[-1]]))]
         if config.keep_final_particles:
             particles = particles_lines(record)
         wall = record.wall_time

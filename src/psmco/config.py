@@ -208,6 +208,8 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"algorithm must be 'psmco' or 'psgd', got {config.algorithm!r}")
     if config.algorithm == "psgd" and problem != "sigmoid":
         raise ConfigError("the gradient baseline is only defined for the sigmoid problem")
+    if config.algorithm == "psgd" and config.keep_final_particles:
+        raise ConfigError("keep_final_particles needs algorithm 'psmco': the gradient baseline has no particles")
     try:
         step_count(config.n, config.batch_size)
         spec = problem_spec(config)

@@ -15,6 +15,7 @@ noise for its moved particles).  A part returns its per-step normalizers,
 best worker's KDE mode per emission, final particles and error.  The caller
 sums the normalizers into cumulative log Z, ranks all workers, evaluates the
 full cost and raises what one process would raise first: no byte depends on P.
+It returns the run as one RunRecord of per-emission and per-step arrays.
 """
 
 from __future__ import annotations
@@ -83,19 +84,13 @@ class OptimizerConfig:
             raise ValueError("seed must be non-negative")
 
 
-@dataclass(frozen=True)
-class EstimateRow:
-    iteration: int
-    worker: int
-    log_z: np.ndarray  # (M,) cumulative per worker: a row of RunRecord.log_z
-    theta: np.ndarray
-    f_value: float
-
-
 @dataclass
 class RunRecord:
-    rows: List[EstimateRow]
-    log_z: np.ndarray  # (E, M) cumulative log Z at each of the E emissions
+    iterations: np.ndarray  # (E,) the step after which each of the E emissions was made
+    winners: np.ndarray  # (E,) select_best_worker of each row of log_z
+    thetas: np.ndarray  # (E, d) the winner's KDE mode
+    f_values: np.ndarray  # (E,) the full cost at thetas
+    log_z: np.ndarray  # (E, M) cumulative log Z at each emission
     log_z_by_step: np.ndarray  # (T, M) per-step normalizer estimates
     final_particles: np.ndarray  # (M, N, d) after the last step
     wall_time: float
@@ -216,9 +211,9 @@ def run_psmco(
     model: CostModel,
     space: SearchSpace,
     config: OptimizerConfig,
-) -> Tuple[EstimateRow, RunRecord]:
+) -> RunRecord:
     """Run M independent samplers over one pass of the data; returns the
-    final estimate, the last emission row, plus the full record.
+    run's record.
 
     Every worker consumes its own schedule of T = ceil(n/K) disjoint
     batches.  At each emission the workers are ranked by cumulative
@@ -238,7 +233,7 @@ def run_psmco(
     marks = np.frombuffer(mmap.mmap(-1, 16 * parts), dtype=np.int64).reshape(2, parts)
     marks[:] = total_steps
     bounds = [config.m_workers * j // parts for j in range(parts + 1)]
-    by_step, thetas, particles, errors = zip(*_in_processes(_run_part, [
+    by_step, part_thetas, particles, errors = zip(*_in_processes(_run_part, [
         (model, space, config, emissions, bounds[j], bounds[j + 1], marks, j) for j in range(parts)
     ]))
     log_z_by_step = np.concatenate(by_step, axis=1)
@@ -248,22 +243,21 @@ def run_psmco(
         cumulative = np.cumsum(log_z_by_step[:max(ended, 0)], axis=0)
     # the emissions' rows, owning their memory: at stride 1 all of cumulative, uncopied
     log_z = cumulative if stride == 1 else cumulative[[e - 1 for e in emissions if e <= ended]]
-    rows: List[EstimateRow] = []
-    costs = {}  # theta bytes -> full cost; emissions repeat thetas often
-    for e, (iteration, row) in enumerate(zip(emissions, log_z)):
-        winner = select_best_worker(row)
-        theta = thetas[np.searchsorted(bounds, winner, side="right") - 1][e]
-        key = theta.tobytes()
-        if key not in costs:
-            try:
-                costs[key] = model.total_cost(theta)
-            except Exception as error:  # the route of an error in a part
-                raise _picklable(error)
-        rows.append(EstimateRow(iteration, winner, row, theta, costs[key]))
+    iterations = np.array(emissions[:len(log_z)])
+    winners = np.array([select_best_worker(row) for row in log_z])
+    modes = np.stack([thetas[:len(log_z)] for thetas in part_thetas])  # (P, E, d)
+    thetas = modes[np.searchsorted(bounds, winners, side="right") - 1, np.arange(len(log_z))]
+    keys = [theta.tobytes() for theta in thetas]  # emissions repeat thetas often
+    try:  # one full cost per distinct theta, in the order first emitted
+        costs = {key: model.total_cost(theta) for key, theta in dict(zip(keys, thetas)).items()}
+    except Exception as error:  # the route of an error in a part
+        raise _picklable(error)
+    f_values = np.array([costs[key] for key in keys])
     if raised == ended < total_steps:
         raise errors[int(np.argmin(marks[1]))]
     if failed == ended < total_steps:
         message = f"every worker's cumulative log Z is -inf by iteration {failed + 1}"
         raise RunFailureError(message, log_z_by_step[:failed + 1])
     final_particles = np.concatenate(particles)
-    return rows[-1], RunRecord(rows, log_z, log_z_by_step, final_particles, time.perf_counter() - start)
+    return RunRecord(iterations, winners, thetas, f_values, log_z, log_z_by_step, final_particles,
+                     time.perf_counter() - start)

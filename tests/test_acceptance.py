@@ -64,7 +64,7 @@ def test_criterion_1_multimodal_recovery(capsys):
     worst_hit = 0.0
     for seed in SEEDS:
         cfg = replace(to_optimizer_config(base), seed=seed)
-        _, record = run_psmco(problem.model, problem.space, cfg)
+        record = run_psmco(problem.model, problem.space, cfg)
         pooled = record.final_particles.reshape(-1, 2)
         assert pooled.shape == (5000, 2)
         dists = np.linalg.norm(pooled[:, None, :] - modes[None, :, :], axis=2)
@@ -100,8 +100,7 @@ def test_criterion_2_flat_region_escape(capsys):
     f_smc, f_good, f_bad = [], [], []
     for seed in SEEDS:
         cfg = replace(to_optimizer_config(base), seed=seed)
-        final, _ = run_psmco(problem.model, problem.space, cfg)
-        f_smc.append(final.f_value)
+        f_smc.append(run_psmco(problem.model, problem.space, cfg).f_values[-1])
         for target, point in ((f_good, (0.0, -100.0)), (f_bad, (-190.0, 0.0))):
             rec = run_psgd_baseline(
                 problem,

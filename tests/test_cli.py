@@ -103,6 +103,8 @@ def test_constraint_violations():
         parse_config(dict(base, batch_size=0))
     with pytest.raises(ConfigError, match="gradient baseline"):
         parse_config(dict(base, algorithm="psgd"))
+    with pytest.raises(ConfigError, match="keep_final_particles"):
+        parse_config(dict(load_profile("sigmoid-5.2"), algorithm="psgd", keep_final_particles=True))
     with pytest.raises(ConfigError, match="integer"):
         parse_config(dict(base, n=True))  # bools are not counts
     with pytest.raises(ConfigError, match="number"):
@@ -258,7 +260,7 @@ def test_trace_and_particles_headers_follow_dimension():
     model = CostModel(n=6, component_eval=lambda i, th: float(th @ th))
     cfg = OptimizerConfig(m_workers=2, n_particles=5, batch_size=2, proposal_std=0.3,
                           estimate_every=1)
-    _, record = run_psmco(model, space, cfg)
+    record = run_psmco(model, space, cfg)
     thetas = ["theta_0", "theta_1", "theta_2"]
     trace = [ln.split(",") for ln in psmco_trace_lines("bowl", record)]
     assert trace[0] == ["problem", "t", "m_star", "f_value", *thetas, "log_z_0", "log_z_1"]

@@ -22,16 +22,16 @@ from psmco.problems import (
 
 
 def assert_matches_reference(model, space, config):
-    _, record = run_psmco(model, space, config)
+    record = run_psmco(model, space, config)
     log_z, particles, rows = reference_sampler.run(model, space, config)
     assert record.log_z_by_step.tobytes() == log_z.tobytes()
     assert record.final_particles.tobytes() == particles.tobytes()
-    assert len(record.rows) == len(rows)
-    for got, (iteration, worker, cumulative, theta, f_value) in zip(record.rows, rows):
-        assert (got.iteration, got.worker, tuple(got.log_z.tolist()), got.f_value) == (
-            iteration, worker, cumulative, f_value
-        )
-        assert got.theta.tobytes() == theta.tobytes()
+    iterations, workers, cumulative, thetas, f_values = zip(*rows)
+    assert record.iterations.tolist() == list(iterations)
+    assert record.winners.tolist() == list(workers)
+    assert [tuple(row) for row in record.log_z.tolist()] == list(cumulative)
+    assert record.f_values.tolist() == list(f_values)
+    assert record.thetas.tobytes() == np.stack(thetas).tobytes()
     return record
 
 
@@ -57,7 +57,7 @@ def test_stock_problems_match_reference_at_any_block_size(name, m_workers, monke
     one_per_block = assert_matches_reference(problem.model, problem.space, config)
     assert one_per_block.log_z_by_step.tobytes() == default.log_z_by_step.tobytes()
     assert one_per_block.final_particles.tobytes() == default.final_particles.tobytes()
-    assert [r.theta.tobytes() for r in one_per_block.rows] == [r.theta.tobytes() for r in default.rows]
+    assert one_per_block.thetas.tobytes() == default.thetas.tobytes()
 
 
 def test_draw_blocks_match_reference():
@@ -118,5 +118,5 @@ def test_degenerate_worker_matches_reference(form):
     record = assert_matches_reference(MODELS[form], space, config)
     dead = (record.log_z_by_step == -np.inf).tolist()
     assert dead == [[False] * 3] * 3 + [[False, True, False]] + [[False] * 3] * 2
-    assert [r.log_z[1] == -np.inf for r in record.rows] == [False] * 3 + [True] * 3
-    assert all(np.isfinite(r.log_z[0]) and np.isfinite(r.log_z[2]) for r in record.rows)
+    assert (record.log_z[:, 1] == -np.inf).tolist() == [False] * 3 + [True] * 3
+    assert np.isfinite(record.log_z[:, [0, 2]]).all()

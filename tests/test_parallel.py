@@ -82,29 +82,26 @@ def test_config_validation():
 def test_emission_iterations_stride():
     prob = small_mixture(n=10)
     cfg = small_config(batch_size=1, estimate_every=3)
-    _, rec = run_psmco(prob.model, prob.space, cfg)
-    assert [r.iteration for r in rec.rows] == [3, 6, 9, 10]
-    # the emitted cumulative log Z is one (E, M) array; each row views its row
+    rec = run_psmco(prob.model, prob.space, cfg)
+    assert rec.iterations.tolist() == [3, 6, 9, 10]
+    # the emitted cumulative log Z is one (E, M) array, one row per emission
     assert rec.log_z.shape == (4, 4)
-    for e, row in enumerate(rec.rows):
-        assert row.log_z.base is rec.log_z
-        assert row.log_z.tobytes() == rec.log_z[e].tobytes()
-    _, rec = run_psmco(prob.model, prob.space, small_config(batch_size=1))
-    assert [r.iteration for r in rec.rows] == [10]
-    _, rec = run_psmco(prob.model, prob.space, small_config(batch_size=1, estimate_every=1))
-    assert [r.iteration for r in rec.rows] == list(range(1, 11))
+    assert_columns_agree(rec, prob.model, [3, 6, 9, 10])
+    rec = run_psmco(prob.model, prob.space, small_config(batch_size=1))
+    assert rec.iterations.tolist() == [10]
+    rec = run_psmco(prob.model, prob.space, small_config(batch_size=1, estimate_every=1))
+    assert rec.iterations.tolist() == list(range(1, 11))
 
 
 def test_rows_satisfy_selection_invariant():
     prob = small_mixture(n=30)
     cfg = small_config(batch_size=4, estimate_every=2)
-    final, rec = run_psmco(prob.model, prob.space, cfg)
-    for row in rec.rows:
-        assert row.worker == int(np.argmax(row.log_z))
-        assert (prob.space.lower <= row.theta).all() and (row.theta <= prob.space.upper).all()
-        assert row.f_value == pytest.approx(prob.model.total_cost(row.theta), rel=1e-12)
-    assert final is rec.rows[-1]
-    assert final.log_z.tobytes() == rec.log_z[-1].tobytes()
+    rec = run_psmco(prob.model, prob.space, cfg)
+    assert_columns_agree(rec, prob.model, [2, 4, 6, 8])
+    assert rec.winners.tolist() == np.argmax(rec.log_z, axis=1).tolist()
+    assert (prob.space.lower <= rec.thetas).all() and (rec.thetas <= prob.space.upper).all()
+    for theta, f_value in zip(rec.thetas, rec.f_values):
+        assert f_value == pytest.approx(prob.model.total_cost(theta), rel=1e-12)
     assert rec.log_z_by_step.shape == (8, 4)
     assert rec.wall_time > 0.0
 
@@ -113,10 +110,9 @@ def test_constant_cost_ties_select_first_worker():
     model = CostModel(n=12, component_eval=lambda i, th: 0.0)
     space = SearchSpace(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     cfg = small_config(batch_size=3, estimate_every=1)
-    _, rec = run_psmco(model, space, cfg)
-    for row in rec.rows:
-        assert row.worker == 0
-        assert row.log_z.tolist() == [0.0, 0.0, 0.0, 0.0]
+    rec = run_psmco(model, space, cfg)
+    assert rec.winners.tolist() == [0] * len(rec.log_z)
+    assert rec.log_z.tolist() == [[0.0, 0.0, 0.0, 0.0]] * len(rec.log_z)
 
 
 def test_single_worker_reduces_to_plain_sampler():
@@ -128,7 +124,7 @@ def test_single_worker_reduces_to_plain_sampler():
     cfg = OptimizerConfig(
         m_workers=1, n_particles=20, batch_size=2, proposal_std=0.5, seed=11
     )
-    final, rec = run_psmco(prob.model, prob.space, cfg)
+    rec = run_psmco(prob.model, prob.space, cfg)
 
     rng = np.random.default_rng(np.random.SeedSequence(11).spawn(1)[0])
     perm = build_schedule(24, 2, rng)
@@ -139,9 +135,9 @@ def test_single_worker_reduces_to_plain_sampler():
         sampler_step(system, prob.model, batch[None], kernel, draws)
     _, theta = map_estimate(system.particles[0], bandwidth_rule(20, 2))
 
-    np.testing.assert_array_equal(final.theta, theta)
-    assert final.log_z.tolist() == system.log_z_cumulative.tolist()
-    assert final.worker == 0
+    np.testing.assert_array_equal(rec.thetas[-1], theta)
+    assert rec.log_z[-1].tolist() == system.log_z_cumulative.tolist()
+    assert rec.winners[-1] == 0
     # the record keeps the final particles with no option asked for
     assert rec.final_particles.shape == (1, 20, 2)
     assert rec.final_particles.tobytes() == system.particles.tobytes()
@@ -152,15 +148,14 @@ def test_run_deterministic_across_repeats():
     outs = []
     for _ in range(3):
         cfg = small_config(batch_size=3, estimate_every=2)
-        _, rec = run_psmco(prob.model, prob.space, cfg)
+        rec = run_psmco(prob.model, prob.space, cfg)
         outs.append(rec)
     for other in outs[1:]:
-        assert len(outs[0].rows) == len(other.rows)
+        assert len(outs[0].iterations) == len(other.iterations)
         assert outs[0].log_z.tobytes() == other.log_z.tobytes()
-        for a, b in zip(outs[0].rows, other.rows):
-            np.testing.assert_array_equal(a.theta, b.theta)
-            assert a.f_value == b.f_value
-            assert a.worker == b.worker
+        np.testing.assert_array_equal(outs[0].thetas, other.thetas)
+        assert outs[0].f_values.tolist() == other.f_values.tolist()
+        assert outs[0].winners.tolist() == other.winners.tolist()
         np.testing.assert_array_equal(outs[0].log_z_by_step, other.log_z_by_step)
         np.testing.assert_array_equal(outs[0].final_particles, other.final_particles)
 
@@ -172,11 +167,11 @@ def test_worker_trajectory_independent_of_worker_count():
     prob = small_mixture(n=30)
     cfg_small = small_config(m_workers=3, batch_size=5, estimate_every=1)
     cfg_big = small_config(m_workers=5, batch_size=5, estimate_every=1)
-    _, small = run_psmco(prob.model, prob.space, cfg_small)
-    _, big = run_psmco(prob.model, prob.space, cfg_big)
+    small = run_psmco(prob.model, prob.space, cfg_small)
+    big = run_psmco(prob.model, prob.space, cfg_big)
     np.testing.assert_array_equal(big.log_z_by_step[:, :3], small.log_z_by_step)
     np.testing.assert_array_equal(big.final_particles[:3], small.final_particles)
-    assert len(big.rows) == len(small.rows) == 6
+    assert len(big.iterations) == len(small.iterations) == 6
     np.testing.assert_array_equal(big.log_z[:, :3], small.log_z)
 
 
@@ -187,14 +182,27 @@ def test_worker_trajectory_independent_of_worker_count_across_draw_blocks():
     small, big = (
         run_psmco(prob.model, prob.space, small_config(
             m_workers=m, n_particles=40, batch_size=1, estimate_every=1,
-        ))[1]
+        ))
         for m in (2, 5)
     )
     assert big.log_z_by_step.shape == (30, 5)
     np.testing.assert_array_equal(big.log_z_by_step[:, :2], small.log_z_by_step)
     np.testing.assert_array_equal(big.final_particles[:2], small.final_particles)
-    assert len(big.rows) == len(small.rows) == 30
+    assert len(big.iterations) == len(small.iterations) == 30
     np.testing.assert_array_equal(big.log_z[:, :2], small.log_z)
+
+
+def assert_columns_agree(record, model, emission_steps):
+    """The per-emission columns: one entry per row of log_z, made at the
+    emission steps, each an array of its own; winners rank log_z and
+    f_values are the full costs at thetas, bit for bit."""
+    columns = (record.iterations, record.winners, record.thetas, record.f_values)
+    assert [len(column) for column in columns] == [len(record.log_z)] * 4
+    assert all(column.base is None for column in columns)
+    assert record.iterations.tolist() == emission_steps
+    assert record.winners.tolist() == [select_best_worker(row) for row in record.log_z]
+    for theta, f_value in zip(record.thetas, record.f_values):
+        assert f_value.tobytes() == np.float64(model.total_cost(theta)).tobytes()
 
 
 def owns_its_rows(array):
@@ -223,7 +231,7 @@ def test_step_normalizers_telescope_to_emitted_log_z(case, estimate_every):
         space = SearchSpace(np.array([-1.0]), np.array([1.0]))
         cfg = OptimizerConfig(m_workers=3, n_particles=4, batch_size=2, proposal_std=0.3, seed=0,
                               estimate_every=estimate_every)
-    _, record = run_psmco(model, space, cfg)
+    record = run_psmco(model, space, cfg)
     dead = (record.log_z_by_step == -np.inf).tolist()
     if case == "healthy":
         assert not np.any(dead)
@@ -231,14 +239,12 @@ def test_step_normalizers_telescope_to_emitted_log_z(case, estimate_every):
         assert dead == [[False] * 3] * 3 + [[False, True, False]] + [[False] * 3]
     steps = len(record.log_z_by_step)
     stride = estimate_every or steps
-    assert [row.iteration for row in record.rows] == [*range(stride, steps, stride), steps]
-    assert len(record.log_z) == len(record.rows)
+    assert_columns_agree(record, model, [*range(stride, steps, stride), steps])
     for array in (record.log_z, record.log_z_by_step, record.final_particles):
         assert owns_its_rows(array)
-    for row, log_z in zip(record.rows, record.log_z):
-        assert np.shares_memory(row.log_z, log_z) and row.log_z.tolist() == log_z.tolist()
+    for iteration, log_z in zip(record.iterations.tolist(), record.log_z):
         with np.errstate(over="ignore"):  # a sum may sink to -inf, as the cumulative one does
-            assert record.log_z_by_step[:row.iteration].sum(axis=0).tolist() == row.log_z.tolist()
+            assert record.log_z_by_step[:iteration].sum(axis=0).tolist() == log_z.tolist()
 
 
 @pytest.mark.parametrize("batch_size", [0, -5, 11])
@@ -343,6 +349,6 @@ def test_selection_shift_invariance_end_to_end():
         batch_eval=lambda idx, th, owner: base_model.batch_eval(idx, th, owner) + shift * idx.shape[1],
     )
     cfg = small_config(batch_size=5, estimate_every=1)
-    _, rec_a = run_psmco(base_model, prob.space, cfg)
-    _, rec_b = run_psmco(shifted_model, prob.space, cfg)
-    assert [r.worker for r in rec_a.rows] == [r.worker for r in rec_b.rows]
+    rec_a = run_psmco(base_model, prob.space, cfg)
+    rec_b = run_psmco(shifted_model, prob.space, cfg)
+    assert rec_a.winners.tolist() == rec_b.winners.tolist()

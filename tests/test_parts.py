@@ -309,7 +309,7 @@ def test_no_child_outlives_a_run(case, force_parts):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if expected is None:
-            assert run_psmco(model, space, config)[1].final_particles.shape == (4, 6, 2)
+            assert run_psmco(model, space, config).final_particles.shape == (4, 6, 2)
         else:
             error = raised(model, space, config)
             assert (type(error), str(error)) == expected

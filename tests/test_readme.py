@@ -28,7 +28,7 @@ def test_library_examples_run(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert len(capsys.readouterr().out.splitlines()) == len(blocks)
-    assert np.isfinite(namespace["final"].f_value)
+    assert np.isfinite(namespace["record"].f_values[-1])
     models = [v for v in namespace.values() if isinstance(v, CostModel) and v.batch_eval is not None]
     assert models
     rng = np.random.default_rng(0)
@@ -42,8 +42,10 @@ def test_library_examples_run(capsys):
 
 
 def test_every_public_name_is_documented():
-    """Each name psmco exports opens a code span somewhere in the README,
-    so a name exported without docs shows here."""
+    """Each name psmco exports, and each field of the RunRecord a run
+    returns, opens a code span somewhere in the README, so a name exported
+    without docs shows here."""
     text = README.read_text()
-    missing = [name for name in psmco.__all__ if not re.search(rf"`{name}\b", text)]
+    names = [*psmco.__all__, *(field.name for field in dataclasses.fields(psmco.RunRecord))]
+    missing = [name for name in names if not re.search(rf"`{name}\b", text)]
     assert missing == []
