@@ -7,10 +7,13 @@ max before exponentiating.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+
+_LOWEST = float(np.finfo(float).min)
 
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -20,12 +23,19 @@ def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     are log-values in [-inf, inf).  Rows that are all -inf map to -inf.
     """
     a = np.asarray(a, dtype=float)
-    m = np.max(a, axis=axis, keepdims=True)
-    # freeze all--inf rows so the subtraction below cannot produce NaN;
-    # those rows then reduce to 0 + log(0) = -inf, which is the answer
-    safe = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.squeeze(safe, axis) + np.log(np.sum(np.exp(a - safe), axis=axis))
+    m = a.max(axis=axis, keepdims=True)
+    # an all--inf row, shifted by _LOWEST, stays -inf; its total 0 is the only
+    # one under the exp(0) = 1 each other row holds, and becomes 1: -inf + log(1)
+    total = np.exp(a - np.maximum(m, _LOWEST)).sum(axis=axis)
+    return m.squeeze(axis) + np.log(np.maximum(total, 1.0))
+
+
+@functools.lru_cache(maxsize=64)
+def ramp(count: int, step: int = 1) -> np.ndarray:
+    """arange(count) * step, read-only: a step's index constant, built once."""
+    out = np.arange(count) * step
+    out.flags.writeable = False
+    return out
 
 
 class EvaluationError(RuntimeError):
@@ -78,7 +88,7 @@ class SearchSpace:
 
 def clip_to_space(thetas: np.ndarray, space: SearchSpace) -> np.ndarray:
     """Project points onto the box, coordinate-wise."""
-    return np.clip(np.asarray(thetas, dtype=float), space.lower, space.upper)
+    return np.asarray(thetas, dtype=float).clip(space.lower, space.upper)
 
 
 @dataclass(frozen=True)
@@ -122,8 +132,8 @@ class CostModel:
         owner = np.asarray(owner)
         if indices.ndim != 2 or thetas.ndim != 2:
             raise ValueError(f"indices (W, K) and thetas (R, d) must be 2-d, got {indices.shape}, {thetas.shape}")
-        if (owner.shape != thetas.shape[:1] or not np.issubdtype(owner.dtype, np.integer)
-                or (owner[1:] < owner[:-1]).any()
+        if (owner.shape != thetas.shape[:1] or owner.dtype.kind not in "iu"
+                or np.count_nonzero(owner[1:] < owner[:-1])
                 or owner.size and not 0 <= owner[0] <= owner[-1] < len(indices)):
             raise ValueError(f"owner must hold {len(thetas)} nondecreasing workers in [0, {len(indices)})")
         if self.batch_eval is None:
@@ -171,16 +181,17 @@ def build_schedule(n: int, batch_size: int, rng: np.random.Generator) -> np.ndar
 
 def label_groups(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Groups of copies from lineage labels (W, N) in [0, 2N), by a
-    presence mask and a cumsum: the labels renumbered to [0, U_w), each
+    table over the W * 2N keys: the labels renumbered to [0, U_w), each
     particle's group in [0, R), groups in worker order, and a member's
     flat row for each of the R = sum U_w groups."""
     w_count, n = labels.shape
-    keys = labels + np.arange(w_count)[:, None] * (2 * n)
-    present = np.zeros(w_count * 2 * n, dtype=bool)
-    present[keys] = True
-    slots = np.take(np.cumsum(present) - 1, keys)
-    rows = np.empty(np.count_nonzero(present), dtype=np.intp)
-    rows[slots.ravel()] = np.arange(w_count * n)  # any member: copies are equal
+    keys = labels + ramp(w_count, 2 * n)[:, None]
+    rank = np.full(w_count * 2 * n, -1)
+    rank[keys.ravel()] = ramp(w_count * n)  # a member's row: copies are equal
+    groups = (rank >= 0).nonzero()[0]
+    rows = rank.take(groups)
+    rank[groups] = np.arange(len(groups))  # each key's group
+    slots = rank.take(keys)
     return slots - slots.min(axis=1, keepdims=True), slots, rows
 
 
@@ -202,10 +213,10 @@ def log_potentials(model: CostModel, batch: np.ndarray, thetas: np.ndarray, grou
     w_count, n, d = thetas.shape
     if len(batch) != w_count:
         raise ValueError(f"{len(batch)} batches for {w_count} workers")
-    slots, rows = groups or label_groups(np.broadcast_to(np.arange(n), (w_count, n)))[1:]
-    sums = np.take(model.sums(batch, np.take(thetas.reshape(-1, d), rows, axis=0), rows // n), slots)
+    slots, rows = groups or (ramp(w_count * n).reshape(w_count, n), ramp(w_count * n))
+    sums = model.sums(batch, thetas.reshape(-1, d).take(rows, axis=0), rows // n).take(slots)
     bad = ~np.isfinite(sums)
-    if bad.any():
+    if np.count_nonzero(bad):
         # Rescan component-by-component at the bad points, in worker then
         # particle order, to attribute the failure.  A batch sum of +inf
         # with every component finite is plain overflow and stays, giving
@@ -233,10 +244,10 @@ def normalize_log_weights(log_w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     ValueError on NaN or +inf.
     """
     log_w = np.asarray(log_w, dtype=float)
-    if np.isnan(log_w).any() or (log_w == np.inf).any():
+    m = log_w.max(axis=-1, keepdims=True)  # NaN or +inf when a row holds one
+    if not (m < np.inf).all():
         raise ValueError("log-weights must be in [-inf, inf)")
-    m = np.max(log_w, axis=-1, keepdims=True)
-    live = m > -np.inf
-    shifted = log_w - np.where(live, m, 0.0)  # degenerate rows stay -inf
-    log_norm = np.log(np.where(live, np.sum(np.exp(shifted), axis=-1, keepdims=True), 1.0))
-    return np.where(live, m + log_norm, -np.inf)[..., 0], shifted - log_norm
+    shifted = log_w - np.maximum(m, _LOWEST)  # a degenerate row, as in logsumexp
+    total = np.exp(shifted).sum(axis=-1, keepdims=True)
+    log_norm = np.log(np.maximum(total, 1.0, out=total))
+    return (m + log_norm)[..., 0], shifted - log_norm

@@ -8,7 +8,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import label_groups, logsumexp
+from .core import label_groups, logsumexp, ramp
 
 
 def bandwidth_rule(n_particles: int, dim: int) -> float:
@@ -47,14 +47,13 @@ def kde_log_eval(particles: np.ndarray, points: np.ndarray, bandwidth: float) ->
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")
     const = -math.log(n) - d * math.log(h) - 0.5 * d * math.log(2.0 * math.pi)
-    out = np.empty(points.shape[0])
-    # chunk the P x N distance matrix to bound memory
+    out = np.empty(len(points))
+    # chunks of the P x N distances bound memory; each adds its squares one
+    # coordinate at a time, which at d <= 2 is einsum("pnd,pnd->pn")'s order
     chunk = max(1, (1 << 21) // max(1, n))
-    for start in range(0, points.shape[0], chunk):
-        block = points[start:start + chunk]
-        diff = block[:, None, :] - particles[None, :, :]
-        sq = np.einsum("pnd,pnd->pn", diff, diff)
-        out[start:start + block.shape[0]] = logsumexp(-sq / (2.0 * h * h))
+    for start in range(0, len(points), chunk):
+        sq = sum(np.square(points[start:start + chunk, j, None] - particles[:, j]) for j in range(d))
+        out[start:start + len(sq)] = logsumexp(sq / (-2.0 * h * h))
     return out + const
 
 
@@ -72,10 +71,9 @@ def map_estimate(
     """
     particles = np.asarray(particles, dtype=float)
     n = len(particles)
-    labels = np.arange(n) if labels is None else np.asarray(labels)
-    if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer) or ((labels < 0) | (labels >= 2 * n)).any():
+    labels = ramp(n) if labels is None else np.asarray(labels)
+    if labels.shape != (n,) or labels.dtype.kind not in "iu" or not 0 <= labels.min() <= labels.max() < 2 * n:
         raise ValueError(f"labels must be {n} integers in [0, {2 * n})")
     _, slots, rows = label_groups(labels[None])
-    logs = kde_log_eval(particles, particles[rows], bandwidth)[slots[0]]
-    best = int(np.argmax(logs))
+    best = int(kde_log_eval(particles, particles.take(rows, axis=0), bandwidth).take(slots[0]).argmax())
     return best, particles[best].copy()

@@ -194,12 +194,12 @@ def _run_part(model: CostModel, space: SearchSpace, config: OptimizerConfig, emi
         for t, draws in enumerate(step_draws(system, kernel, len(log_z_by_step))):
             batches = schedule[:, t * config.batch_size:(t + 1) * config.batch_size]
             log_z_by_step[t] = sampler_step(system, model, batches, kernel, draws)
-            if (system.log_z_cumulative == -math.inf).all():
+            if system.log_z_cumulative.max() == -math.inf:
                 marks[0, part] = min(marks[0, part], t)
             if t + 1 == emissions[len(thetas)]:
-                best = int(np.argmax(system.log_z_cumulative))  # select_best_worker's pick, where it has one
+                best = int(system.log_z_cumulative.argmax())  # select_best_worker's pick, where it has one
                 thetas.append(map_estimate(system.particles[best], bandwidth, system.labels[best])[1])
-            if min(marks[0].max(), marks[1].min()) <= t:
+            if min(max(marks[0].tolist()), min(marks[1].tolist())) <= t:
                 break
     except Exception as e:  # the caller raises it if it is the run's first
         marks[1, part] = t

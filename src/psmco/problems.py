@@ -17,8 +17,8 @@ import numpy as np
 
 from .core import CostModel, SearchSpace, build_schedule, logsumexp, schedule_dtype, step_count
 
-# Elements in one temporary of a ragged kernel call: rows go in chunks of
-# as many as fit, at least one, and a longer row in slabs of at least 128.
+# Bound on per_pair times the (point, index) pairs of one block_eval call: rows go
+# in chunks of as many as fit, at least one, and a longer row in slabs of at least 128.
 STACK_BUDGET = 1 << 15
 
 
@@ -37,11 +37,11 @@ def _pairwise_slabs(block_eval, width: int, indices, thetas, owner) -> np.ndarra
 
 def _batch_kernel(block_eval, per_pair: int):
     """A CostModel batch_eval over block_eval(indices (V, K), thetas
-    (C, d), owner (C,)) -> (C,) row sums, each one .sum(), whose
-    temporaries hold per_pair elements per (point, index) pair.
+    (C, d), owner (C,)) -> (C,) row sums, each one .sum(), called on at
+    most max(128, STACK_BUDGET // per_pair) (point, index) pairs at a time.
 
     The ragged call, indices (W, K), thetas (R, d) and owner (R,), is cut
-    into chunks of rows and pairwise column slabs under STACK_BUDGET; a
+    into chunks of rows and pairwise column slabs under that bound; a
     chunk gets only the batches of the workers it spans, owner shifted to
     match, so block_eval can gather each worker's batch once.  block_eval
     must give a point the same bits whatever else the call holds, as both
@@ -135,17 +135,18 @@ def make_mixture_problem(spec: MixtureProblemSpec) -> MixtureProblem:
     def block_eval(indices: np.ndarray, thetas: np.ndarray, owner: np.ndarray) -> np.ndarray:
         # (d, 4, C, K) centers minus (d, 1, C, 1) points; every reduction
         # runs over a leading axis of (C, K) slabs
-        diff = np.take(by_coord, np.take(indices, owner, axis=0), axis=2)
+        diff = by_coord.take(indices.take(owner, axis=0), axis=2)
         diff -= thetas.T[:, None, :, None]
         with np.errstate(over="ignore"):
-            a = -(diff * diff).sum(axis=0) * inv_two_r  # (4, C, K)
+            a = np.square(diff, out=diff).sum(axis=0) * -inv_two_r  # (4, C, K)
         return (logsumexp(a, axis=0) - log_norm).sum(axis=-1)
 
-    inner_sums = _batch_kernel(block_eval, k_parts * d)
+    # diff holds k_parts * d elements per pair; the extra half is tuned against page faults (README)
+    inner_sums = _batch_kernel(block_eval, k_parts * d * 3 // 2)
     model = CostModel(
         n=spec.n,
         component_eval=component_eval,
-        batch_eval=lambda indices, thetas, owner: -inner_sums(indices, thetas, owner) / spec.lam,
+        batch_eval=lambda indices, thetas, owner: inner_sums(indices, thetas, owner) / -spec.lam,
     )
     space = SearchSpace(
         lower=np.full(d, -spec.half_width), upper=np.full(d, spec.half_width)
@@ -256,10 +257,10 @@ def make_sigmoid_problem(spec: SigmoidProblemSpec) -> SigmoidProblem:
         return float((y[i] - g) ** 2)
 
     def block_eval(indices: np.ndarray, thetas: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        z = np.take(x[indices], owner, axis=0)  # (C, K)
+        z = x[indices].take(owner, axis=0)  # (C, K)
         z *= thetas[:, 1, None]
         z += thetas[:, 0, None]
-        resid = np.take(y[indices], owner, axis=0)
+        resid = y[indices].take(owner, axis=0)
         resid -= expit(z, out=z)
         # a contiguous last axis is summed pairwise row by row, so a
         # point's bits do not depend on the call's other points

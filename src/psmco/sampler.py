@@ -29,6 +29,7 @@ from .core import (
     label_groups,
     log_potentials,
     normalize_log_weights,
+    ramp,
 )
 
 
@@ -191,13 +192,13 @@ def jitter(system: ParticleSystem, kernel: JitterKernelSpec, u: np.ndarray, nois
         raise ValueError(f"a {kernel.space.dim}-d kernel box for {system.particles.shape[2]}-d particles")
     if kernel.n_particles != system.n_particles:
         raise ValueError(f"a kernel for {kernel.n_particles} particles applied to {system.n_particles}")
-    moved = np.flatnonzero(u < kernel.epsilon)  # an unmoved particle is in the box already
+    moved = (u < kernel.epsilon).ravel().nonzero()[0]  # an unmoved particle is in the box already
     if len(noise) != moved.size:
         raise ValueError(f"{len(noise)} noise rows for {moved.size} moved particles")
     particles = np.array(system.particles, dtype=float, order="C")  # never a caller's array
     labels = np.array(system.labels, order="C")
     flat = particles.reshape(-1, particles.shape[2])  # a view: rows are particles
-    flat[moved] = clip_to_space(np.take(flat, moved, axis=0) + noise, kernel.space)
+    flat[moved] = clip_to_space(flat.take(moved, axis=0) + noise, kernel.space)
     labels.reshape(-1)[moved] = moved % system.n_particles + system.n_particles
     system.particles, system.labels = particles, labels
     return moved.size
@@ -238,35 +239,29 @@ def inverse_cdf(log_w: np.ndarray, u: np.ndarray) -> np.ndarray:
     """
     scaled = u * 2.0**53
     k = scaled.astype(np.int64)
-    if (k != scaled).any() or (k >> 53).any():
+    if np.count_nonzero(k != scaled) or np.count_nonzero(k >> 53):
         raise ValueError("uniforms must be multiples of 2**-53 in [0, 1)")
-    cum = np.cumsum(np.exp(log_w), axis=-1)
+    cum = np.exp(log_w).cumsum(axis=-1)
     total = cum[:, -1]
-    if (~(np.abs(total - 1.0) <= 1e-9) & (total != 0.0)).any():
+    if np.count_nonzero(~(abs(total - 1.0) <= 1e-9) & (total != 0.0)):
         raise ValueError("log-weights must be normalized: each row's weights must sum to 1")
     # u <= c exactly when k <= floor(c * 2**53), so the search runs on
     # exact int64 keys; a slot before the last may round above 1, and
     # clipping keeps it out of the next row's key range.
     np.minimum(cum, 1.0, out=cum)
     cum[:, -1] = 1.0  # guard against round-off shortfall at the top
-    (m, n), width = cum.shape, u.shape[1]
-    # One search per chunk of 1023 rows: the r-th row of a chunk has its
-    # keys and probes offset by r * (2**53 + 1), below 2**63, which keeps
-    # every row in a block of its own.  The probes are searched in
-    # ascending order, where each search starts from the one before, and
-    # the results are scattered back to the probes' own positions.
-    local = np.arange(m) % 1023
-    offset = local[:, None] * (2**53 + 1)
-    keys = ((cum * 2.0**53).astype(np.int64) + offset).ravel()
-    order = (np.argsort(k, axis=1) + np.arange(m)[:, None] * width).ravel()
-    probes = np.take((k + offset).ravel(), order)
-    found = np.empty(m * width, dtype=np.intp)
-    for c in range(0, m, 1023):
-        at = slice(c * width, (c + 1023) * width)
-        found[at] = np.searchsorted(keys[c * n:(c + 1023) * n], probes[at])
-    out = np.empty_like(found)
-    out[order] = found - np.repeat(local * n, width)  # chunk positions -> slots
-    return out.reshape(m, width)
+    keys, out = (cum * 2.0**53).astype(np.int64), np.empty(u.shape, dtype=np.intp)
+    # One search per chunk of up to 1023 rows: the r-th row of a chunk has
+    # its keys and probes offset by r * (2**53 + 1) < 2**63, a block of its
+    # own.  The probes go in ascending order, each search starting from the
+    # last, and the results, less the r * N keys before, are scattered back.
+    for c in range(0, len(out), 1023):
+        chunk = out[c:c + 1023]  # a view of the chunk's rows
+        offset = ramp(len(chunk), 2**53 + 1)[:, None]
+        order = (k[c:c + 1023].argsort(axis=1) + ramp(len(chunk), u.shape[1])[:, None]).ravel()
+        chunk.reshape(-1)[order] = (keys[c:c + 1023] + offset).ravel().searchsorted((k[c:c + 1023] + offset).take(order))
+        chunk -= ramp(len(chunk), cum.shape[1])[:, None]
+    return out
 
 
 def resample_multinomial(system: ParticleSystem, log_w: np.ndarray, u: np.ndarray) -> None:
@@ -277,9 +272,9 @@ def resample_multinomial(system: ParticleSystem, log_w: np.ndarray, u: np.ndarra
     ancestors."""
     m, n, d = system.particles.shape
     live = log_w.max(axis=1, keepdims=True) > -math.inf
-    rows = np.where(live, inverse_cdf(log_w, u), np.arange(n)) + np.arange(m)[:, None] * n
-    system.particles = np.take(system.particles.reshape(-1, d), rows, axis=0)
-    system.labels = np.take(system.labels, rows)
+    rows = np.where(live, inverse_cdf(log_w, u), ramp(n)) + ramp(m, n)[:, None]
+    system.particles = system.particles.reshape(-1, d).take(rows, axis=0)
+    system.labels = system.labels.take(rows)
 
 
 def sampler_step(

@@ -75,13 +75,17 @@ def test_timed_kernel_passes_the_ragged_call_through():
     assert len(tracer.payloads) == 3 and not tracer.missing
 
 
-def test_traced_child_prints_its_result_and_plain_json_metrics(tmp_path):
-    """A traced repetition of mixture-5.1, shrunk, run as the benchmark
+@pytest.mark.parametrize("profile, overrides", [
+    ("mixture-5.1", ("n=200", "m_workers=6", "n_particles=20")),
+    ("sigmoid-5.2", ("n=2000", "m_workers=5", "n_particles=12", "batch_size=50")),
+], ids=["mixture-5.1", "sigmoid-5.2"])
+def test_traced_child_prints_its_result_and_plain_json_metrics(tmp_path, profile, overrides):
+    """A traced repetition of a stock profile, shrunk, run as the benchmark
     runs one: the child exits 0, its last line is its JSON result, and its
     layer metrics are JSON without NaN or Infinity."""
-    cmd = [sys.executable, str(SPANS.parent / "child.py"), "--profile", "mixture-5.1", "--seed", "0",
+    cmd = [sys.executable, str(SPANS.parent / "child.py"), "--profile", profile, "--seed", "0",
            "--out", str(tmp_path), "--trace"]
-    for item in ("n=200", "m_workers=6", "n_particles=20"):
+    for item in overrides:
         cmd += ["--override", item]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120, cwd=SPANS.parent.parent)
     assert proc.returncode == 0, proc.stderr

@@ -251,3 +251,49 @@ def test_sup_norm_error_shrinks_with_population():
     for lo, hi in zip(medians[2:], medians[:-2]):
         assert lo < hi
     assert medians[-1] < 0.5 * medians[0]
+
+
+def einsum_kde(particles, points, h):
+    """The point-major formula: (P, N, d) differences reduced by einsum,
+    then the max-shift logsumexp, each step in the library's order."""
+    n, d = particles.shape
+    diff = points[:, None, :] - particles[None, :, :]
+    a = -np.einsum("pnd,pnd->pn", diff, diff) / (2.0 * h * h)
+    m = a.max(axis=1, keepdims=True)
+    const = -math.log(n) - d * math.log(h) - 0.5 * d * math.log(2.0 * math.pi)
+    return (m[:, 0] + np.log(np.exp(a - m).sum(axis=1))) + const
+
+
+def random_clouds(seed, dims, count=150):
+    """(particles, labels, h): random N, copies of a pool marked by their
+    labels, at times a cloud symmetric about 0, whose mirror-image points
+    tie in density, and a range of scales."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d = int(rng.choice(dims))
+        n = int(rng.integers(1, 60))
+        pool = rng.normal(size=(int(rng.integers(1, n + 1)), d)) * rng.choice([1e-3, 1.0, 50.0])
+        labels = rng.integers(0, len(pool), size=n)
+        if rng.random() < 0.3:
+            pool, labels = np.concatenate([pool, -pool]), np.concatenate([labels, labels + len(pool)])
+        yield pool[labels], labels, float(rng.choice([0.05, 0.5, 1.0, 3.0]) * rng.uniform(0.5, 2.0))
+
+
+def test_mode_search_has_the_bits_of_the_einsum_formula():
+    """At d <= 2, the coordinate-major distance adds in einsum's order:
+    kde_log_eval and map_estimate, with and without labels, give the
+    point-major formula's bits."""
+    for particles, labels, h in random_clouds(30, (1, 2)):
+        want = einsum_kde(particles, particles, h)
+        assert kde_log_eval(particles, particles, h).tobytes() == want.tobytes()
+        best = int(np.argmax(want))
+        for got in (map_estimate(particles, h), map_estimate(particles, h, labels)):
+            assert got[0] == best and got[1].tobytes() == particles[best].tobytes()
+
+
+def test_mode_values_above_two_dimensions_stay_within_1e_12():
+    """At d >= 3 the coordinate sums pair their terms unlike einsum, so
+    only the last bits may move."""
+    for particles, _, h in random_clouds(31, (3, 4, 7), count=60):
+        np.testing.assert_allclose(kde_log_eval(particles, particles, h), einsum_kde(particles, particles, h),
+                                   rtol=1e-12, atol=1e-12)

@@ -229,7 +229,7 @@ def test_one_row_per_point_keeps_the_bits_of_whole_populations(name, k, budget, 
     to one point."""
     # slabs of at least K // 8 columns: a budget of 1 would cut K = 131073
     # into 1024 slabs of 128 per row, where about eight keep one row per chunk
-    per_pair = 8 if name == "mixture" else 1
+    per_pair = 12 if name == "mixture" else 1
     monkeypatch.setattr(problems, "STACK_BUDGET", max(budget, per_pair * (k // 8)))
     n_data = max(k, 9000)
     spec = SigmoidProblemSpec(n=n_data) if name == "sigmoid" else MixtureProblemSpec(n=n_data)
@@ -258,7 +258,7 @@ def test_one_row_per_point_keeps_the_bits_of_whole_populations(name, k, budget, 
     assert got.tobytes() == (-worker_sums(model, batch[:1], lone)).tobytes()
 
 
-@pytest.mark.parametrize("name, per_pair", [("sigmoid", 1), ("mixture", 8)])
+@pytest.mark.parametrize("name, per_pair", [("sigmoid", 1), ("mixture", 12)])
 def test_points_cut_into_chunks_keep_the_bits_of_one_call(name, per_pair, monkeypatch):
     """A worker's rows are cut into chunks under STACK_BUDGET: 64 points
     at K = 1000 go in chunks of 9, the last holding one point alone, and
@@ -279,7 +279,7 @@ def test_points_cut_into_chunks_keep_the_bits_of_one_call(name, per_pair, monkey
     assert seen == [(9, 2)] * 7 + [(1, 2)]
 
 
-@pytest.mark.parametrize("name, per_pair", [("sigmoid", 1), ("mixture", 8)])
+@pytest.mark.parametrize("name, per_pair", [("sigmoid", 1), ("mixture", 12)])
 def test_ragged_chunks_across_workers_keep_the_bits_of_per_worker_calls(name, per_pair, monkeypatch):
     """Workers of 3, 0, 6 and 2 rows in chunks of 4: the chunks cut
     across workers 0 | 2 and 2 | 3 and inside worker 2, worker 1 owns no
@@ -304,7 +304,7 @@ def test_ragged_chunks_across_workers_keep_the_bits_of_per_worker_calls(name, pe
 
 
 @pytest.mark.parametrize("n", [100_000, 131_073, 129, 7])
-@pytest.mark.parametrize("name, per_pair", [("sigmoid", 1), ("mixture", 8)])
+@pytest.mark.parametrize("name, per_pair", [("sigmoid", 1), ("mixture", 12)])
 def test_sweeps_cut_into_column_slabs_keep_the_bits_of_one_row_sum(name, per_pair, n, monkeypatch):
     """A full-cost sweep wider than STACK_BUDGET // per_pair columns is
     cut into column slabs, at least 128 wide, added in numpy's pairwise
@@ -331,10 +331,10 @@ def test_grid_minima_keep_their_bits_in_column_slabs(monkeypatch):
     every grid node in one call, in slabs of 375 columns, or in one row
     per call in slabs at the 128-column floor."""
     model = make_mixture_problem(MixtureProblemSpec(n=1000)).model
-    monkeypatch.setattr(problems, "STACK_BUDGET", 8 * 1000 * 30 * 30)
+    monkeypatch.setattr(problems, "STACK_BUDGET", 12 * 1000 * 30 * 30)
     coords, values = find_grid_minima(model, [-8, -8], [8, 8], num_points=30)
     assert len(values) >= 4
-    for budget in (8 * 375, 1):
+    for budget in (12 * 375, 1):
         monkeypatch.setattr(problems, "STACK_BUDGET", budget)
         got = find_grid_minima(model, [-8, -8], [8, 8], num_points=30)
         assert (got[0].tobytes(), got[1].tobytes()) == (coords.tobytes(), values.tobytes())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from psmco.core import CostModel, SearchSpace, normalize_log_weights
+from psmco.core import CostModel, SearchSpace, normalize_log_weights, ramp
 from psmco.problems import MixtureProblemSpec, make_mixture_problem
 from psmco.sampler import (
     BLOCK_ELEMENTS,
@@ -461,6 +461,31 @@ def test_inverse_cdf_rejects_unnormalized_log_weights():
         with pytest.raises(ValueError, match="normalized"):
             inverse_cdf(np.stack([np.log(w), bad]), u)
     assert inverse_cdf(np.stack([np.log(w), np.full(3, -np.inf)]), u).shape == (2, 100)
+
+
+def test_search_constants_serve_interleaved_shapes_read_only():
+    """inverse_cdf and resample_multinomial build their index constants
+    once per shape: calls at interleaved (M, N, width) shapes, the
+    1023-row chunk crossed or not, each give the plain per-row search,
+    and a cached constant refuses writes."""
+    rng = np.random.default_rng(42)
+    shapes = [(3, 5, 5), (1, 5, 7), (1100, 4, 6), (3, 5, 5), (2, 9, 3), (1100, 4, 6), (1, 5, 7), (3, 5, 5)]
+    for m, n, width in shapes:
+        w = normalize_log_weights(rng.normal(size=(m, n)) * 3)[1]
+        u = rng.random((m, width))
+        got = inverse_cdf(w, u)
+        np.testing.assert_array_equal(got, per_row_search(w, u))
+        got[:] = -1  # the result is the caller's own array
+        if width == n:
+            pts = rng.normal(size=(m, n, 2))
+            ps = ParticleSystem(pts.copy(), rngs=())
+            resample_multinomial(ps, w, u)
+            want = per_row_search(w, u)
+            np.testing.assert_array_equal(bits(ps.particles), bits(np.take_along_axis(pts, want[:, :, None], axis=1)))
+            np.testing.assert_array_equal(ps.labels, want)
+    for args in ((4,), (3, 2**53 + 1), (5, 7)):
+        with pytest.raises(ValueError, match="read-only"):
+            ramp(*args)[0] = 1
 
 
 @pytest.mark.parametrize("m", [1, 1023, 1024])
