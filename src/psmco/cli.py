@@ -91,7 +91,7 @@ def run_and_persist(config: RunConfig, out_dir: str) -> None:
     problem = build_problem(config)
     os.makedirs(out_dir, exist_ok=True)
 
-    particles = wall = None
+    particles = timing = None
     if config.algorithm == "psmco":
         record = run_psmco(problem.model, problem.space, to_optimizer_config(config))
         trace = psmco_trace_lines(config.problem, record)
@@ -100,7 +100,7 @@ def run_and_persist(config: RunConfig, out_dir: str) -> None:
         after = [("log_z_final", _fmt(record.log_z[-1, record.winners[-1]]))]
         if config.keep_final_particles:
             particles = particles_lines(record)
-        wall = record.wall_time
+        timing = f"wall_time_seconds={record.wall_time:.3f} parts={record.parts}"
     else:
         record = run_psgd_baseline(problem, to_psgd_config(config))
         trace = psgd_trace_lines(config.problem, record)
@@ -126,8 +126,8 @@ def run_and_persist(config: RunConfig, out_dir: str) -> None:
     _write_lines(os.path.join(out_dir, "summary.txt"), summary)
     if particles is not None:
         _write_lines(os.path.join(out_dir, "particles.csv"), particles)
-    if wall is not None:
-        print(f"wall_time_seconds={wall:.3f}")
+    if timing is not None:
+        print(timing)
 
 
 # ---------------------------------------------------------------------------

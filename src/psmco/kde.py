@@ -4,7 +4,7 @@ particle-restricted mode search used to read off a point estimate."""
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -30,50 +30,61 @@ def bandwidth_rule(n_particles: int, dim: int) -> float:
     return 1.0 / k
 
 
-def kde_log_eval(particles: np.ndarray, points: np.ndarray, bandwidth: float) -> np.ndarray:
+def kde_log_eval(
+    particles: np.ndarray, points: np.ndarray, bandwidth: float, owner: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Log-density of the particle KDE at each query row, shape (P,).
 
     density(x) = (1/N) sum_i h^-d k((x - x_i)/h) with k the standard
     Gaussian and h the bandwidth; the sum over particles runs through
-    logsumexp.  Raises ValueError unless h is positive and finite and
-    the points have the particles' d.
+    logsumexp.  Stacked clouds (E, N, d) take owner (P,), the cloud of
+    each row.  Raises ValueError unless h is positive and finite, the
+    points have the particles' d and owner comes with stacked clouds.
     """
     particles = np.asarray(particles, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = particles.shape
-    if points.shape[1] != d:
-        raise ValueError(f"points of dimension {points.shape[1]} for particles of dimension {d}")
+    n, d = particles.shape[-2:]
+    if (particles.ndim != 2 + (owner is not None) or points.shape[1] != d
+            or np.shape(owner) not in ((), points.shape[:1])):
+        raise ValueError(f"points of dimension {points.shape[1]} and owner {np.shape(owner)} for {particles.shape}")
     h = float(bandwidth)
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")
     const = -math.log(n) - d * math.log(h) - 0.5 * d * math.log(2.0 * math.pi)
     out = np.empty(len(points))
-    # chunks of the P x N distances bound memory; each adds its squares one
-    # coordinate at a time, which at d <= 2 is einsum("pnd,pnd->pn")'s order
+    # chunks of the P x N distances bound memory; each adds its squares one coordinate at
+    # a time (einsum("pnd,pnd->pn")'s order at d <= 2), gathered per row when stacked
     chunk = max(1, (1 << 21) // max(1, n))
     for start in range(0, len(points), chunk):
-        sq = sum(np.square(points[start:start + chunk, j, None] - particles[:, j]) for j in range(d))
-        out[start:start + len(sq)] = logsumexp(sq / (-2.0 * h * h))
+        rows = slice(start, start + chunk)
+        sq = sum(np.square(points[rows, j, None] - (c if owner is None else c.take(owner[rows], axis=0)))
+                 for j, c in enumerate(np.moveaxis(particles, -1, 0)))
+        out[rows] = logsumexp(sq / (-2.0 * h * h))
     return out + const
 
 
 def map_estimate(
     particles: np.ndarray, bandwidth: float, labels: Optional[np.ndarray] = None
-) -> Tuple[int, np.ndarray]:
+) -> Tuple[Union[int, np.ndarray], np.ndarray]:
     """(index, particle) of the highest value of the particles' KDE at
-    the given bandwidth; ties go to the lowest index.
+    the given bandwidth; ties go to the lowest index.  Stacked clouds
+    (E, N, d), with labels (E, N), give each cloud's: (E,) indices and
+    (E, d) modes, in one pass over all their distinct points.
 
     Searches only over the particles themselves, not the continuous
     space.  labels, a worker's row of ParticleSystem.labels, mark copies:
     the KDE of all N particles is queried once per label (None: at every
     particle), and every copy gets its point's value.  Raises ValueError
-    unless labels are N integers in [0, 2N).
+    unless labels are N integers in [0, 2N) per cloud.
     """
     particles = np.asarray(particles, dtype=float)
-    n = len(particles)
-    labels = ramp(n) if labels is None else np.asarray(labels)
-    if labels.shape != (n,) or labels.dtype.kind not in "iu" or not 0 <= labels.min() <= labels.max() < 2 * n:
-        raise ValueError(f"labels must be {n} integers in [0, {2 * n})")
-    _, slots, rows = label_groups(labels[None])
-    best = int(kde_log_eval(particles, particles.take(rows, axis=0), bandwidth).take(slots[0]).argmax())
-    return best, particles[best].copy()
+    stacked = particles.ndim == 3
+    clouds = particles if stacked else particles[None]
+    e, n, d = clouds.shape
+    labels = np.broadcast_to(ramp(n), (e, n)) if labels is None else np.asarray(labels if stacked else [labels])
+    if labels.shape != (e, n) or labels.dtype.kind not in "iu" or not 0 <= labels.min() <= labels.max() < 2 * n:
+        raise ValueError(f"labels must be {n} integers in [0, {2 * n}) per cloud")
+    _, slots, rows = label_groups(labels)
+    values = kde_log_eval(clouds, clouds.reshape(-1, d).take(rows, axis=0), bandwidth, rows // n)
+    best = values.take(slots).argmax(axis=1)
+    return (best, clouds[np.arange(e), best]) if stacked else (int(best[0]), particles[best[0]].copy())

@@ -28,7 +28,7 @@ import pickle
 import sys
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -94,21 +94,24 @@ class RunRecord:
     log_z_by_step: np.ndarray  # (T, M) per-step normalizer estimates
     final_particles: np.ndarray  # (M, N, d) after the last step
     wall_time: float
+    parts: int  # P, the processes the workers ran in
 
 
-def select_best_worker(log_z: Sequence[float]) -> int:
+def select_best_worker(log_z: Sequence[float]) -> Union[int, np.ndarray]:
     """Index of the highest accumulated normalizer; ties pick the lowest
-    index.  Raises ValueError on an empty input, a NaN, or all -inf
-    (run_psmco stops with RunFailureError before an emission can see
-    that)."""
+    index.  An (E, M) stack gives the (E,) indices of its rows.  Raises
+    ValueError on an empty row, a NaN, or a row all -inf, the first bad row's
+    error (run_psmco stops with RunFailureError before an emission can
+    see all -inf)."""
     arr = np.asarray(log_z, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("need a non-empty 1-d array of values")
-    if np.isnan(arr).any():
-        raise ValueError("NaN normalizer value")
-    if (arr == -np.inf).all():
-        raise ValueError("all workers have log Z = -inf")
-    return int(np.argmax(arr))
+    if arr.ndim not in (1, 2) or arr.shape[-1] < 1:
+        raise ValueError("need a non-empty 1-d array of values, or a stack of them")
+    rows = arr.reshape(-1, arr.shape[-1])
+    nan = np.isnan(rows).any(axis=1)
+    bad = (nan | (rows == -np.inf).all(axis=1)).nonzero()[0]
+    if len(bad):
+        raise ValueError("NaN normalizer value" if nan[bad[0]] else "all workers have log Z = -inf")
+    return rows.argmax(axis=1) if arr.ndim == 2 else int(arr.argmax())
 
 
 def _usable_cpus() -> int:
@@ -176,9 +179,21 @@ def _run_part(model: CostModel, space: SearchSpace, config: OptimizerConfig, emi
     final particles and the exception that stopped them (a RuntimeError if it
     cannot be pickled) or None.  marks (2, P), shared, from T, get the part's
     first step with every cumulative log Z -inf (it stays so) and the step that
-    raised, -1 in the setup; the part stops once the marks end the run."""
+    raised, -1 in the setup; the part stops once the marks end the run.  Each
+    emission copies the best cloud; one map_estimate call finds a block's modes."""
     log_z_by_step = np.empty((emissions[-1], hi - lo))
-    thetas: List[np.ndarray] = []
+    n, block = config.n_particles, max(1, 2**15 // config.n_particles**2)  # <= 2**15 distances a call
+    thetas, clouds = np.empty((len(emissions), space.dim)), np.empty((block, n, space.dim))
+    labels = np.empty((block, n), dtype=np.intp)
+    done = emitted = 0  # emissions with a mode, emissions copied
+
+    def modes():
+        nonlocal done
+        if emitted > done:
+            thetas[done:emitted] = map_estimate(clouds[:emitted - done], bandwidth, labels[:emitted - done])[1]
+            done = emitted
+        return thetas[:done]
+
     t = -1
     try:
         seeds = np.random.SeedSequence(config.seed).spawn(config.m_workers)[lo:hi]
@@ -196,15 +211,18 @@ def _run_part(model: CostModel, space: SearchSpace, config: OptimizerConfig, emi
             log_z_by_step[t] = sampler_step(system, model, batches, kernel, draws)
             if system.log_z_cumulative.max() == -math.inf:
                 marks[0, part] = min(marks[0, part], t)
-            if t + 1 == emissions[len(thetas)]:
+            if t + 1 == emissions[emitted]:
                 best = int(system.log_z_cumulative.argmax())  # select_best_worker's pick, where it has one
-                thetas.append(map_estimate(system.particles[best], bandwidth, system.labels[best])[1])
+                clouds[emitted - done], labels[emitted - done] = system.particles[best], system.labels[best]
+                emitted += 1
+                if emitted - done == block:
+                    modes()
             if min(max(marks[0].tolist()), min(marks[1].tolist())) <= t:
                 break
     except Exception as e:  # the caller raises it if it is the run's first
         marks[1, part] = t
-        return log_z_by_step, thetas, None, _picklable(e)
-    return log_z_by_step, thetas, system.particles, None
+        return log_z_by_step, modes(), None, _picklable(e)
+    return log_z_by_step, modes(), system.particles, None
 
 
 def run_psmco(
@@ -244,7 +262,7 @@ def run_psmco(
     # the emissions' rows, owning their memory: at stride 1 all of cumulative, uncopied
     log_z = cumulative if stride == 1 else cumulative[[e - 1 for e in emissions if e <= ended]]
     iterations = np.array(emissions[:len(log_z)])
-    winners = np.array([select_best_worker(row) for row in log_z])
+    winners = select_best_worker(log_z)
     modes = np.stack([thetas[:len(log_z)] for thetas in part_thetas])  # (P, E, d)
     thetas = modes[np.searchsorted(bounds, winners, side="right") - 1, np.arange(len(log_z))]
     keys = [theta.tobytes() for theta in thetas]  # emissions repeat thetas often
@@ -260,4 +278,4 @@ def run_psmco(
         raise RunFailureError(message, log_z_by_step[:failed + 1])
     final_particles = np.concatenate(particles)
     return RunRecord(iterations, winners, thetas, f_values, log_z, log_z_by_step, final_particles,
-                     time.perf_counter() - start)
+                     time.perf_counter() - start, parts)

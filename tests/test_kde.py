@@ -297,3 +297,65 @@ def test_mode_values_above_two_dimensions_stay_within_1e_12():
     for particles, _, h in random_clouds(31, (3, 4, 7), count=60):
         np.testing.assert_allclose(kde_log_eval(particles, particles, h), einsum_kde(particles, particles, h),
                                    rtol=1e-12, atol=1e-12)
+
+
+def stacked_clouds(seed, dims, count=60):
+    """(particles (E, N, d), labels (E, N), h): E clouds of one N, each
+    copies of its own pool marked by their labels, at times symmetric
+    about 0 so that mirror-image points tie in density."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        d, n, e = int(rng.choice(dims)), int(rng.integers(1, 40)), int(rng.integers(1, 9))
+        clouds, labels = np.empty((e, n, d)), np.empty((e, n), dtype=np.intp)
+        for k in range(e):
+            pool = rng.normal(size=(int(rng.integers(1, n + 1)), d)) * rng.choice([1e-3, 1.0, 50.0])
+            labels[k] = rng.integers(0, len(pool), size=n)
+            if n % 2 == 0 and rng.random() < 0.3:
+                half = labels[k, :n // 2]
+                pool, labels[k] = np.concatenate([pool, -pool]), np.concatenate([half, half + len(pool)])
+            clouds[k] = pool[labels[k]]
+        yield clouds, labels, float(rng.choice([0.05, 0.5, 1.0, 3.0]) * rng.uniform(0.5, 2.0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_mode_search_has_the_bits_of_one_cloud_at_a_time(d):
+    """Stacked clouds give each cloud's (index, mode) of the 2-d form, bit
+    for bit, with labels and without, ties included; the values of the
+    one (R, N) table are the per-cloud values."""
+    ties = 0
+    for clouds, labels, h in stacked_clouds(40 + d, (d,)):
+        for marks in (labels, None):
+            best, modes = map_estimate(clouds, h, marks)
+            want = [map_estimate(cloud, h, None if marks is None else marks[k]) for k, cloud in enumerate(clouds)]
+            assert best.tolist() == [index for index, _ in want]
+            assert modes.tobytes() == np.stack([mode for _, mode in want]).tobytes()
+        owner = np.repeat(np.arange(len(clouds)), clouds.shape[1])
+        values = kde_log_eval(clouds, clouds.reshape(-1, d), h, owner)
+        assert values.tobytes() == np.concatenate([kde_log_eval(cloud, cloud, h) for cloud in clouds]).tobytes()
+        ties += sum(int((kde_log_eval(c, c, h) == kde_log_eval(c, c, h).max()).sum() > 1) for c in clouds)
+    assert ties > 0
+
+
+def test_stacked_labels_are_checked_in_every_cloud():
+    """A label outside [0, 2N) in any one cloud, labels of the wrong shape
+    or dtype, or one cloud's labels for a stack, raise ValueError."""
+    clouds = np.random.default_rng(9).normal(size=(3, 4, 2))
+    good = np.tile(np.arange(4), (3, 1))
+    for k in range(3):
+        for value in (-1, 8):
+            bad = good.copy()
+            bad[k, 1] = value
+            with pytest.raises(ValueError, match="labels"):
+                map_estimate(clouds, 1.0, bad)
+    for bad in (good[:2], good[:, :3], good.astype(float), good[0], good[None]):
+        with pytest.raises(ValueError, match="labels"):
+            map_estimate(clouds, 1.0, bad)
+    best, modes = map_estimate(clouds, 1.0, good)
+    assert best.shape == (3,) and modes.shape == (3, 2)
+
+
+def test_owner_must_name_a_cloud_for_each_row():
+    clouds = np.zeros((2, 3, 1))
+    for particles, owner in ((clouds, None), (clouds[0], np.zeros(4, dtype=int)), (clouds, np.zeros(3, dtype=int))):
+        with pytest.raises(ValueError, match="owner"):
+            kde_log_eval(particles, np.zeros((4, 1)), 1.0, owner)

@@ -57,6 +57,29 @@ def test_select_rejects_nan_and_empty():
         select_best_worker([])
 
 
+def test_select_on_a_stack_is_the_rule_per_row():
+    """An (E, M) stack gives each row's winner, and raises the error the
+    first bad row raises alone: rows are checked in order."""
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        rows = rng.choice([-np.inf, -1.0, 0.0, 2.0, np.nan], p=[0.3, 0.25, 0.2, 0.2, 0.05], size=rng.integers(1, 6, 2))
+        want = []
+        for row in rows:
+            try:
+                want.append(select_best_worker(row))
+            except ValueError as e:
+                with pytest.raises(ValueError) as caught:
+                    select_best_worker(rows)
+                assert str(caught.value) == str(e)
+                break
+        else:
+            got = select_best_worker(rows)
+            assert got.shape == (len(rows),) and got.tolist() == want
+    assert select_best_worker(np.zeros((0, 3))).shape == (0,)
+    with pytest.raises(ValueError):
+        select_best_worker(np.zeros((2, 0)))
+
+
 def test_select_shift_invariant():
     rng = np.random.default_rng(0)
     for _ in range(25):

@@ -17,6 +17,7 @@ import pytest
 
 import psmco.cli as cli
 import psmco.parallel as parallel
+import reference_sampler
 import test_engine_reference as engine
 import test_golden as golden
 import test_parallel as one_process
@@ -139,12 +140,12 @@ def nan_at(i, theta):
     return math.nan if i == NAN_AT else float((theta[0] - 0.5) ** 2)
 
 
-def first_nan_steps(config, n):
-    """The step at which each worker's batch first holds component
-    NAN_AT, at batch size 1: the entry's place in its permutation, the
-    first draw of its stream."""
+def first_nan_steps(config, n, component=NAN_AT):
+    """The step at which each worker's batch first holds component, at
+    batch size 1: the entry's place in its permutation, the first draw
+    of its stream."""
     children = np.random.SeedSequence(config.seed).spawn(config.m_workers)
-    return [int(np.flatnonzero(np.random.default_rng(c).permutation(n) == NAN_AT)[0]) for c in children]
+    return [int(np.flatnonzero(np.random.default_rng(c).permutation(n) == component)[0]) for c in children]
 
 
 def part_errs_first(part):
@@ -267,6 +268,125 @@ def test_an_earlier_error_wins_over_one_that_cannot_be_unpickled(force_parts, mo
     got = raised(model, LINE, config)
     assert type(got) is EvaluationError
     assert (got.index, got.theta.tobytes(), str(got)) == (one.index, one.theta.tobytes(), str(one))
+
+
+# ---------------------------------------------------------------------------
+# emissions found a block at a time
+
+# N = 100 particles give blocks of 2**15 // 100**2 = 3 emissions
+STACKED_N, BLOCK = 100, 3
+
+
+def mid_block(copied):
+    """A config of 3 workers of STACKED_N particles on 12 components at
+    batch size 1, emitting every step, whose copied(config), the
+    emissions copied before the run stops, fills more than two blocks
+    and stops inside a block."""
+    for seed in range(200):
+        config = OptimizerConfig(m_workers=3, n_particles=STACKED_N, batch_size=1, proposal_std=0.3, seed=seed,
+                                 estimate_every=1)
+        if copied(config) > 2 * BLOCK and copied(config) % BLOCK:
+            return config
+    raise AssertionError("no seed in range(200) stops the run so")
+
+
+def nan_step(config):
+    return min(first_nan_steps(config, 12))
+
+
+def reference_error(model, config):
+    with pytest.raises(Exception) as caught:
+        reference_sampler.run(model, LINE, config)
+    return caught.value
+
+
+def test_modes_are_found_a_block_at_a_time(force_parts, monkeypatch):
+    """One map_estimate call per block of emissions, and one for the rest
+    at the end; the modes are the one-process reference's."""
+    find, calls = parallel.map_estimate, []
+    monkeypatch.setattr(parallel, "map_estimate", lambda *args: calls.append(len(args[0])) or find(*args))
+    force_parts(1)
+    config = OptimizerConfig(m_workers=2, n_particles=STACKED_N, batch_size=1, proposal_std=0.3, seed=0,
+                             estimate_every=1)
+    model = CostModel(n=14, component_eval=lambda i, th: float((th[0] - 0.1 * i) ** 2))
+    engine.assert_matches_reference(model, LINE, config)
+    assert calls == [BLOCK] * 4 + [2]
+
+
+@pytest.mark.parametrize("parts", FORCED[:3])
+def test_a_step_error_inside_a_block_is_the_one_process_error(parts, force_parts):
+    """A component's NaN stops the run inside the third block of
+    emissions or later: the run raises the reference's EvaluationError."""
+    config, model = mid_block(nan_step), CostModel(n=12, component_eval=nan_at)
+    want = reference_error(model, config)
+    force_parts(parts)
+    got = raised(model, LINE, config)
+    assert type(got) is EvaluationError and got.index == NAN_AT
+    assert (got.theta.tobytes(), str(got)) == (want.theta.tobytes(), str(want))
+
+
+class FullCostError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("parts", FORCED[:3])
+def test_a_full_cost_error_inside_a_block_comes_before_a_later_step_error(parts, force_parts):
+    """The full cost raises at the first emission of a theta past two
+    blocks, and a component's NaN stops a later step of the same run:
+    every part's copied emissions get their modes, and the full-cost
+    error is raised first, as by the reference."""
+    config = mid_block(nan_step)
+    benign = CostModel(n=12, component_eval=lambda i, th: nan_at(i, th) if i != NAN_AT else 0.0)
+    force_parts(1)
+    keys = [theta.tobytes() for theta in run_psmco(benign, LINE, config).thetas[:nan_step(config)]]
+    first = next(j for j in range(2 * BLOCK, len(keys)) if keys[j] not in keys[:j])
+
+    def batch(indices, thetas, owner):
+        if indices.shape[1] == 12 and thetas[0].tobytes() == keys[first]:
+            raise FullCostError(f"full cost at {thetas[0].tolist()}")
+        return np.array([sum(nan_at(int(i), theta) for i in indices[w]) for w, theta in zip(owner, thetas)])
+
+    model = CostModel(n=12, component_eval=nan_at, batch_eval=batch)
+    want = reference_error(model, config)
+    assert type(want) is FullCostError
+    force_parts(parts)
+    got = raised(model, LINE, config)
+    assert (type(got), str(got)) == (FullCostError, str(want))
+
+
+@pytest.mark.parametrize("parts", FORCED[:3])
+def test_a_run_that_sinks_inside_a_block_fails_as_in_one_process(parts, force_parts):
+    """Components NAN_AT and 9 cost 1e308 each, so a worker's cumulative
+    log Z sinks at the second of them: the run fails inside a block, with
+    the reference's per-step normalizers."""
+    def cost(i, theta):
+        return 1e308 if i in (NAN_AT, 9) else float((theta[0] - 0.5) ** 2)
+
+    def sunk(config):
+        return max(map(max, first_nan_steps(config, 12), first_nan_steps(config, 12, 9)))
+
+    config, model = mid_block(lambda config: sunk(config) + 1), CostModel(n=12, component_eval=cost)
+    want = reference_error(model, config)
+    force_parts(parts)
+    got = raised(model, LINE, config)
+    assert type(got) is RunFailureError and type(want) is RunFailureError
+    assert str(got) == f"every worker's cumulative log Z is -inf by iteration {sunk(config) + 1}"
+    assert got.log_z_by_step.tobytes() == want.log_z_by_step.tobytes()
+
+
+def test_a_record_names_its_part_count(force_parts, monkeypatch, tmp_path, capsys):
+    """RunRecord.parts is the P a run took, and psmco run prints it beside
+    the wall time; a process that cannot fork quietly takes one part."""
+    model = CostModel(n=8, component_eval=lambda i, th: float((th[0] - 0.5) ** 2))
+    config = part_errs_first(1)
+    monkeypatch.setattr(cli, "build_problem", lambda config: SimpleNamespace(model=model, space=LINE))
+    force_parts(3)
+    expected = 3 if parallel._fork_is_quiet() else 1
+    assert run_psmco(model, LINE, config).parts == expected
+    assert cli.main(run_argv(config, tmp_path)) == 0
+    assert capsys.readouterr().out.endswith(f" parts={expected}\n")
+    monkeypatch.setattr(parallel, "_fork_is_quiet", lambda: False)
+    assert run_psmco(model, LINE, config).parts == 1
 
 
 # ---------------------------------------------------------------------------
