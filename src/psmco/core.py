@@ -87,8 +87,12 @@ class SearchSpace:
 
 
 def clip_to_space(thetas: np.ndarray, space: SearchSpace) -> np.ndarray:
-    """Project points onto the box, coordinate-wise."""
-    return np.asarray(thetas, dtype=float).clip(space.lower, space.upper)
+    """Project points (..., d) onto the box, coordinate-wise.  Raises
+    ValueError unless their last axis is the box's d."""
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.shape[-1:] != space.lower.shape:
+        raise ValueError(f"points of shape {thetas.shape} for a {space.dim}-d box")
+    return thetas.clip(space.lower, space.upper)
 
 
 @dataclass(frozen=True)

@@ -39,14 +39,18 @@ def kde_log_eval(
     Gaussian and h the bandwidth; the sum over particles runs through
     logsumexp.  Stacked clouds (E, N, d) take owner (P,), the cloud of
     each row.  Raises ValueError unless h is positive and finite, the
-    points have the particles' d and owner comes with stacked clouds.
+    points have the particles' d and owner, with stacked clouds only, is
+    (P,) integers in [0, E).
     """
     particles = np.asarray(particles, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = particles.shape[-2:]
-    if (particles.ndim != 2 + (owner is not None) or points.shape[1] != d
-            or np.shape(owner) not in ((), points.shape[:1])):
-        raise ValueError(f"points of dimension {points.shape[1]} and owner {np.shape(owner)} for {particles.shape}")
+    owner = None if owner is None else np.asarray(owner)
+    if (particles.ndim != 2 + (owner is not None) or points.shape[1] != d or owner is not None and (
+            owner.shape != points.shape[:1] or owner.dtype.kind not in "iu"
+            or len(owner) and not 0 <= owner.min() <= owner.max() < len(particles))):
+        raise ValueError(f"points of dimension {points.shape[1]} and owner {np.shape(owner)} "
+                         f"(integers in [0, {len(particles)}) with stacked clouds) for {particles.shape}")
     h = float(bandwidth)
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")

@@ -182,6 +182,7 @@ def _run_part(model: CostModel, space: SearchSpace, config: OptimizerConfig, emi
     raised, -1 in the setup; the part stops once the marks end the run.  Each
     emission copies the best cloud; one map_estimate call finds a block's modes."""
     log_z_by_step = np.empty((emissions[-1], hi - lo))
+    cumulative = np.zeros(hi - lo)  # the running sum of log_z_by_step's rows, the part's only one
     n, block = config.n_particles, max(1, 2**15 // config.n_particles**2)  # <= 2**15 distances a call
     thetas, clouds = np.empty((len(emissions), space.dim)), np.empty((block, n, space.dim))
     labels = np.empty((block, n), dtype=np.intp)
@@ -209,10 +210,12 @@ def _run_part(model: CostModel, space: SearchSpace, config: OptimizerConfig, emi
         for t, draws in enumerate(step_draws(system, kernel, len(log_z_by_step))):
             batches = schedule[:, t * config.batch_size:(t + 1) * config.batch_size]
             log_z_by_step[t] = sampler_step(system, model, batches, kernel, draws)
-            if system.log_z_cumulative.max() == -math.inf:
+            with np.errstate(over="ignore"):  # a sum sunk to -inf fails the run, see run_psmco
+                np.add(cumulative, log_z_by_step[t], out=cumulative)
+            if cumulative.max() == -math.inf:
                 marks[0, part] = min(marks[0, part], t)
             if t + 1 == emissions[emitted]:
-                best = int(system.log_z_cumulative.argmax())  # select_best_worker's pick, where it has one
+                best = int(cumulative.argmax())  # select_best_worker's pick, where it has one
                 clouds[emitted - done], labels[emitted - done] = system.particles[best], system.labels[best]
                 emitted += 1
                 if emitted - done == block:
@@ -257,7 +260,7 @@ def run_psmco(
     log_z_by_step = np.concatenate(by_step, axis=1)
     failed, raised = int(marks[0].max()), int(marks[1].min())
     ended = min(failed, raised)  # T when the run went through
-    with np.errstate(over="ignore"):  # the same additions as weight_and_accumulate's
+    with np.errstate(over="ignore"):  # the same additions as _run_part's
         cumulative = np.cumsum(log_z_by_step[:max(ended, 0)], axis=0)
     # the emissions' rows, owning their memory: at stride 1 all of cumulative, uncopied
     log_z = cumulative if stride == 1 else cumulative[[e - 1 for e in emissions if e <= ended]]

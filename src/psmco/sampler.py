@@ -9,9 +9,8 @@ particles, step_draws alone reads the streams (format v3): a block of
 steps at a time, each worker from its own generator in two calls, its
 uniforms, then Gaussian noise for only the particles those uniforms
 move.  A worker's stream therefore never depends on the others, nor on
-its data or weights.
-The per-step normalizer estimates are accumulated in the log domain so
-workers can later be ranked.  A single-worker experiment is M=1.
+its data or weights.  A step returns its (M,) log normalizers; the
+caller sums them to rank the workers.  A single-worker experiment is M=1.
 """
 
 from __future__ import annotations
@@ -73,24 +72,19 @@ class JitterKernelSpec:
 class ParticleSystem:
     """Mutable state of M workers' particle populations.
 
-    particles is (M, N, d) and rngs[m] is worker m's stream.
-    log_z_cumulative, of shape (M,), is the running sum of the step
-    normalizer estimates, accumulated in step order; None starts it at
-    zeros.  labels (M, N), integers in [0, 2N), mark copies: particles
-    of one worker sharing a label are equal; other labels raise
-    ValueError.  None gives arange(N), each particle its own label; equal
-    points with different labels only cost a duplicate evaluation.
-    Whoever replaces the particles replaces their labels with them.
+    particles is (M, N, d) and rngs[m] is worker m's stream.  labels
+    (M, N), integers in [0, 2N), mark copies: particles of one worker
+    sharing a label are equal; other labels raise ValueError.  None
+    gives arange(N), each particle its own label; equal points with
+    different labels only cost a duplicate evaluation.  Whoever replaces
+    the particles replaces their labels with them.
     """
 
     particles: np.ndarray
     rngs: Tuple[np.random.Generator, ...]
-    log_z_cumulative: Optional[np.ndarray] = None
     labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.log_z_cumulative is None:
-            self.log_z_cumulative = np.zeros(self.m_workers)
         if self.labels is None:
             self.labels = np.broadcast_to(np.arange(self.n_particles), self.particles.shape[:2])
         labels = np.asarray(self.labels)
@@ -185,21 +179,24 @@ def jitter(system: ParticleSystem, kernel: JitterKernelSpec, u: np.ndarray, nois
     (moved, d) noise, one row per particle with u < epsilon in flat
     (worker, particle) order; returns how many particles moved, over all
     workers.  Particle j of a worker gets the fresh label N + j when it
-    moves.  Raises ValueError when the noise has a different number of
-    rows, kernel.space a dimension other than the particles' d, or the
-    kernel another population size than the system's N."""
-    if kernel.space.dim != system.particles.shape[2]:
-        raise ValueError(f"a {kernel.space.dim}-d kernel box for {system.particles.shape[2]}-d particles")
-    if kernel.n_particles != system.n_particles:
-        raise ValueError(f"a kernel for {kernel.n_particles} particles applied to {system.n_particles}")
+    moves.  Raises ValueError when the uniforms are not (M, N), the noise
+    not (moved, d), kernel.space of a dimension other than the particles'
+    d, or the kernel for another population size than the system's N."""
+    m, n, d = system.particles.shape
+    if kernel.space.dim != d:
+        raise ValueError(f"a {kernel.space.dim}-d kernel box for {d}-d particles")
+    if kernel.n_particles != n:
+        raise ValueError(f"a kernel for {kernel.n_particles} particles applied to {n}")
+    if np.shape(u) != (m, n):
+        raise ValueError(f"uniforms of shape {np.shape(u)} for {(m, n)} particles")
     moved = (u < kernel.epsilon).ravel().nonzero()[0]  # an unmoved particle is in the box already
-    if len(noise) != moved.size:
-        raise ValueError(f"{len(noise)} noise rows for {moved.size} moved particles")
+    if np.shape(noise) != (moved.size, d):
+        raise ValueError(f"noise rows of shape {np.shape(noise)} for {moved.size} moved {d}-d particles")
     particles = np.array(system.particles, dtype=float, order="C")  # never a caller's array
     labels = np.array(system.labels, order="C")
-    flat = particles.reshape(-1, particles.shape[2])  # a view: rows are particles
+    flat = particles.reshape(-1, d)  # a view: rows are particles
     flat[moved] = clip_to_space(flat.take(moved, axis=0) + noise, kernel.space)
-    labels.reshape(-1)[moved] = moved % system.n_particles + system.n_particles
+    labels.reshape(-1)[moved] = moved % n + n
     system.particles, system.labels = particles, labels
     return moved.size
 
@@ -212,18 +209,15 @@ def weight_and_accumulate(
     log-weights.  batches is (M, K): row m is worker m's batch.
 
     Each worker's normalizer estimate for the step is the mean potential
-    log Z_t = log((1/N) sum_i G(theta_i)), added to the running totals.
-    A worker whose potentials are all -inf records -inf, so it still
-    counts toward its cumulative value, and keeps log-weights of -inf.
-    Each group of copies is evaluated once; its label becomes its rank.
+    log Z_t = log((1/N) sum_i G(theta_i)); the caller keeps any running
+    total.  A worker whose potentials are all -inf gets log Z_t = -inf
+    and log-weights of -inf.  Each group of copies is evaluated once;
+    its label becomes its rank.
     """
     system.labels, *groups = label_groups(system.labels)
     log_g = log_potentials(model, batches, system.particles, groups)
     log_total, log_w = normalize_log_weights(log_g)
-    log_z_t = log_total - math.log(system.n_particles)
-    with np.errstate(over="ignore"):  # a sum sunk to -inf fails the run, see run_psmco
-        system.log_z_cumulative = system.log_z_cumulative + log_z_t
-    return log_z_t, log_w
+    return log_total - math.log(system.n_particles), log_w
 
 
 def inverse_cdf(log_w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -269,8 +263,10 @@ def resample_multinomial(system: ParticleSystem, log_w: np.ndarray, u: np.ndarra
     the (M, N) normalized log-weights and the step's (M, N) uniforms.  A
     degenerate worker, whose log-weights are all -inf, keeps its
     population; its uniforms go unused.  The labels go with the
-    ancestors."""
+    ancestors.  Raises ValueError unless log_w and u are both (M, N)."""
     m, n, d = system.particles.shape
+    if np.shape(log_w) != (m, n) or np.shape(u) != (m, n):
+        raise ValueError(f"log-weights {np.shape(log_w)} and uniforms {np.shape(u)} for {(m, n)} particles")
     live = log_w.max(axis=1, keepdims=True) > -math.inf
     rows = np.where(live, inverse_cdf(log_w, u), ramp(n)) + ramp(m, n)[:, None]
     system.particles = system.particles.reshape(-1, d).take(rows, axis=0)
@@ -290,8 +286,8 @@ def sampler_step(
     uniforms (M, N)), as step_draws yields them.
 
     A worker whose potentials all underflow to -inf keeps its population
-    as jittered (no resampling) and contributes -inf to its cumulative
-    total; the run carries on.
+    as jittered (no resampling) and returns -inf for the step; the run
+    carries on.
     """
     jitter(system, kernel, *draws[:2])
     log_z_t, log_w = weight_and_accumulate(system, model, batches)

@@ -71,6 +71,14 @@ def test_clip_to_space():
     np.testing.assert_array_equal(clip_to_space(np.array([-1.0]), s1), [-1.0])
 
 
+def test_clip_to_space_rejects_points_of_another_dimension():
+    """(3, 1) points in a 2-d box would broadcast to (3, 2)."""
+    with pytest.raises(ValueError, match=r"points of shape \(3, 1\) for a 2-d box"):
+        clip_to_space(np.zeros((3, 1)), box(-1, 1))
+    with pytest.raises(ValueError, match="for a 1-d box"):
+        clip_to_space(np.zeros((3, 2)), SearchSpace(np.array([-1.0]), np.array([1.0])))
+
+
 # ---------------------------------------------------------------------------
 # schedules
 
@@ -426,7 +434,7 @@ def counted_forms():
 def unlabelled_twin(system):
     """A copy of system whose particles carry no lineage, so a step
     evaluates every particle; same streams, so it draws the same."""
-    return ParticleSystem(system.particles.copy(), system.rngs, system.log_z_cumulative)
+    return ParticleSystem(system.particles.copy(), system.rngs)
 
 
 def test_step_calls_each_model_form_as_declared():

@@ -359,3 +359,13 @@ def test_owner_must_name_a_cloud_for_each_row():
     for particles, owner in ((clouds, None), (clouds[0], np.zeros(4, dtype=int)), (clouds, np.zeros(3, dtype=int))):
         with pytest.raises(ValueError, match="owner"):
             kde_log_eval(particles, np.zeros((4, 1)), 1.0, owner)
+
+
+def test_owner_must_be_integers_below_the_cloud_count():
+    """With E = 2 clouds, owner -1 would read the last cloud, 2 would
+    raise IndexError and floats TypeError: each is a ValueError."""
+    clouds = np.arange(6.0).reshape(2, 3, 1)
+    for owner in ([0, -1], [0, 2], [0.0, 1.0]):
+        with pytest.raises(ValueError, match=r"owner \(2,\) \(integers in \[0, 2\)"):
+            kde_log_eval(clouds, np.zeros((2, 1)), 1.0, np.array(owner))
+    assert kde_log_eval(clouds, np.zeros((2, 1)), 1.0, np.array([0, 1])).shape == (2,)

@@ -154,12 +154,13 @@ def test_single_worker_reduces_to_plain_sampler():
     sched = [perm[start:start + 2] for start in range(0, 24, 2)]
     system = init_particles(prob.space, 20, [rng])
     kernel = JitterKernelSpec(space=prob.space, proposal_std=0.5, n_particles=20)
-    for batch, draws in zip(sched, step_draws(system, kernel, len(sched))):
-        sampler_step(system, prob.model, batch[None], kernel, draws)
+    steps = [sampler_step(system, prob.model, batch[None], kernel, draws)
+             for batch, draws in zip(sched, step_draws(system, kernel, len(sched)))]
     _, theta = map_estimate(system.particles[0], bandwidth_rule(20, 2))
 
     np.testing.assert_array_equal(rec.thetas[-1], theta)
-    assert rec.log_z[-1].tolist() == system.log_z_cumulative.tolist()
+    assert rec.log_z_by_step.tolist() == np.array(steps).tolist()
+    assert rec.log_z[-1].tolist() == sum(steps).tolist()  # the running sum, in step order
     assert rec.winners[-1] == 0
     # the record keeps the final particles with no option asked for
     assert rec.final_particles.shape == (1, 20, 2)

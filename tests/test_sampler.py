@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import reference_sampler
 from psmco.core import CostModel, SearchSpace, normalize_log_weights, ramp
 from psmco.problems import MixtureProblemSpec, make_mixture_problem
 from psmco.sampler import (
@@ -84,7 +86,12 @@ def test_init_uniform_moments_and_containment():
     assert inside(s, ps.particles)
     # CLT bound on the empirical mean, widened to +-5
     assert np.abs(ps.particles[0].mean(axis=0)).max() < 5.0
-    assert ps.log_z_cumulative.tolist() == [0.0]
+
+
+def test_system_holds_no_running_total():
+    """A system is its particles, streams and labels; the normalizers a
+    step returns are summed by whoever runs the steps."""
+    assert [f.name for f in dataclasses.fields(ParticleSystem)] == ["particles", "rngs", "labels"]
 
 
 def test_init_two_particles_contained():
@@ -218,6 +225,26 @@ def test_jitter_rejects_a_kernel_box_of_another_dimension():
     assert ps.particles.tolist() == [[[0.0, 0.0]]]
 
 
+def test_jitter_rejects_uniforms_other_than_m_by_n():
+    """(2, 3) uniforms for (2, 4) particles would move flat rows 0 and 5:
+    worker 1's particle 1, where its uniform was meant for particle 2."""
+    k = JitterKernelSpec(space=box(-10, 10), proposal_std=1.0, n_particles=4, epsilon=0.5)
+    ps = ParticleSystem(np.zeros((2, 4, 2)), rngs=())
+    with pytest.raises(ValueError, match=r"uniforms of shape \(2, 3\) for \(2, 4\) particles"):
+        jitter(ps, k, np.array([[0.0, 0.9, 0.9], [0.9, 0.9, 0.0]]), np.ones((2, 2)))
+    assert ps.particles.tolist() == np.zeros((2, 4, 2)).tolist()
+
+
+def test_jitter_rejects_noise_of_another_dimension():
+    """One (1, 1) noise row for a 2-d particle would add the same draw to
+    both of its coordinates."""
+    k = JitterKernelSpec(space=box(-10, 10), proposal_std=1.0, n_particles=2, epsilon=0.5)
+    ps = ParticleSystem(np.zeros((1, 2, 2)), rngs=())
+    with pytest.raises(ValueError, match=r"noise rows of shape \(1, 1\) for 1 moved 2-d particles"):
+        jitter(ps, k, np.array([[0.0, 0.9]]), np.array([[3.0]]))
+    assert ps.particles.tolist() == [[[0.0, 0.0], [0.0, 0.0]]]
+
+
 def test_jitter_rejects_a_kernel_for_another_population_size():
     """A kernel for 9 particles has epsilon 1/3, above the cap 0.1 of 100
     particles; applied to them it would move about a third."""
@@ -251,8 +278,7 @@ def test_weights_constant_potential():
     model = CostModel(n=3, component_eval=lambda i, th: 2.5)
     log_z, w = weight_and_accumulate(ps, model, np.array([[1]]))
     np.testing.assert_allclose(np.exp(w), 1 / 8, rtol=1e-12)
-    assert ps.log_z_cumulative[0] == pytest.approx(-2.5, rel=1e-12)
-    assert log_z.tolist() == ps.log_z_cumulative.tolist()
+    assert log_z.shape == (1,) and log_z[0] == pytest.approx(-2.5, rel=1e-12)
 
 
 def test_weights_hand_computed_example():
@@ -261,27 +287,25 @@ def test_weights_hand_computed_example():
     ps = init_particles(s, 2, [np.random.default_rng(9)])
     ps.particles = np.array([[[0.0], [1.0]]])
     model = CostModel(n=1, component_eval=lambda i, th: float(-math.log(3.0) * th[0]))
-    _, w = weight_and_accumulate(ps, model, np.array([[0]]))
+    log_z, w = weight_and_accumulate(ps, model, np.array([[0]]))
     np.testing.assert_allclose(np.exp(w), [[0.25, 0.75]], rtol=1e-12)
-    assert ps.log_z_cumulative[0] == pytest.approx(math.log(2.0), rel=1e-12)
+    assert log_z[0] == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 def test_weights_empty_batch_neutral():
     ps = init_particles(box(-1, 1), 4, [np.random.default_rng(10)])
     model = CostModel(n=2, component_eval=lambda i, th: 7.0)
-    _, w = weight_and_accumulate(ps, model, np.empty((1, 0), dtype=int))
+    log_z, w = weight_and_accumulate(ps, model, np.empty((1, 0), dtype=int))
     np.testing.assert_allclose(np.exp(w), 0.25, rtol=1e-12)
-    assert ps.log_z_cumulative.tolist() == [0.0]
+    assert log_z.tolist() == [0.0]
 
 
 def test_weights_degenerate_returns_minus_inf():
     ps = init_particles(box(-1, 1), 4, [np.random.default_rng(11)])
     log_z_t, log_w = weight_and_accumulate(ps, OVERFLOW_MODEL, np.array([[0, 1]]))
-    # a degenerate worker is plain data: -inf normalizer and log-weights,
-    # and the step's -inf is recorded in the running total
+    # a degenerate worker is plain data: -inf normalizer and log-weights
     assert log_z_t.tolist() == [-np.inf]
     assert log_w.tolist() == [[-np.inf] * 4]
-    assert ps.log_z_cumulative.tolist() == [-np.inf]
 
 
 def test_labels_default_to_arange_and_given_labels_are_kept():
@@ -343,12 +367,18 @@ def test_labels_never_merge_distinct_particles():
 
 
 def test_cumulative_telescopes_exactly():
-    rng = np.random.default_rng(12)
-    ps = init_particles(box(-5, 5), 32, [rng])
+    """The normalizers weight_and_accumulate returns, summed in step
+    order, are the reference oracle's running total, bit for bit."""
+    ps = init_particles(box(-5, 5), 32, [np.random.default_rng(12)])
+    oracle = reference_sampler.ParticleSystem(ps.particles[0].copy(), box(-5, 5), None)
     values = np.random.default_rng(1).normal(size=20)
     model = CostModel(n=20, component_eval=lambda i, th: float(values[i] * (1 + th @ th)))
-    steps = [weight_and_accumulate(ps, model, np.array([[2 * t, 2 * t + 1]]))[0] for t in range(10)]
-    assert ps.log_z_cumulative.tolist() == sum(steps).tolist()
+    steps = []
+    for t in range(10):
+        steps.append(weight_and_accumulate(ps, model, np.array([[2 * t, 2 * t + 1]]))[0])
+        reference_sampler.weight_and_accumulate(oracle, model, np.array([2 * t, 2 * t + 1]))
+    assert sum(steps).tolist() == [oracle.log_z_cumulative]
+    assert np.array(steps)[:, 0].tolist() == oracle.log_z_steps
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +550,24 @@ def test_resample_matches_per_worker_loop(m):
         assert ps.labels[r].tolist() == (want[r] if live[r] else np.arange(n)).tolist()  # labels go with ancestors
 
 
+@pytest.mark.parametrize("case", ["u of one column", "log_w of one row"])
+def test_resample_rejects_log_w_or_u_other_than_m_by_n(case):
+    """Neither input broadcasts: (2, 1) uniforms would give each worker
+    4 copies of one ancestor, and a (1, 4) log_w would resample both
+    workers from row 0's weights."""
+    pts = np.arange(16.0).reshape(2, 4, 2)
+    log_w = np.log(np.full((2, 4), 0.25))
+    u = np.array([[0.5, 0.25, 0.75, 0.0], [0.25, 0.5, 0.0, 0.75]])
+    if case == "u of one column":
+        u = u[:, :1]
+    else:
+        log_w = np.array([[math.log(0.5)] * 2 + [-np.inf] * 2])
+    ps = ParticleSystem(pts.copy(), rngs=())
+    with pytest.raises(ValueError, match=r"log-weights .* and uniforms .* for \(2, 4\) particles"):
+        resample_multinomial(ps, log_w, u)
+    assert ps.particles.tolist() == pts.tolist()
+
+
 def test_resample_skips_degenerate_worker():
     # worker 1's log-weights are all -inf: it keeps its population.  Its
     # resampling uniforms are drawn with everyone else's and discarded, so
@@ -562,22 +610,26 @@ def test_step_constant_cost_keeps_log_z_zero():
     ps = init_particles(s, 16, [np.random.default_rng(18)])
     model = CostModel(n=4, component_eval=lambda i, th: 0.0)
     k = JitterKernelSpec(space=s, proposal_std=0.3, n_particles=16)
-    for t in range(4):
-        out = step(ps, model, np.array([[t]]), k)
-        assert out.tolist() == [0.0]
-    assert ps.log_z_cumulative.tolist() == [0.0]
+    steps = [step(ps, model, np.array([[t]]), k) for t in range(4)]
+    assert [out.tolist() for out in steps] == [[0.0]] * 4
 
 
 def test_step_containment_and_telescoping():
+    """Each step returns its own normalizer, and the steps' sum in step
+    order is the running total of the reference oracle driven on the
+    same stream, one step's draws at a time."""
     s = box(-3, 3)
     ps = init_particles(s, 40, [np.random.default_rng(19)])
+    oracle = reference_sampler.init_particles(s, 40, np.random.default_rng(19))
     model = quadratic_model(8)
     k = JitterKernelSpec(space=s, proposal_std=1.0, n_particles=40)
     steps = []
     for t in range(8):
         steps.append(step(ps, model, np.array([[t]]), k))
+        reference_sampler.sampler_step(oracle, model, np.array([t]), k, 1)
         assert inside(s, ps.particles)
-    assert ps.log_z_cumulative.tolist() == sum(steps).tolist()
+    assert np.array(steps)[:, 0].tolist() == oracle.log_z_steps
+    assert sum(steps).tolist() == [oracle.log_z_cumulative]
 
 
 def test_step_degenerate_keeps_jittered_particles():
@@ -591,7 +643,6 @@ def test_step_degenerate_keeps_jittered_particles():
     # zero-std jitter is the identity, so "kept as jittered" here means
     # exactly the pre-step population, proving resampling was skipped
     np.testing.assert_array_equal(ps.particles, before)
-    assert ps.log_z_cumulative.tolist() == [-np.inf]
 
 
 def test_degenerate_worker_stays_disqualified():
@@ -604,12 +655,12 @@ def test_degenerate_worker_stays_disqualified():
 
     model = CostModel(n=4, component_eval=comp)
     k = JitterKernelSpec(space=s, proposal_std=0.1, n_particles=8)
-    step(ps, model, np.array([[0, 1]]), k)
-    assert ps.log_z_cumulative.tolist() == [-np.inf]
+    first = step(ps, model, np.array([[0, 1]]), k)
+    assert first.tolist() == [-np.inf]
     second = step(ps, model, np.array([[2, 3]]), k)
-    assert ps.log_z_cumulative.tolist() == [-np.inf]
+    assert (first + second).tolist() == [-np.inf]
     # second batch is healthy (two components at 0.5 each, so a constant
-    # potential of exp(-1)); the step normalizer is recorded even though
+    # potential of exp(-1)); the step normalizer is returned even though
     # the cumulative total is already sunk
     assert second[0] == pytest.approx(-1.0, rel=1e-12)
 
