@@ -15,6 +15,8 @@ import numpy as np
 
 _LOWEST = float(np.finfo(float).min)
 
+STACK_BUDGET = 1 << 15  # most float64 elements of one temporary beside the run's state; read at call time
+
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """log(sum(exp(a))) over one axis via the max-shift trick.

@@ -8,25 +8,23 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
+from . import core
 from .core import label_groups, logsumexp, ramp
 
 
 def bandwidth_rule(n_particles: int, dim: int) -> float:
     """h = 1 / floor(N ** (1 / (2 (d + 1)))).
 
-    The floor is computed exactly in integer arithmetic; a naive float
+    The floor is counted up from 1 in integer arithmetic; a naive float
     power misrounds perfect powers (64 ** (1/6) comes out just under 2).
     """
     if n_particles < 1:
         raise ValueError("need at least one particle")
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    p = 2 * (dim + 1)
-    k = max(1, int(n_particles ** (1.0 / p)))
+    p, k = 2 * (dim + 1), 1
     while (k + 1) ** p <= n_particles:
         k += 1
-    while k > 1 and k ** p > n_particles:
-        k -= 1
     return 1.0 / k
 
 
@@ -38,31 +36,31 @@ def kde_log_eval(
     density(x) = (1/N) sum_i h^-d k((x - x_i)/h) with k the standard
     Gaussian and h the bandwidth; the sum over particles runs through
     logsumexp.  Stacked clouds (E, N, d) take owner (P,), the cloud of
-    each row.  Raises ValueError unless h is positive and finite, the
-    points have the particles' d and owner, with stacked clouds only, is
-    (P,) integers in [0, E).
+    each row; one (N, d) cloud is the case E = 1.  Raises ValueError
+    unless h is positive and finite, the points have the particles' d and
+    owner, with stacked clouds only, is (P,) integers in [0, E).
     """
     particles = np.asarray(particles, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = particles.shape[-2:]
-    owner = None if owner is None else np.asarray(owner)
-    if (particles.ndim != 2 + (owner is not None) or points.shape[1] != d or owner is not None and (
-            owner.shape != points.shape[:1] or owner.dtype.kind not in "iu"
-            or len(owner) and not 0 <= owner.min() <= owner.max() < len(particles))):
-        raise ValueError(f"points of dimension {points.shape[1]} and owner {np.shape(owner)} "
-                         f"(integers in [0, {len(particles)}) with stacked clouds) for {particles.shape}")
+    stacked = owner is not None  # else one cloud, E = 1, every owner 0 (zeros: no slot of ramp's cache per P)
+    clouds, owner = (particles, np.asarray(owner)) if stacked else (particles[None], np.zeros(len(points), np.intp))
+    if (particles.ndim != 2 + stacked or points.shape[1] != d or owner.shape != points.shape[:1]
+            or owner.dtype.kind not in "iu" or len(owner) and not 0 <= owner.min() <= owner.max() < len(clouds)):
+        raise ValueError(f"points of dimension {points.shape[1]} and owner {owner.shape} "
+                         f"(integers in [0, {len(clouds)}) with stacked clouds) for {particles.shape}")
     h = float(bandwidth)
     if not (h > 0.0 and math.isfinite(h)):
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth!r}")
     const = -math.log(n) - d * math.log(h) - 0.5 * d * math.log(2.0 * math.pi)
     out = np.empty(len(points))
-    # chunks of the P x N distances bound memory; each adds its squares one coordinate at
-    # a time (einsum("pnd,pnd->pn")'s order at d <= 2), gathered per row when stacked
-    chunk = max(1, (1 << 21) // max(1, n))
+    # rows of the P x N distances go in chunks under the budget; each adds its squares one
+    # coordinate at a time (einsum("pnd,pnd->pn")'s order at d <= 2), gathered per row
+    chunk = max(1, core.STACK_BUDGET // n)
     for start in range(0, len(points), chunk):
         rows = slice(start, start + chunk)
-        sq = sum(np.square(points[rows, j, None] - (c if owner is None else c.take(owner[rows], axis=0)))
-                 for j, c in enumerate(np.moveaxis(particles, -1, 0)))
+        sq = sum(np.square(points[rows, j, None] - c.take(owner[rows], axis=0))
+                 for j, c in enumerate(np.moveaxis(clouds, -1, 0)))
         out[rows] = logsumexp(sq / (-2.0 * h * h))
     return out + const
 

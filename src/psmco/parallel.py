@@ -32,6 +32,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import core
 from .core import CostModel, SearchSpace, build_schedule, schedule_dtype, step_count
 from .kde import bandwidth_rule, map_estimate
 from .sampler import JitterKernelSpec, init_particles, jitter_epsilon, sampler_step, step_draws
@@ -183,7 +184,7 @@ def _run_part(model: CostModel, space: SearchSpace, config: OptimizerConfig, emi
     emission copies the best cloud; one map_estimate call finds a block's modes."""
     log_z_by_step = np.empty((emissions[-1], hi - lo))
     cumulative = np.zeros(hi - lo)  # the running sum of log_z_by_step's rows, the part's only one
-    n, block = config.n_particles, max(1, 2**15 // config.n_particles**2)  # <= 2**15 distances a call
+    n, block = config.n_particles, max(1, core.STACK_BUDGET // config.n_particles**2)  # the budget's distances a call
     thetas, clouds = np.empty((len(emissions), space.dim)), np.empty((block, n, space.dim))
     labels = np.empty((block, n), dtype=np.intp)
     done = emitted = 0  # emissions with a mode, emissions copied

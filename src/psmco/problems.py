@@ -15,11 +15,8 @@ from typing import Tuple
 
 import numpy as np
 
+from . import core
 from .core import CostModel, SearchSpace, build_schedule, logsumexp, schedule_dtype, step_count
-
-# Bound on per_pair times the (point, index) pairs of one block_eval call: rows go
-# in chunks of as many as fit, at least one, and a longer row in slabs of at least 128.
-STACK_BUDGET = 1 << 15
 
 
 def _pairwise_slabs(block_eval, width: int, indices, thetas, owner) -> np.ndarray:
@@ -38,7 +35,7 @@ def _pairwise_slabs(block_eval, width: int, indices, thetas, owner) -> np.ndarra
 def _batch_kernel(block_eval, per_pair: int):
     """A CostModel batch_eval over block_eval(indices (V, K), thetas
     (C, d), owner (C,)) -> (C,) row sums, each one .sum(), called on at
-    most max(128, STACK_BUDGET // per_pair) (point, index) pairs at a time.
+    most max(128, core.STACK_BUDGET // per_pair) (point, index) pairs at a time.
 
     The ragged call, indices (W, K), thetas (R, d) and owner (R,), is cut
     into chunks of rows and pairwise column slabs under that bound; a
@@ -50,8 +47,8 @@ def _batch_kernel(block_eval, per_pair: int):
 
     def batch_eval(indices: np.ndarray, thetas: np.ndarray, owner: np.ndarray) -> np.ndarray:
         out = np.empty(len(thetas))
-        width = max(128, STACK_BUDGET // per_pair)
-        chunk = max(1, STACK_BUDGET // (per_pair * max(1, min(indices.shape[1], width))))
+        width = max(128, core.STACK_BUDGET // per_pair)
+        chunk = max(1, core.STACK_BUDGET // (per_pair * max(1, min(indices.shape[1], width))))
         for c in range(0, len(thetas), chunk):
             own = owner[c:c + chunk]
             out[c:c + chunk] = _pairwise_slabs(block_eval, width, indices[own[0]:own[-1] + 1], thetas[c:c + chunk],

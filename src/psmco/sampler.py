@@ -229,8 +229,10 @@ def inverse_cdf(log_w: np.ndarray, u: np.ndarray) -> np.ndarray:
     Generator.random's grid, k * 2**-53 with 0 <= k < 2**53, and each
     row's weights must sum to 1 within 1e-9 or be all zero (a degenerate
     row, whose indices the caller discards); anything else raises
-    ValueError.
+    ValueError, as do log_w and u other than 2-d with one row count.
     """
+    if np.ndim(log_w) != 2 or np.ndim(u) != 2 or len(log_w) != len(u):
+        raise ValueError(f"log-weights {np.shape(log_w)} and uniforms {np.shape(u)} need 2-d, equal rows")
     scaled = u * 2.0**53
     k = scaled.astype(np.int64)
     if np.count_nonzero(k != scaled) or np.count_nonzero(k >> 53):

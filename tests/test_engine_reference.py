@@ -9,7 +9,7 @@ both consume each worker's stream in stream format v3's order.
 import numpy as np
 import pytest
 
-import psmco.problems as problems
+import psmco.core as core
 import reference_sampler
 from psmco.core import CostModel, SearchSpace
 from psmco.parallel import OptimizerConfig, run_psmco
@@ -45,15 +45,16 @@ STOCK = {
 @pytest.mark.parametrize("m_workers", [1, 3])
 @pytest.mark.parametrize("name", sorted(STOCK))
 def test_stock_problems_match_reference_at_any_block_size(name, m_workers, monkeypatch):
-    """The stock kernels evaluate all workers in one block by default; an
-    element budget of one worker per block gives the same traces."""
+    """The stock kernels evaluate all workers in one block by default; a
+    budget of one element, which also cuts the KDE into one row per chunk
+    and the modes into one emission per call, gives the same traces."""
     problem = STOCK[name]()
     config = OptimizerConfig(
         m_workers=m_workers, n_particles=12, batch_size=5, proposal_std=0.5, seed=4,
         estimate_every=2,
     )
     default = assert_matches_reference(problem.model, problem.space, config)
-    monkeypatch.setattr(problems, "STACK_BUDGET", 1)
+    monkeypatch.setattr(core, "STACK_BUDGET", 1)
     one_per_block = assert_matches_reference(problem.model, problem.space, config)
     assert one_per_block.log_z_by_step.tobytes() == default.log_z_by_step.tobytes()
     assert one_per_block.final_particles.tobytes() == default.final_particles.tobytes()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from psmco import core, kde
 from psmco.kde import bandwidth_rule, kde_log_eval, map_estimate
 
 
@@ -37,6 +38,17 @@ def test_bandwidth_integer_floor_is_exact():
     assert bandwidth_rule(4096, 1) == 0.125
     assert bandwidth_rule(10 ** 6, 2) == 0.1
     assert bandwidth_rule(10 ** 6 - 1, 2) == pytest.approx(1 / 9)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bandwidth_at_either_side_of_every_perfect_power(d):
+    """At N = k^p - 1, k^p and k^p + 1 (p = 2 (d + 1), k < 60) the rule
+    gives 1 / the largest j with j^p <= N, found by integer search."""
+    p = 2 * (d + 1)
+    for k in range(1, 60):
+        for n in (k ** p - 1, k ** p, k ** p + 1):
+            if n >= 1:
+                assert bandwidth_rule(n, d) == 1.0 / max(j for j in range(1, 61) if j ** p <= n)
 
 
 def test_bandwidth_non_increasing_in_population():
@@ -110,7 +122,33 @@ def test_log_eval_chunking_consistent():
     h = 0.5
     whole = kde_log_eval(particles, points, h)
     rows = np.array([kde_log_eval(particles, p[None, :], h)[0] for p in points[:40]])
-    np.testing.assert_allclose(whole[:40], rows, rtol=1e-12)
+    assert whole[:40].tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 7, core.STACK_BUDGET])
+def test_one_budget_cuts_kde_rows_and_keeps_their_bits(budget, monkeypatch):
+    """Under core.STACK_BUDGET, kde_log_eval hands logsumexp at most
+    max(1, budget // N) rows at a time, and kde_log_eval and map_estimate
+    give the bytes of the default budget, for one cloud and for stacked
+    clouds."""
+    rng = np.random.default_rng(5)
+    clouds = rng.normal(size=(3, 40, 2))
+    labels = np.tile(np.arange(40), (3, 1)) // 2 * 2  # copies in pairs
+    clouds = np.take_along_axis(clouds, labels[..., None], axis=1)
+    owner = np.repeat(np.arange(3), 40)
+
+    def outputs():
+        values = (kde_log_eval(clouds[0], clouds[0], 0.5), kde_log_eval(clouds, clouds.reshape(-1, 2), 0.5, owner))
+        modes = (map_estimate(clouds[0], 0.5), map_estimate(clouds[0], 0.5, labels[0]),
+                 map_estimate(clouds, 0.5, labels))
+        return [v.tobytes() for v in values] + [(np.asarray(i).tobytes(), m.tobytes()) for i, m in modes]
+
+    want = outputs()
+    rows, lse = [], kde.logsumexp
+    monkeypatch.setattr(kde, "logsumexp", lambda a: rows.append(len(a)) or lse(a))
+    monkeypatch.setattr(core, "STACK_BUDGET", budget)
+    assert outputs() == want
+    assert max(rows) == min(max(1, budget // 40), 3 * 40)
 
 
 def test_density_integrates_to_one_1d():

@@ -273,7 +273,7 @@ def test_an_earlier_error_wins_over_one_that_cannot_be_unpickled(force_parts, mo
 # ---------------------------------------------------------------------------
 # emissions found a block at a time
 
-# N = 100 particles give blocks of 2**15 // 100**2 = 3 emissions
+# N = 100 particles give blocks of core.STACK_BUDGET // 100**2 = 2**15 // 10**4 = 3 emissions
 STACKED_N, BLOCK = 100, 3
 
 

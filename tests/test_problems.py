@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+import psmco.core as core
 import psmco.problems as problems
 from psmco.core import build_schedule, label_groups, log_potentials
 from psmco.problems import (
@@ -160,7 +161,7 @@ def worker_sums(model, batch, pts):
     return np.stack([model.sums(b[None], own, np.zeros(len(own), dtype=int)) for b, own in zip(batch, pts)])
 
 
-@pytest.mark.parametrize("budget", [problems.STACK_BUDGET, 1])
+@pytest.mark.parametrize("budget", [core.STACK_BUDGET, 1])
 @pytest.mark.parametrize("name", sorted(STOCK_PROBLEMS))
 def test_stacked_batch_eval_equals_per_worker_calls(name, budget, monkeypatch):
     """Ragged input, (W, K) indices, (W * N, d) points and their owners,
@@ -168,7 +169,7 @@ def test_stacked_batch_eval_equals_per_worker_calls(name, budget, monkeypatch):
     batch, in one chunk of rows or one row per chunk.  Near the origin,
     where all four mixture parts contribute, rows agree with summed
     component_eval; a point whose squared distance overflows costs +inf."""
-    monkeypatch.setattr(problems, "STACK_BUDGET", budget)
+    monkeypatch.setattr(core, "STACK_BUDGET", budget)
     model = STOCK_PROBLEMS[name]().model
     rng = np.random.default_rng(5)
     for w, n, k in ((5, 9, 40), (3, 1, 1), (1, 12, 7), (4, 20, 300)):
@@ -191,7 +192,7 @@ def test_stacked_batch_eval_equals_per_worker_calls(name, budget, monkeypatch):
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-@pytest.mark.parametrize("budget", [problems.STACK_BUDGET, 1])
+@pytest.mark.parametrize("budget", [core.STACK_BUDGET, 1])
 @pytest.mark.parametrize("name, k", [("sigmoid", 100), ("sigmoid", 500), ("sigmoid", 8193),
                                      ("mixture", 1), ("mixture", 7)])
 def test_potentials_of_duplicated_populations_equal_every_particle_evaluated(name, k, budget, monkeypatch):
@@ -199,7 +200,7 @@ def test_potentials_of_duplicated_populations_equal_every_particle_evaluated(nam
     populations made mostly of copies, with worker 0 or every worker
     collapsed to a single point, every particle still gets the bits of an
     evaluation of the whole population, one sums call per worker."""
-    monkeypatch.setattr(problems, "STACK_BUDGET", budget)
+    monkeypatch.setattr(core, "STACK_BUDGET", budget)
     n_data = 9000 if name == "sigmoid" else 300
     spec = SigmoidProblemSpec(n=n_data) if name == "sigmoid" else MixtureProblemSpec(n=n_data)
     model = (make_sigmoid_problem if name == "sigmoid" else make_mixture_problem)(spec).model
@@ -214,7 +215,7 @@ def test_potentials_of_duplicated_populations_equal_every_particle_evaluated(nam
         assert got.tobytes() == (-worker_sums(model, batch, population)).tobytes()
 
 
-@pytest.mark.parametrize("budget", [problems.STACK_BUDGET, 1])
+@pytest.mark.parametrize("budget", [core.STACK_BUDGET, 1])
 @pytest.mark.parametrize("name, k", [("sigmoid", 100), ("sigmoid", 500), ("sigmoid", 8193),
                                      ("sigmoid", 131073), ("mixture", 1), ("mixture", 7),
                                      ("mixture", 8193)])
@@ -230,7 +231,7 @@ def test_one_row_per_point_keeps_the_bits_of_whole_populations(name, k, budget, 
     # slabs of at least K // 8 columns: a budget of 1 would cut K = 131073
     # into 1024 slabs of 128 per row, where about eight keep one row per chunk
     per_pair = 12 if name == "mixture" else 1
-    monkeypatch.setattr(problems, "STACK_BUDGET", max(budget, per_pair * (k // 8)))
+    monkeypatch.setattr(core, "STACK_BUDGET", max(budget, per_pair * (k // 8)))
     n_data = max(k, 9000)
     spec = SigmoidProblemSpec(n=n_data) if name == "sigmoid" else MixtureProblemSpec(n=n_data)
     model = (make_sigmoid_problem if name == "sigmoid" else make_mixture_problem)(spec).model
@@ -270,9 +271,9 @@ def test_points_cut_into_chunks_keep_the_bits_of_one_call(name, per_pair, monkey
     batch = rng.permutation(k)[None]
     pts = rng.normal(size=(p, 2)) * 3
     owner = np.zeros(p, dtype=int)
-    monkeypatch.setattr(problems, "STACK_BUDGET", p * per_pair * k)
+    monkeypatch.setattr(core, "STACK_BUDGET", p * per_pair * k)
     whole = model.sums(batch, pts, owner)
-    monkeypatch.setattr(problems, "STACK_BUDGET", 9 * per_pair * k)
+    monkeypatch.setattr(core, "STACK_BUDGET", 9 * per_pair * k)
     assert model.sums(batch, pts, owner).tobytes() == whole.tobytes()
     seen = []
     problems._batch_kernel(lambda i, t, o: seen.append(t.shape) or t[:, 0], per_pair)(batch, pts, owner)
@@ -293,7 +294,7 @@ def test_ragged_chunks_across_workers_keep_the_bits_of_per_worker_calls(name, pe
     counts = [3, 0, 6, 2]
     owner = np.repeat(np.arange(4), counts)
     pts = rng.normal(size=(len(owner), 2)) * 3
-    monkeypatch.setattr(problems, "STACK_BUDGET", 4 * per_pair * k)
+    monkeypatch.setattr(core, "STACK_BUDGET", 4 * per_pair * k)
     edges = np.cumsum([0] + counts)
     want = np.concatenate([model.batch_eval(batch[j:j + 1], pts[edges[j]:edges[j + 1]], np.zeros(counts[j], dtype=int))
                            for j in (0, 2, 3)])
@@ -315,10 +316,10 @@ def test_sweeps_cut_into_column_slabs_keep_the_bits_of_one_row_sum(name, per_pai
     spec = SigmoidProblemSpec(n=n) if name == "sigmoid" else MixtureProblemSpec(n=n)
     model = (make_sigmoid_problem if name == "sigmoid" else make_mixture_problem)(spec).model
     thetas = np.random.default_rng(n).normal(size=(3, 2)) * 3
-    monkeypatch.setattr(problems, "STACK_BUDGET", 3 * per_pair * n)
+    monkeypatch.setattr(core, "STACK_BUDGET", 3 * per_pair * n)
     whole = model.total_cost_many(thetas)
     for budget in (per_pair * (n // 3), per_pair * 1000, 1):
-        monkeypatch.setattr(problems, "STACK_BUDGET", budget)
+        monkeypatch.setattr(core, "STACK_BUDGET", budget)
         assert model.total_cost_many(thetas).tobytes() == whole.tobytes()
         width, seen = max(128, budget // per_pair), []
         problems._batch_kernel(lambda i, t, o: seen.append(i.shape[1]) or t[:, 0], per_pair)(
@@ -331,11 +332,11 @@ def test_grid_minima_keep_their_bits_in_column_slabs(monkeypatch):
     every grid node in one call, in slabs of 375 columns, or in one row
     per call in slabs at the 128-column floor."""
     model = make_mixture_problem(MixtureProblemSpec(n=1000)).model
-    monkeypatch.setattr(problems, "STACK_BUDGET", 12 * 1000 * 30 * 30)
+    monkeypatch.setattr(core, "STACK_BUDGET", 12 * 1000 * 30 * 30)
     coords, values = find_grid_minima(model, [-8, -8], [8, 8], num_points=30)
     assert len(values) >= 4
     for budget in (12 * 375, 1):
-        monkeypatch.setattr(problems, "STACK_BUDGET", budget)
+        monkeypatch.setattr(core, "STACK_BUDGET", budget)
         got = find_grid_minima(model, [-8, -8], [8, 8], num_points=30)
         assert (got[0].tobytes(), got[1].tobytes()) == (coords.tobytes(), values.tobytes())
 

@@ -1,6 +1,7 @@
 """The README's library examples run as written."""
 
 import dataclasses
+import importlib
 import re
 from pathlib import Path
 
@@ -48,4 +49,14 @@ def test_every_public_name_is_documented():
     text = README.read_text()
     names = [*psmco.__all__, *(field.name for field in dataclasses.fields(psmco.RunRecord))]
     missing = [name for name in names if not re.search(rf"`{name}\b", text)]
+    assert missing == []
+
+
+def test_every_dotted_module_reference_resolves():
+    """Each `psmco.<module>.<name>` the README names imports and resolves,
+    so a name moved to another module does not go stale in the docs."""
+    refs = set(re.findall(r"`psmco\.(\w+)\.(\w+)", README.read_text()))
+    assert len(refs) >= 5
+    missing = [f"psmco.{module}.{name}" for module, name in sorted(refs)
+               if not hasattr(importlib.import_module(f"psmco.{module}"), name)]
     assert missing == []

@@ -480,6 +480,18 @@ def test_inverse_cdf_rejects_off_grid_uniforms():
             inverse_cdf(w, np.array([[0.5], [bad]]))
 
 
+def test_inverse_cdf_rejects_log_w_and_u_of_other_ranks_or_row_counts():
+    """(1, 4) log-weights against (2, 4) uniforms would draw both rows
+    from row 0's weights, and 1-d input would raise IndexError: each
+    raises ValueError, as do (2, 4) log-weights against one row of u."""
+    w = normalize_log_weights(np.zeros((2, 4)))[1]
+    u = np.random.default_rng(18).random((2, 4))
+    for log_w, uniforms in ((w[:1], u), (w, u[:1]), (w[0], u[0]), (w[0], u), (w, u[0]), (w[None], u[None])):
+        with pytest.raises(ValueError, match="2-d, equal rows"):
+            inverse_cdf(log_w, uniforms)
+    assert inverse_cdf(w, u[:, :3]).shape == (2, 3)
+
+
 def test_inverse_cdf_rejects_unnormalized_log_weights():
     """Clipping the cumulative weights at 1 would turn weights that do not
     sum to 1 into wrong ancestors with no error: plain weights passed as
