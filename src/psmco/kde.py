@@ -37,12 +37,14 @@ def kde_log_eval(
     Gaussian and h the bandwidth; the sum over particles runs through
     logsumexp.  Stacked clouds (E, N, d) take owner (P,), the cloud of
     each row; one (N, d) cloud is the case E = 1.  Raises ValueError
-    unless h is positive and finite, the points have the particles' d and
-    owner, with stacked clouds only, is (P,) integers in [0, E).
+    unless N, d >= 1, h is positive and finite, the points have the
+    particles' d and owner, with stacked clouds only, is (P,) integers in [0, E).
     """
     particles = np.asarray(particles, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = particles.shape[-2:]
+    if n < 1 or d < 1:
+        raise ValueError(f"particles {particles.shape}: a cloud needs at least one particle of dimension >= 1")
     stacked = owner is not None  # else one cloud, E = 1, every owner 0 (zeros: no slot of ramp's cache per P)
     clouds, owner = (particles, np.asarray(owner)) if stacked else (particles[None], np.zeros(len(points), np.intp))
     if (particles.ndim != 2 + stacked or points.shape[1] != d or owner.shape != points.shape[:1]
@@ -77,12 +79,14 @@ def map_estimate(
     space.  labels, a worker's row of ParticleSystem.labels, mark copies:
     the KDE of all N particles is queried once per label (None: at every
     particle), and every copy gets its point's value.  Raises ValueError
-    unless labels are N integers in [0, 2N) per cloud.
+    unless N, d >= 1 and labels are N integers in [0, 2N) per cloud.
     """
     particles = np.asarray(particles, dtype=float)
     stacked = particles.ndim == 3
     clouds = particles if stacked else particles[None]
     e, n, d = clouds.shape
+    if n < 1 or d < 1:
+        raise ValueError(f"particles {particles.shape}: a cloud needs at least one particle of dimension >= 1")
     labels = np.broadcast_to(ramp(n), (e, n)) if labels is None else np.asarray(labels if stacked else [labels])
     if labels.shape != (e, n) or labels.dtype.kind not in "iu" or not 0 <= labels.min() <= labels.max() < 2 * n:
         raise ValueError(f"labels must be {n} integers in [0, {2 * n}) per cloud")

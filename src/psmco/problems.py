@@ -19,6 +19,15 @@ from . import core
 from .core import CostModel, SearchSpace, build_schedule, logsumexp, schedule_dtype, step_count
 
 
+def expit(z, out=None):
+    """1 / (1 + exp(-z)) in scipy.special.expit's order of operations, so
+    libm's exp gives scipy's bits; in place with out, a scalar on a scalar."""
+    with np.errstate(over="ignore"):  # exp(-z) = inf gives 0, as scipy's does
+        e = np.exp(np.negative(z, out=out), out=out)
+    e += 1.0
+    return np.divide(1.0, e, out=out)
+
+
 def _pairwise_slabs(block_eval, width: int, indices, thetas, owner) -> np.ndarray:
     """block_eval's sums over the K columns of indices, in slabs of at
     most width >= 128 columns added in numpy's pairwise order (above 128
@@ -230,7 +239,6 @@ class SigmoidProblem:
     def mean_gradient(self, theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
         """Average gradient of the components in `indices` at theta,
         stacked: theta (..., 2) and indices (..., K) give (..., 2)."""
-        from scipy.special import expit
         theta = np.asarray(theta, dtype=float)
         xb = self.x[indices]
         yb = self.y[indices]
@@ -240,11 +248,11 @@ class SigmoidProblem:
 
 
 def make_sigmoid_problem(spec: SigmoidProblemSpec) -> SigmoidProblem:
-    from scipy.special import expit  # only the sigmoid problem needs scipy
     rng = np.random.default_rng(spec.seed)
     x = rng.uniform(spec.x_low, spec.x_high, size=spec.n)
     t0, t1 = spec.theta_true
-    y = expit(t0 + t1 * x)
+    y = t1 * x
+    expit(np.add(y, t0, out=y), out=y)
     if spec.noise_std > 0:
         y = y + rng.normal(0.0, spec.noise_std, size=spec.n)
 

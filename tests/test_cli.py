@@ -542,20 +542,23 @@ def test_gen_data_errors(tmp_path):
 
 LOADS_SCIPY = """
 import sys
+import psmco
 import psmco.cli
-assert "scipy" not in sys.modules
-assert psmco.cli.main(["run", *sys.argv[1:]]) == 0
-print("scipy" in sys.modules)
+loaded = ["scipy" in sys.modules]
+for i, run in enumerate(sys.argv[1:]):
+    assert psmco.cli.main(["run", *run.split(), "--out", f"out{i}"]) == 0
+    loaded.append("scipy" in sys.modules)
+print(loaded)
 """
 
 
-@pytest.mark.parametrize("profile, loads", [("mixture-5.1", False), ("sigmoid-5.2", True)])
-def test_scipy_is_imported_only_for_the_sigmoid_problem(profile, loads, tmp_path):
-    """In a fresh interpreter, import psmco.cli and a mixture run never
-    load scipy; a sigmoid run does."""
+def test_scipy_is_never_imported(tmp_path):
+    """In a fresh interpreter, neither import psmco nor a mixture, sigmoid
+    or psgd run loads scipy: the package depends on numpy alone."""
     env = dict(os.environ, PYTHONPATH=str(Path(psmco.__file__).resolve().parents[1]))
-    argv = ["--profile", profile, "--override", "n=200", "--override", "m_workers=2",
-            "--override", "n_particles=10", "--out", str(tmp_path)]
-    done = subprocess.run([sys.executable, "-c", LOADS_SCIPY, *argv], env=env,
+    small = "--override n=200 --override m_workers=2 --override n_particles=10"
+    runs = [f"--profile mixture-5.1 {small}", f"--profile sigmoid-5.2 {small}",
+            f"--profile sigmoid-5.2 {small} --override algorithm=psgd"]
+    done = subprocess.run([sys.executable, "-c", LOADS_SCIPY, *runs], env=env, cwd=tmp_path,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == str(loads)
+    assert done.stdout.splitlines()[-1] == str([False] * 4)

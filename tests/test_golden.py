@@ -14,23 +14,58 @@ written under the earlier formats (v2's full noise blocks, or the
 per-step layout before it) differ for the same config.
 A digest may only change together with a CHANGES.md entry saying why.
 The digests are those of CPython 3.11 with numpy 2.4 on x86-64.
+
+numpy dispatches float64 exp to an AVX-512 loop (class X86_V4) where the
+CPU has it, and that loop rounds some values differently from libm's exp,
+which the X86_V3 loop and the X86_V2 baseline reproduce bit for bit.  The
+files that depend on it are pinned once per class in BY_CLASS, and CASES
+holds the set of the class this host runs.  The other class is checked
+too, in a child process that switches the AVX-512 loops off.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from numpy.lib.introspect import opt_func_info
 
 from psmco.cli import main
+
+
+def exp_class() -> str:
+    """The class numpy runs float64 exp under here: "X86_V4", "X86_V3",
+    "baseline(X86_V2)" on x86-64."""
+    return opt_func_info(func_name="^exp$", signature="float64")["exp"]["dd"]["current"]
+
+
+EXP_CLASS = exp_class()
+# dispatch class -> digest set; the baseline gives libm's exp bits, as X86_V3 does
+DIGEST_SET = {"X86_V4": "X86_V4", "X86_V3": "X86_V3", "baseline(X86_V2)": "X86_V3"}.get(EXP_CLASS)
 
 MIXTURE = ("--profile", "mixture-5.1", "--override", "n=200", "--override", "m_workers=6",
            "--override", "n_particles=20")
 SIGMOID = ("--profile", "sigmoid-5.2", "--override", "n=5000", "--override", "m_workers=4",
            "--override", "n_particles=20")
 
+# the files whose bytes depend on the dispatch class of exp, per class
+BY_CLASS = {
+    "X86_V4": {
+        "mixture": {"trace.csv": "e3e31f164966ef88b513a1d68b6e3969148fd066b085c8ddfffc4dab81993355"},
+        "sigmoid-seed3-k37": {"trace.csv": "ced43973a7999ee3d4a05606ec72aa4268fe451b6522fb432a0d8102b9274485"},
+    },
+    "X86_V3": {
+        "mixture": {"trace.csv": "11e102538f40b79d7d5d1ee26c15886bfe2459afd74ef9b0f98a891841aa8ccc"},
+        "sigmoid-seed3-k37": {"trace.csv": "467d9726c3a0363377cd9fba1a4d372aa848463da433423b3dce1f1d72ff2801"},
+    },
+}
+
 CASES = {
     "mixture": (MIXTURE, {
         "config.json": "5375a5a1cb93ce5f2326e74744558bd6592d485fbe43cb2486bd996d990b624b",
-        "trace.csv": "e3e31f164966ef88b513a1d68b6e3969148fd066b085c8ddfffc4dab81993355",
         "summary.txt": "e6d778967f23e8a868ffbfa2db11cfd303aa1eb4ac972f047930f1d3d4bdf042",
     }),
     "mixture-final-particles": (
@@ -60,7 +95,6 @@ CASES = {
         SIGMOID + ("--seed", "3", "--override", "batch_size=37"),
         {
             "config.json": "29a3f460fcd6a05ac05790d8c939a9ae00ba4229544a508196b5bd8912a0c902",
-            "trace.csv": "467d9726c3a0363377cd9fba1a4d372aa848463da433423b3dce1f1d72ff2801",
             "summary.txt": "0c405a388fe4b928738570b2e7a66bc97ef8052fc8199d3cf053e5fd36d55514",
         },
     ),
@@ -75,10 +109,40 @@ CASES = {
 }
 
 
+CASES = {name: (argv, {**files, **BY_CLASS.get(DIGEST_SET, {}).get(name, {})})
+         for name, (argv, files) in CASES.items()}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifact_digests(name, tmp_path):
+    if DIGEST_SET is None:
+        pytest.skip(f"no digests are pinned for numpy's {EXP_CLASS} exp")
     argv, expected = CASES[name]
     assert main(["run", *argv, "--out", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in expected}
     assert got == expected
+
+
+# the features that lift exp from X86_V3 to X86_V4, as far as this numpy
+# dispatches them and this CPU has them
+AVX512 = [f for f in __cpu_dispatch__ if (f == "X86_V4" or f.startswith("AVX512")) and __cpu_features__[f]]
+CHILD = "import sys, pytest, test_golden; print(test_golden.EXP_CLASS); sys.exit(pytest.main(sys.argv[1:]))"
+
+
+@pytest.mark.skipif(EXP_CLASS != "X86_V4", reason=f"numpy runs exp under {EXP_CLASS} here, and no "
+                    "other class with pinned digests can be reached by switching features off")
+def test_digests_under_the_other_dispatch_class():
+    """The golden cases, and expit's scipy oracle, rerun under X86_V3 in a
+    child process whose NPY_DISABLE_CPU_FEATURES switches the AVX-512
+    loops off; only the child's environment changes."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512),
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, "-q", "-p", "no:cacheprovider", "tests/test_golden.py::test_artifact_digests",
+         "tests/test_problems.py::test_expit_keeps_scipys_bits_under_libm_exp"],
+        cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300)
+    assert done.stdout.splitlines()[:1] == ["X86_V3"], done.stdout + done.stderr
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
+    assert done.stdout.splitlines()[-1].startswith("7 passed in ")  # six cases and the oracle, none skipped

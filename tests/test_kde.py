@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +79,20 @@ def test_bandwidth_must_be_positive_and_finite(h):
 def test_points_must_have_the_particles_dimension():
     with pytest.raises(ValueError, match="dimension"):
         kde_log_eval(np.zeros((3, 2)), np.zeros((4, 1)), 1.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (0, 2), (0, 0), (3, 2, 0), (3, 0, 2)])
+def test_clouds_without_particles_or_coordinates_are_refused(shape):
+    """A 0-d cloud used to give -log 2 for two particles, and an empty one
+    a bare "math domain error"; both now name the particles."""
+    particles = np.zeros(shape)
+    points = np.zeros((1, shape[-1]))
+    owner = np.zeros(1, dtype=int) if len(shape) == 3 else None
+    message = re.escape(f"particles {shape}: a cloud needs at least one particle")
+    with pytest.raises(ValueError, match=message):
+        kde_log_eval(particles, points, 1.0, owner)
+    with pytest.raises(ValueError, match=message):
+        map_estimate(particles, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from psmco.problems import (
     MixtureProblemSpec,
     PSGDConfig,
     SigmoidProblemSpec,
+    expit,
     find_grid_minima,
     make_mixture_problem,
     make_sigmoid_problem,
@@ -114,6 +115,27 @@ def test_mixture_spec_validation():
 
 # ---------------------------------------------------------------------------
 # sigmoid problem
+
+
+def test_expit_keeps_scipys_bits_under_libm_exp():
+    """The array, in-place and scalar forms agree bit for bit; where numpy's
+    exp is libm's (X86_V3 and the baseline; see test_golden) they also give
+    scipy's bits, and under AVX-512 they stay within a few ulps of them."""
+    from scipy.special import expit as oracle
+    from test_golden import DIGEST_SET
+
+    z = np.concatenate([np.random.default_rng(0).normal(0.0, 30.0, 20000),
+                        [0.0, -0.0, 5e-324, 36.7, 709.8, -709.8, 745.2, -745.2, 800.0, -800.0, np.inf, -np.inf]])
+    whole = expit(z)
+    inplace = z.copy()
+    assert expit(inplace, out=inplace) is inplace
+    assert inplace.tobytes() == whole.tobytes()
+    scalars = np.array([expit(v) for v in z[-2012:]])  # Python floats, one at a time
+    assert scalars.tobytes() == whole[-2012:].tobytes()
+    if DIGEST_SET == "X86_V3":
+        assert whole.tobytes() == oracle(z).tobytes()
+    else:
+        np.testing.assert_allclose(whole, oracle(z), rtol=1e-15, atol=0)
 
 
 def test_sigmoid_at_origin_predicts_half():
