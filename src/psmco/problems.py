@@ -251,8 +251,7 @@ def make_sigmoid_problem(spec: SigmoidProblemSpec) -> SigmoidProblem:
     rng = np.random.default_rng(spec.seed)
     x = rng.uniform(spec.x_low, spec.x_high, size=spec.n)
     t0, t1 = spec.theta_true
-    y = t1 * x
-    expit(np.add(y, t0, out=y), out=y)
+    y = expit(t0 + t1 * x)
     if spec.noise_std > 0:
         y = y + rng.normal(0.0, spec.noise_std, size=spec.n)
 

@@ -18,9 +18,9 @@ The digests are those of CPython 3.11 with numpy 2.4 on x86-64.
 numpy dispatches float64 exp to an AVX-512 loop (class X86_V4) where the
 CPU has it, and that loop rounds some values differently from libm's exp,
 which the X86_V3 loop and the X86_V2 baseline reproduce bit for bit.  The
-files that depend on it are pinned once per class in BY_CLASS, and CASES
-holds the set of the class this host runs.  The other class is checked
-too, in a child process that switches the AVX-512 loops off.
+files that depend on it are pinned once per class in BY_CLASS; CASES holds
+the rest, which every host checks.  The other class is checked too, in a
+child process that switches the AVX-512 loops off.
 """
 
 import hashlib
@@ -30,19 +30,16 @@ import sys
 from pathlib import Path
 
 import pytest
-from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-from numpy.lib.introspect import opt_func_info
 
 from psmco.cli import main
+from test_bench_record import recorder
 
+try:  # numpy >= 2.0
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:
+    __cpu_dispatch__, __cpu_features__ = [], {}
 
-def exp_class() -> str:
-    """The class numpy runs float64 exp under here: "X86_V4", "X86_V3",
-    "baseline(X86_V2)" on x86-64."""
-    return opt_func_info(func_name="^exp$", signature="float64")["exp"]["dd"]["current"]
-
-
-EXP_CLASS = exp_class()
+EXP_CLASS = recorder().exp_class()
 # dispatch class -> digest set; the baseline gives libm's exp bits, as X86_V3 does
 DIGEST_SET = {"X86_V4": "X86_V4", "X86_V3": "X86_V3", "baseline(X86_V2)": "X86_V3"}.get(EXP_CLASS)
 
@@ -109,17 +106,14 @@ CASES = {
 }
 
 
-CASES = {name: (argv, {**files, **BY_CLASS.get(DIGEST_SET, {}).get(name, {})})
-         for name, (argv, files) in CASES.items()}
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifact_digests(name, tmp_path):
-    if DIGEST_SET is None:
-        pytest.skip(f"no digests are pinned for numpy's {EXP_CLASS} exp")
-    argv, expected = CASES[name]
+    """Every file is checked by name, and by digest unless it depends on the
+    dispatch class and this class has no pinned set."""
+    argv, files = CASES[name]
     assert main(["run", *argv, "--out", str(tmp_path)]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({*files, *BY_CLASS["X86_V3"].get(name, {})})
+    expected = {**files, **BY_CLASS.get(DIGEST_SET, {}).get(name, {})}
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in expected}
     assert got == expected
 
@@ -130,8 +124,8 @@ AVX512 = [f for f in __cpu_dispatch__ if (f == "X86_V4" or f.startswith("AVX512"
 CHILD = "import sys, pytest, test_golden; print(test_golden.EXP_CLASS); sys.exit(pytest.main(sys.argv[1:]))"
 
 
-@pytest.mark.skipif(EXP_CLASS != "X86_V4", reason=f"numpy runs exp under {EXP_CLASS} here, and no "
-                    "other class with pinned digests can be reached by switching features off")
+@pytest.mark.skipif(EXP_CLASS != "X86_V4", reason=f"numpy runs exp under {EXP_CLASS or 'an unknown class'} here, "
+                    "and no other class with pinned digests can be reached by switching features off")
 def test_digests_under_the_other_dispatch_class():
     """The golden cases, and expit's scipy oracle, rerun under X86_V3 in a
     child process whose NPY_DISABLE_CPU_FEATURES switches the AVX-512

@@ -3,18 +3,18 @@ both in BENCH_<label>.json.
 
 Usage (from the root of a checkout):
 
-    python3 tools/bench_record.py LABEL [--base REV] [--pairs 10] [--seconds 10]
+    python3 tools/bench_record.py LABEL [--base REV] [--seed S]
 
 The base revision (default HEAD, so the race measures the uncommitted
 change; pass HEAD~1 to measure the last commit) is extracted with
-`git archive` under the gitignored .bench_build/.  Each pair runs the
-unchanged `python3 bench/run.py --workload W --seed S --seconds X
---trace 0` once in each tree, one process at a time, the tree that goes
-first alternating from pair to pair.  The file holds the environment
-(with numpy's dispatch class of float64 exp), the two trees, and per
-workload and end-to-end metric of BENCHMARK.json: each tree's median and
-quartiles over the pairs, the pair count, and how many pairs each tree
-won.  A pair is won by the strictly better value.
+`git archive` under the gitignored .bench_build/.  Each of ten pairs runs
+the unchanged `python3 bench/run.py --workload W --seed S` once in each
+tree for every workload of BENCHMARK.json, one process at a time, the
+tree that goes first alternating from pair to pair.  The file holds the
+environment (with numpy's dispatch class of float64 exp), the two trees,
+and per workload and end-to-end metric: each tree's median and quartiles
+over the pairs, the pair count, and how many pairs each tree won.  A pair
+is won by the strictly better value.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD = os.path.join(ROOT, ".bench_build")
+PAIRS = 10  # the fewest a claimed gain is judged on
 
 
 def git(*args: str) -> str:
@@ -66,17 +67,19 @@ def extract(commit: str) -> str:
     return tree
 
 
-def exp_class() -> str:
-    """The loop numpy runs float64 exp with here ("X86_V4", "X86_V3", ...)."""
-    from numpy.lib.introspect import opt_func_info
-
+def exp_class() -> Optional[str]:
+    """The loop numpy runs float64 exp with here ("X86_V4", "X86_V3",
+    "baseline(X86_V2)" on x86-64), or None on a numpy before 2.0."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
     return opt_func_info(func_name="^exp$", signature="float64")["exp"]["dd"]["current"]
 
 
-def bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def bench(tree: str, workload: str, seed: int) -> dict:
     """bench/run.py's two JSON lines, run in `tree`."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     details, result = (json.loads(line) for line in done.stdout.strip().splitlines()[-2:])
     return {"details": details["details"], "result": result}
@@ -109,33 +112,30 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("label")
     parser.add_argument("--base", default="HEAD")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workload", action="append", help="one workload (repeatable); default all")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         declared = json.load(fh)
-    workloads = args.workload or [w["name"] for w in declared["workloads"]]
+    workloads = [w["name"] for w in declared["workloads"]]
     base_commit = git("rev-parse", args.base)
     trees = {"base": extract(base_commit), "head": ROOT}
     runs: Dict[str, Dict[str, List[dict]]] = {w: {"base": [], "head": []} for w in workloads}
     try:
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             for workload in workloads:
                 for tree in ("base", "head") if i % 2 == 0 else ("head", "base"):
-                    runs[workload][tree].append(bench(trees[tree], workload, args.seed, args.seconds))
-                    print(f"pair {i + 1}/{args.pairs} {workload} {tree}: run_s "
+                    runs[workload][tree].append(bench(trees[tree], workload, args.seed))
+                    print(f"pair {i + 1}/{PAIRS} {workload} {tree}: run_s "
                           f"{runs[workload][tree][-1]['result']['metrics']['run_s']['value']:.4f}", file=sys.stderr)
         environment = runs[workloads[0]]["head"][0]["details"]["environment"] | {"exp_class": exp_class()}
         doc = {
             "label": args.label,
-            "command": f"python3 bench/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} --trace 0",
+            "command": f"python3 bench/run.py --workload W --seed {args.seed}",
             "environment": environment,
             "trees": {
-                "base": {"commit": base_commit, "src_dirty": False, "src_sha256": src_digest(trees["base"])},
-                "head": {"commit": git("rev-parse", "HEAD"), "src_dirty": bool(git("status", "--porcelain", "--", "src")),
-                         "src_sha256": src_digest(ROOT)},
+                "base": {"commit": base_commit, "src_sha256": src_digest(trees["base"])},
+                "head": {"commit": git("rev-parse", "HEAD"), "src_sha256": src_digest(ROOT),
+                         "src_dirty": bool(git("status", "--porcelain", "--", "src"))},
             },
             "workloads": record(runs, declared["end_to_end"]),
         }
