@@ -185,6 +185,16 @@ def build_schedule(n: int, batch_size: int, rng: np.random.Generator) -> np.ndar
     return rng.permutation(n)
 
 
+def check_labels(labels: Optional[np.ndarray], shape: Tuple[int, ...]) -> np.ndarray:
+    """labels as an array if they are lineage labels of the given shape (..., N), integers in
+    [0, 2N) as label_groups needs, or None (arange(N) in every row); else ValueError naming the rule."""
+    n = shape[-1]
+    labels = np.broadcast_to(ramp(n), shape) if labels is None else np.asarray(labels)
+    if labels.shape != shape or labels.dtype.kind not in "iu" or np.count_nonzero((labels < 0) | (labels >= 2 * n)):
+        raise ValueError(f"labels must be {shape} integers in [0, {2 * n})")
+    return labels
+
+
 def label_groups(labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Groups of copies from lineage labels (W, N) in [0, 2N), by a
     table over the W * 2N keys: the labels renumbered to [0, U_w), each

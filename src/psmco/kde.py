@@ -9,7 +9,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from . import core
-from .core import label_groups, logsumexp, ramp
+from .core import check_labels, label_groups, logsumexp
 
 
 def bandwidth_rule(n_particles: int, dim: int) -> float:
@@ -28,6 +28,16 @@ def bandwidth_rule(n_particles: int, dim: int) -> float:
     return 1.0 / k
 
 
+def _cloud_array(particles: np.ndarray) -> np.ndarray:
+    """particles as a float array, one (N, d) cloud or a stack (E, N, d) of
+    them; ValueError naming their shape unless it is so with E, N, d >= 1."""
+    particles = np.asarray(particles, dtype=float)
+    if particles.ndim not in (2, 3) or not particles.size:
+        raise ValueError(f"particles {particles.shape}: a cloud needs at least one particle of dimension >= 1, "
+                         "in one (N, d) array or a stack (E, N, d) of E >= 1")
+    return particles
+
+
 def kde_log_eval(
     particles: np.ndarray, points: np.ndarray, bandwidth: float, owner: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -37,14 +47,12 @@ def kde_log_eval(
     Gaussian and h the bandwidth; the sum over particles runs through
     logsumexp.  Stacked clouds (E, N, d) take owner (P,), the cloud of
     each row; one (N, d) cloud is the case E = 1.  Raises ValueError
-    unless N, d >= 1, h is positive and finite, the points have the
+    unless E, N, d >= 1, h is positive and finite, the points have the
     particles' d and owner, with stacked clouds only, is (P,) integers in [0, E).
     """
-    particles = np.asarray(particles, dtype=float)
+    particles = _cloud_array(particles)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = particles.shape[-2:]
-    if n < 1 or d < 1:
-        raise ValueError(f"particles {particles.shape}: a cloud needs at least one particle of dimension >= 1")
     stacked = owner is not None  # else one cloud, E = 1, every owner 0 (zeros: no slot of ramp's cache per P)
     clouds, owner = (particles, np.asarray(owner)) if stacked else (particles[None], np.zeros(len(points), np.intp))
     if (particles.ndim != 2 + stacked or points.shape[1] != d or owner.shape != points.shape[:1]
@@ -76,21 +84,16 @@ def map_estimate(
     (E, d) modes, in one pass over all their distinct points.
 
     Searches only over the particles themselves, not the continuous
-    space.  labels, a worker's row of ParticleSystem.labels, mark copies:
-    the KDE of all N particles is queried once per label (None: at every
-    particle), and every copy gets its point's value.  Raises ValueError
-    unless N, d >= 1 and labels are N integers in [0, 2N) per cloud.
+    space.  labels, of the particles' shape less d, mark copies as in
+    ParticleSystem: the KDE of all N particles is queried once per label
+    (None: at every particle), and every copy gets its point's value.
+    Raises ValueError unless E, N, d >= 1 and core.check_labels passes.
     """
-    particles = np.asarray(particles, dtype=float)
+    particles = _cloud_array(particles)
     stacked = particles.ndim == 3
     clouds = particles if stacked else particles[None]
     e, n, d = clouds.shape
-    if n < 1 or d < 1:
-        raise ValueError(f"particles {particles.shape}: a cloud needs at least one particle of dimension >= 1")
-    labels = np.broadcast_to(ramp(n), (e, n)) if labels is None else np.asarray(labels if stacked else [labels])
-    if labels.shape != (e, n) or labels.dtype.kind not in "iu" or not 0 <= labels.min() <= labels.max() < 2 * n:
-        raise ValueError(f"labels must be {n} integers in [0, {2 * n}) per cloud")
-    _, slots, rows = label_groups(labels)
+    _, slots, rows = label_groups(check_labels(labels, particles.shape[:-1]).reshape(e, n))
     values = kde_log_eval(clouds, clouds.reshape(-1, d).take(rows, axis=0), bandwidth, rows // n)
     best = values.take(slots).argmax(axis=1)
     return (best, clouds[np.arange(e), best]) if stacked else (int(best[0]), particles[best[0]].copy())

@@ -12,10 +12,10 @@ step's batches and draws.  step_draws is the one reader of the workers'
 streams after their schedules and initial particles: it takes them a
 block of steps at a time (stream format v3: each worker's uniforms, then
 noise for its moved particles).  A part returns its per-step normalizers,
-best worker's KDE mode per emission, final particles and error.  The caller
-sums the normalizers into cumulative log Z, ranks all workers, evaluates the
-full cost and raises what one process would raise first: no byte depends on P.
-It returns the run as one RunRecord of per-emission and per-step arrays.
+their running sum (cumulative log Z, kept by the part alone) and its best
+worker's KDE mode per emission, final particles and error.  The caller ranks
+all workers, evaluates the full cost and raises what one process would raise
+first: no byte depends on P.  It returns the run as one RunRecord.
 """
 
 from __future__ import annotations
@@ -176,14 +176,14 @@ def _picklable(e: Exception) -> Exception:
 def _run_part(model: CostModel, space: SearchSpace, config: OptimizerConfig, emissions: List[int],
               lo: int, hi: int, marks: np.ndarray, part: int):
     """Run workers lo..hi-1 stacked for T = emissions[-1] steps: returns their
-    (T, W) per-step log Z, best worker's KDE mode after each step in emissions,
-    final particles and the exception that stopped them (a RuntimeError if it
-    cannot be pickled) or None.  marks (2, P), shared, from T, get the part's
-    first step with every cumulative log Z -inf (it stays so) and the step that
-    raised, -1 in the setup; the part stops once the marks end the run.  Each
-    emission copies the best cloud; one map_estimate call finds a block's modes."""
-    log_z_by_step = np.empty((emissions[-1], hi - lo))
-    cumulative = np.zeros(hi - lo)  # the running sum of log_z_by_step's rows, the part's only one
+    (T, W) per-step log Z, and at each emission reached their cumulative log Z
+    and best worker's KDE mode, final particles and the exception that stopped
+    them (a RuntimeError if it cannot be pickled) or None.  marks (2, P), shared,
+    from T, get the part's first step with every cumulative log Z -inf (it stays
+    so) and the step that raised, -1 in the setup; the part stops once the marks
+    end the run.  One map_estimate call finds a block of emissions' modes."""
+    log_z_by_step, log_z = np.empty((emissions[-1], hi - lo)), np.empty((len(emissions), hi - lo))
+    cumulative = np.zeros(hi - lo)  # the running sum of log_z_by_step's rows, the run's only one
     n, block = config.n_particles, max(1, core.STACK_BUDGET // config.n_particles**2)  # the budget's distances a call
     thetas, clouds = np.empty((len(emissions), space.dim)), np.empty((block, n, space.dim))
     labels = np.empty((block, n), dtype=np.intp)
@@ -218,6 +218,7 @@ def _run_part(model: CostModel, space: SearchSpace, config: OptimizerConfig, emi
             if t + 1 == emissions[emitted]:
                 best = int(cumulative.argmax())  # select_best_worker's pick, where it has one
                 clouds[emitted - done], labels[emitted - done] = system.particles[best], system.labels[best]
+                log_z[emitted] = cumulative
                 emitted += 1
                 if emitted - done == block:
                     modes()
@@ -225,8 +226,8 @@ def _run_part(model: CostModel, space: SearchSpace, config: OptimizerConfig, emi
                 break
     except Exception as e:  # the caller raises it if it is the run's first
         marks[1, part] = t
-        return log_z_by_step, modes(), None, _picklable(e)
-    return log_z_by_step, modes(), system.particles, None
+        return log_z_by_step, log_z[:emitted], modes(), None, _picklable(e)
+    return log_z_by_step, log_z[:emitted], modes(), system.particles, None
 
 
 def run_psmco(
@@ -249,23 +250,22 @@ def run_psmco(
     """
     start = time.perf_counter()
     total_steps = step_count(model.n, config.batch_size)
+    if config.init_point is not None and len(config.init_point) != space.dim:  # as init_particles would, unforked
+        raise ValueError(f"init_point of length {len(config.init_point)} for a {space.dim}-d box")
     stride = config.estimate_every or total_steps
     emissions = [*range(stride, total_steps, stride), total_steps]
     parts = min(config.m_workers, _usable_cpus()) if _fork_is_quiet() else 1
     marks = np.frombuffer(mmap.mmap(-1, 16 * parts), dtype=np.int64).reshape(2, parts)
     marks[:] = total_steps
     bounds = [config.m_workers * j // parts for j in range(parts + 1)]
-    by_step, part_thetas, particles, errors = zip(*_in_processes(_run_part, [
+    by_step, part_log_z, part_thetas, particles, errors = zip(*_in_processes(_run_part, [
         (model, space, config, emissions, bounds[j], bounds[j + 1], marks, j) for j in range(parts)
     ]))
     log_z_by_step = np.concatenate(by_step, axis=1)
     failed, raised = int(marks[0].max()), int(marks[1].min())
     ended = min(failed, raised)  # T when the run went through
-    with np.errstate(over="ignore"):  # the same additions as _run_part's
-        cumulative = np.cumsum(log_z_by_step[:max(ended, 0)], axis=0)
-    # the emissions' rows, owning their memory: at stride 1 all of cumulative, uncopied
-    log_z = cumulative if stride == 1 else cumulative[[e - 1 for e in emissions if e <= ended]]
-    iterations = np.array(emissions[:len(log_z)])
+    iterations = np.array([e for e in emissions if e <= ended])  # every part emitted these
+    log_z = np.concatenate([rows[:len(iterations)] for rows in part_log_z], axis=1)
     winners = select_best_worker(log_z)
     modes = np.stack([thetas[:len(log_z)] for thetas in part_thetas])  # (P, E, d)
     thetas = modes[np.searchsorted(bounds, winners, side="right") - 1, np.arange(len(log_z))]

@@ -24,6 +24,7 @@ import numpy as np
 from .core import (
     CostModel,
     SearchSpace,
+    check_labels,
     clip_to_space,
     label_groups,
     log_potentials,
@@ -73,11 +74,9 @@ class ParticleSystem:
     """Mutable state of M workers' particle populations.
 
     particles is (M, N, d) and rngs[m] is worker m's stream.  labels
-    (M, N), integers in [0, 2N), mark copies: particles of one worker
-    sharing a label are equal; other labels raise ValueError.  None
-    gives arange(N), each particle its own label; equal points with
-    different labels only cost a duplicate evaluation.  Whoever replaces
-    the particles replaces their labels with them.
+    (M, N) mark copies, by core.check_labels' rule: particles of one worker
+    sharing a label are equal; equal points with different labels only cost
+    a duplicate evaluation.  Whoever replaces the particles replaces the labels.
     """
 
     particles: np.ndarray
@@ -85,20 +84,7 @@ class ParticleSystem:
     labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.labels is None:
-            self.labels = np.broadcast_to(np.arange(self.n_particles), self.particles.shape[:2])
-        labels = np.asarray(self.labels)
-        if (labels.shape != self.particles.shape[:2] or not np.issubdtype(labels.dtype, np.integer)
-                or ((labels < 0) | (labels >= 2 * self.n_particles)).any()):
-            raise ValueError(f"labels must be {self.particles.shape[:2]} integers in [0, {2 * self.n_particles})")
-
-    @property
-    def m_workers(self) -> int:
-        return self.particles.shape[0]
-
-    @property
-    def n_particles(self) -> int:
-        return self.particles.shape[1]
+        self.labels = check_labels(self.labels, self.particles.shape[:2])
 
 
 def init_particles(
@@ -217,7 +203,7 @@ def weight_and_accumulate(
     system.labels, *groups = label_groups(system.labels)
     log_g = log_potentials(model, batches, system.particles, groups)
     log_total, log_w = normalize_log_weights(log_g)
-    return log_total - math.log(system.n_particles), log_w
+    return log_total - math.log(system.particles.shape[1]), log_w
 
 
 def inverse_cdf(log_w: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -115,6 +115,8 @@ def test_constraint_violations():
         parse_config(dict(base, algorithm="sgd"))
     with pytest.raises(ConfigError, match="problem"):
         parse_config(dict(base, problem="quadratic"))
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        parse_config([base])
 
     # one case per single-key range rule; the message names the key
     sig = load_profile("sigmoid-5.2")
@@ -132,6 +134,8 @@ def test_constraint_violations():
         (sig, "step_size", math.nan), (sig, "step_size", math.inf),
         (sig, "x_low", -math.inf), (sig, "x_high", math.inf),
         (sig, "theta_true", [math.nan, -2.0]), (sig, "init_point", [math.nan, 0.0]),
+        # points that are not a non-empty list
+        (sig, "init_point", -190.0), (sig, "init_point", []), (sig, "theta_true", "1,-2"),
     ]
     for doc, key, value in cases:
         with pytest.raises(ConfigError, match=rf"\b{key}\b"):
@@ -475,11 +479,17 @@ def test_compare_malformed_rows(tmp_path, capsys):
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
     write_trace(good, "sigmoid", [(1, 2.0)])
     out = tmp_path / "never.csv"
-    for row in ("sigmoid,1", "sigmoid,one,2.0", "sigmoid,1,2.0,3.0"):
-        bad.write_text(f"problem,t,f_best\n{row}\n")
+    texts = [(f"problem,t,f_best\n{row}\n", "malformed row")
+             for row in ("sigmoid,1", "sigmoid,one,2.0", "sigmoid,1,2.0,3.0")]
+    # whole files: no lines, no t or problem column, no cost column, no rows
+    texts += [("\n", "empty trace file"), ("problem,f_best\nsigmoid,2.0\n", "missing mandatory columns"),
+              ("problem,t,cost\nsigmoid,1,2.0\n", "no cost column"), ("problem,t,f_best\n", "header but no rows")]
+    for text, message in texts:
+        bad.write_text(text)
         for argv in (["--psmco", str(bad)], ["--psmco", str(good), "--psgd", str(bad)]):
             assert run_cli("compare", *argv, "--out", str(out)) == 2
-            assert str(bad) in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert str(bad) in err and message in err
     assert not out.exists()
 
 

@@ -57,6 +57,8 @@ def test_space_rejects_inverted_and_malformed_bounds():
         SearchSpace(np.array([]), np.array([]))
     with pytest.raises(ValueError):
         SearchSpace(np.array([0.0]), np.array([np.inf]))
+    with pytest.raises(ValueError, match="1-d"):
+        SearchSpace(np.zeros((1, 2)), np.ones((1, 2)))
 
 
 def test_clip_to_space():
@@ -276,6 +278,26 @@ def test_log_potentials_overflowing_sum_of_finite_components():
     assert (out == -np.inf).all()
     components_only = CostModel(n=2, component_eval=model.component_eval)
     assert log_g(components_only, [0, 1], np.zeros(1)) == -np.inf
+
+
+def test_log_potentials_blame_no_component_for_a_nan_sum_of_finite_ones():
+    """batch_eval returns NaN where every component is finite: the error
+    names no component (index -1) and the first such point in worker,
+    then particle order."""
+    model = CostModel(
+        n=2,
+        component_eval=lambda i, th: 1.0,
+        batch_eval=lambda idx, th, owner: np.where(th[:, 0] > 0, np.nan, 2.0),
+    )
+    thetas = np.array([[[0.0], [1.0]], [[2.0], [-1.0]]])
+    with pytest.raises(EvaluationError) as exc:
+        log_potentials(model, np.array([[0, 1], [1, 0]]), thetas)
+    assert exc.value.index == -1 and exc.value.theta.tolist() == [1.0] and math.isnan(exc.value.value)
+
+
+def test_cost_model_needs_a_component():
+    with pytest.raises(ValueError, match="at least one component"):
+        CostModel(n=0, component_eval=lambda i, th: 0.0)
 
 
 def test_log_potentials_matches_scalar_loop():

@@ -81,10 +81,12 @@ def test_points_must_have_the_particles_dimension():
         kde_log_eval(np.zeros((3, 2)), np.zeros((4, 1)), 1.0)
 
 
-@pytest.mark.parametrize("shape", [(2, 0), (0, 2), (0, 0), (3, 2, 0), (3, 0, 2)])
+@pytest.mark.parametrize("shape", [(2, 0), (0, 2), (0, 0), (3, 2, 0), (3, 0, 2), (0, 3, 2), (4,), (1, 2, 3, 2)])
 def test_clouds_without_particles_or_coordinates_are_refused(shape):
     """A 0-d cloud used to give -log 2 for two particles, and an empty one
-    a bare "math domain error"; both now name the particles."""
+    a bare "math domain error"; a stack of no clouds raised numpy's
+    "zero-size array" error, and a 1-d or 4-d array "not enough values to
+    unpack".  Each now names the particles' shape."""
     particles = np.zeros(shape)
     points = np.zeros((1, shape[-1]))
     owner = np.zeros(1, dtype=int) if len(shape) == 3 else None

@@ -100,6 +100,9 @@ def test_config_validation():
         small_config(n_particles=0)
     with pytest.raises(ValueError):
         small_config(estimate_every=0)
+    for init_std in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="init_std"):
+            small_config(init_std=init_std)
 
 
 def test_emission_iterations_stride():
@@ -278,6 +281,15 @@ def test_batch_size_outside_one_to_n_is_refused_before_any_fork(batch_size, monk
     message = re.escape(f"batch_size must be in [1, n=10], got {batch_size}")
     with pytest.raises(ValueError, match=message):
         run_psmco(prob.model, prob.space, small_config(batch_size=batch_size))
+
+
+@pytest.mark.parametrize("init_point", [(0.5,), (0.5, 0.5, 0.5)])
+def test_init_point_of_another_dimension_is_refused_before_any_fork(init_point, monkeypatch):
+    monkeypatch.setattr(parallel, "_in_processes", None)  # a call would raise TypeError
+    prob = small_mixture(n=10)
+    message = re.escape(f"init_point of length {len(init_point)} for a 2-d box")
+    with pytest.raises(ValueError, match=message):
+        run_psmco(prob.model, prob.space, small_config(init_point=init_point))
 
 
 def test_schedules_hold_int32_indices_while_they_fit(monkeypatch):

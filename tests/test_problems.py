@@ -557,3 +557,10 @@ def test_psgd_config_validation():
         PSGDConfig(batch_size=0)
     with pytest.raises(ValueError):
         PSGDConfig(step_size=-0.1)
+    with pytest.raises(ValueError, match="iterations"):
+        PSGDConfig(iterations=-1)
+    for init_std in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="init_std"):
+            PSGDConfig(init_std=init_std)
+    with pytest.raises(ValueError, match="init_point"):
+        PSGDConfig(init_point=(math.nan, 0.0))

@@ -103,6 +103,8 @@ def test_init_two_particles_contained():
 def test_init_invalid_count():
     with pytest.raises(ValueError):
         init_particles(box(-1, 1), 0, [np.random.default_rng(0)])
+    with pytest.raises(ValueError, match="at least one worker"):
+        init_particles(box(-1, 1), 4, [])
 
 
 def test_init_reproducible():
