@@ -216,10 +216,11 @@ def write_dataset(config: RunConfig, out_path: str) -> None:
     problem = build_problem(config)
     if config.problem == "sigmoid":
         header = "x,y"
-        rows = (f"{_fmt(xi)},{_fmt(yi)}" for xi, yi in zip(problem.x, problem.y))
+        rows = (f"{_fmt(xi)},{_fmt(yi)}" for xi, yi in zip(problem.x.tolist(), problem.y.tolist()))
     else:
         header = ",".join(["i"] + [f"mean{k}_{axis}" for k in range(problem.means.shape[1]) for axis in "xy"])
-        rows = (",".join([str(i)] + [_fmt(v) for v in centers.ravel()]) for i, centers in enumerate(problem.means))
+        centers = problem.means.reshape(len(problem.means), -1).tolist()
+        rows = (",".join([str(i)] + [_fmt(v) for v in row]) for i, row in enumerate(centers))
     _write_lines(out_path, itertools.chain([header], rows))
 
 
@@ -296,8 +297,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             doc = load_profile(args.profile)
             if args.seed is not None:
                 doc["data_seed"] = args.seed
-            config = parse_config(doc)
-            write_dataset(config, args.out)
+            write_dataset(parse_config(doc), args.out)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

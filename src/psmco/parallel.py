@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 import mmap
-import multiprocessing
 import os
 import pickle
+import signal
 import sys
 import time
 from dataclasses import dataclass
@@ -129,38 +129,42 @@ def _fork_is_quiet() -> bool:
     return os.path.isdir("/proc/self/task") and len(os.listdir("/proc/self/task")) == 1
 
 
-def _send_result(conn, function, args) -> None:
-    conn.send(function(*args))
-
-
 def _in_processes(function, arg_tuples):
     """function's result for each tuple of arguments, in order: the first
-    computed here, each other in a child forked for it.  A child that ends
-    with no result that can be read raises RuntimeError; no child outlives
-    the call."""
-    context = multiprocessing.get_context("fork")
-    results, children = [], []
+    computed here, each other in a child forked for it that pickles it into
+    a pipe.  A child that ends with no result that can be read raises
+    RuntimeError; no child outlives the call."""
+    results, children, reaped = [], [], 0  # children: (pid, the pipe its result comes through)
     try:
         for args in arg_tuples[1:]:
-            reader, writer = context.Pipe(duplex=False)
-            child = context.Process(target=_send_result, args=(writer, function, args))
-            child.start()
-            children.append((child, reader))
-            writer.close()
+            reader, writer = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child leaves by os._exit alone: 0 once its result is sent, else 1
+                try:
+                    os.close(reader)
+                    with open(writer, "wb") as pipe:
+                        pickle.dump(function(*args), pipe, pickle.HIGHEST_PROTOCOL)
+                except BaseException:
+                    os._exit(1)
+                os._exit(0)
+            os.close(writer)
+            children.append((pid, open(reader, "rb")))
         results.append(function(*arg_tuples[0]))
-        for part, (child, reader) in enumerate(children, 1):
+        for part, (pid, pipe) in enumerate(children, 1):
             try:
-                results.append(reader.recv())
+                results.append(pickle.load(pipe))
             except Exception as e:  # no result, or one that cannot be unpickled
-                child.join()
-                raise RuntimeError(f"worker part {part} ended with no result, exit code {child.exitcode}") from e
+                error = e
+            reaped, code = part, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])  # negative for a signal
+            if len(results) == part:
+                raise RuntimeError(f"worker part {part} ended with no result, exit code {code}") from error
         return results
     finally:
-        for part, (child, reader) in enumerate(children, 1):
-            reader.close()
-            if part >= len(results):  # its result is no longer wanted
-                child.terminate()
-            child.join()
+        for part, (pid, pipe) in enumerate(children, 1):
+            pipe.close()
+            if part > reaped:  # its result is no longer wanted
+                os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
 
 
 def _picklable(e: Exception) -> Exception:
@@ -266,6 +270,7 @@ def run_psmco(
     ended = min(failed, raised)  # T when the run went through
     iterations = np.array([e for e in emissions if e <= ended])  # every part emitted these
     log_z = np.concatenate([rows[:len(iterations)] for rows in part_log_z], axis=1)
+    del by_step, part_log_z  # joined: the full-cost sweep runs without them
     winners = select_best_worker(log_z)
     modes = np.stack([thetas[:len(log_z)] for thetas in part_thetas])  # (P, E, d)
     thetas = modes[np.searchsorted(bounds, winners, side="right") - 1, np.arange(len(log_z))]

@@ -125,9 +125,8 @@ def make_mixture_problem(spec: MixtureProblemSpec) -> MixtureProblem:
     rng = np.random.default_rng(spec.seed)
     base = np.asarray(spec.base_means, dtype=float)  # (4, 2)
     k_parts, d = base.shape
-    means = base[None, :, :] + rng.normal(
-        0.0, math.sqrt(spec.mean_var), size=(spec.n, k_parts, d)
-    )
+    means = rng.normal(0.0, math.sqrt(spec.mean_var), size=(spec.n, k_parts, d))
+    means += base  # in place: base + draw has the same bits
     inv_two_r = 1.0 / (2.0 * spec.r)
     log_norm = math.log(2.0 * math.pi * spec.r)  # 2-d isotropic normalizer
     # coordinate-major centers, so the kernel reduces over leading axes
@@ -251,9 +250,10 @@ def make_sigmoid_problem(spec: SigmoidProblemSpec) -> SigmoidProblem:
     rng = np.random.default_rng(spec.seed)
     x = rng.uniform(spec.x_low, spec.x_high, size=spec.n)
     t0, t1 = spec.theta_true
-    y = expit(t0 + t1 * x)
+    y = np.multiply(x, t1)  # expit(t0 + t1 * x), built in place with the same bits
+    expit(np.add(y, t0, out=y), out=y)
     if spec.noise_std > 0:
-        y = y + rng.normal(0.0, spec.noise_std, size=spec.n)
+        y += rng.normal(0.0, spec.noise_std, size=spec.n)
 
     def component_eval(i: int, theta: np.ndarray) -> float:
         theta = np.asarray(theta, dtype=float)

@@ -554,21 +554,30 @@ LOADS_SCIPY = """
 import sys
 import psmco
 import psmco.cli
+import psmco.parallel
+psmco.parallel._usable_cpus = lambda: 2  # two parts, so a run forks where forking is quiet
 loaded = ["scipy" in sys.modules]
 for i, run in enumerate(sys.argv[1:]):
     assert psmco.cli.main(["run", *run.split(), "--out", f"out{i}"]) == 0
     loaded.append("scipy" in sys.modules)
+print(psmco.parallel._fork_is_quiet())
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "multiprocessing"))
 print(loaded)
 """
 
 
 def test_scipy_is_never_imported(tmp_path):
     """In a fresh interpreter, neither import psmco nor a mixture, sigmoid
-    or psgd run loads scipy: the package depends on numpy alone."""
+    or psgd run loads scipy: the package depends on numpy alone.  The runs
+    take two parts and load no multiprocessing module either."""
     env = dict(os.environ, PYTHONPATH=str(Path(psmco.__file__).resolve().parents[1]))
     small = "--override n=200 --override m_workers=2 --override n_particles=10"
     runs = [f"--profile mixture-5.1 {small}", f"--profile sigmoid-5.2 {small}",
             f"--profile sigmoid-5.2 {small} --override algorithm=psgd"]
     done = subprocess.run([sys.executable, "-c", LOADS_SCIPY, *runs], env=env, cwd=tmp_path,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines()[-1] == str([False] * 4)
+    *timings, quiet, multiprocessing, loaded = done.stdout.splitlines()
+    parts = 2 if quiet == "True" else 1
+    assert [line.split()[-1] for line in timings] == [f"parts={parts}"] * 2  # the two psmco runs
+    assert multiprocessing == "[]"
+    assert loaded == str([False] * 4)

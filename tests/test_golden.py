@@ -6,7 +6,8 @@ the config keeps final particles) is pinned, so any change to sampling,
 weighting, resampling, emission or formatting shows up as a digest
 mismatch.  config.json echoes the option schema with every default
 filled in, so its digest also moves when a key, a default or the JSON
-form of a value changes, even if no sampled value does.
+form of a value changes, even if no sampled value does.  The CSV that
+gen-data writes for each stock profile is pinned too.
 
 The digests pin stream format v3, the order in which each worker draws
 its randomness (see psmco.sampler.step_draws and the README); runs
@@ -53,10 +54,12 @@ BY_CLASS = {
     "X86_V4": {
         "mixture": {"trace.csv": "e3e31f164966ef88b513a1d68b6e3969148fd066b085c8ddfffc4dab81993355"},
         "sigmoid-seed3-k37": {"trace.csv": "ced43973a7999ee3d4a05606ec72aa4268fe451b6522fb432a0d8102b9274485"},
+        "data sigmoid-5.2": {"data.csv": "98366e36fe7316329c4841d4b18567acb423f67e49e7f04ceef3adf3b6cc356a"},
     },
     "X86_V3": {
         "mixture": {"trace.csv": "11e102538f40b79d7d5d1ee26c15886bfe2459afd74ef9b0f98a891841aa8ccc"},
         "sigmoid-seed3-k37": {"trace.csv": "467d9726c3a0363377cd9fba1a4d372aa848463da433423b3dce1f1d72ff2801"},
+        "data sigmoid-5.2": {"data.csv": "33fdd73c5c82d02e0d09bb4cb85ac44c02e00dd87f8b877d49c24d689dee804c"},
     },
 }
 
@@ -106,6 +109,14 @@ CASES = {
 }
 
 
+# gen-data's CSV of each stock profile; the sigmoid's y goes through exp,
+# the mixture's centers do not
+DATASETS = {
+    "data mixture-5.1": ("mixture-5.1", {"data.csv": "498977c43b8d21a9213b90b88a5d40e082a99f6a5b2a0dab300c741a6588a71a"}),
+    "data sigmoid-5.2": ("sigmoid-5.2", {}),
+}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_artifact_digests(name, tmp_path):
     """Every file is checked by name, and by digest unless it depends on the
@@ -113,6 +124,17 @@ def test_artifact_digests(name, tmp_path):
     argv, files = CASES[name]
     assert main(["run", *argv, "--out", str(tmp_path)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted({*files, *BY_CLASS["X86_V3"].get(name, {})})
+    expected = {**files, **BY_CLASS.get(DIGEST_SET, {}).get(name, {})}
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in expected}
+    assert got == expected
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_dataset_digests(name, tmp_path):
+    """gen-data writes the same bytes for a profile's dataset; checked by
+    digest unless it depends on the dispatch class and this class has none."""
+    profile, files = DATASETS[name]
+    assert main(["gen-data", "--profile", profile, "--out", str(tmp_path / "data.csv")]) == 0
     expected = {**files, **BY_CLASS.get(DIGEST_SET, {}).get(name, {})}
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in expected}
     assert got == expected
@@ -127,16 +149,16 @@ CHILD = "import sys, pytest, test_golden; print(test_golden.EXP_CLASS); sys.exit
 @pytest.mark.skipif(EXP_CLASS != "X86_V4", reason=f"numpy runs exp under {EXP_CLASS or 'an unknown class'} here, "
                     "and no other class with pinned digests can be reached by switching features off")
 def test_digests_under_the_other_dispatch_class():
-    """The golden cases, and expit's scipy oracle, rerun under X86_V3 in a
-    child process whose NPY_DISABLE_CPU_FEATURES switches the AVX-512
-    loops off; only the child's environment changes."""
+    """The golden cases and datasets, and expit's scipy oracle, rerun
+    under X86_V3 in a child process whose NPY_DISABLE_CPU_FEATURES switches
+    the AVX-512 loops off; only the child's environment changes."""
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(AVX512),
                PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
     done = subprocess.run(
         [sys.executable, "-c", CHILD, "-q", "-p", "no:cacheprovider", "tests/test_golden.py::test_artifact_digests",
-         "tests/test_problems.py::test_expit_keeps_scipys_bits_under_libm_exp"],
+         "tests/test_golden.py::test_dataset_digests", "tests/test_problems.py::test_expit_keeps_scipys_bits_under_libm_exp"],
         cwd=tests.parent, env=env, capture_output=True, text=True, timeout=300)
     assert done.stdout.splitlines()[:1] == ["X86_V3"], done.stdout + done.stderr
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
-    assert done.stdout.splitlines()[-1].startswith("7 passed in ")  # six cases and the oracle, none skipped
+    assert done.stdout.splitlines()[-1].startswith("9 passed in ")  # six cases, two datasets, the oracle; none skipped

@@ -5,9 +5,9 @@ bytes and the run raises what one process stepping every worker would
 raise first.  parallel._usable_cpus is the seam that forces P here."""
 
 import math
-import multiprocessing
 import os
 import pickle
+import signal
 import time
 import warnings
 from types import SimpleNamespace
@@ -414,7 +414,15 @@ CHILD_CASES = {  # what the children do -> what the run raises
     "normal": (lambda: None, None),
     "exception in a child": (raise_value_error, (ValueError, "raised in a child")),
     "child dies": (lambda: os._exit(7), (RuntimeError, "worker part 1 ended with no result, exit code 7")),
+    "child killed": (lambda: os.kill(os.getpid(), signal.SIGKILL),
+                     (RuntimeError, "worker part 1 ended with no result, exit code -9")),
 }
+
+
+def assert_no_child():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @needs_fork
@@ -434,7 +442,7 @@ def test_no_child_outlives_a_run(case, force_parts):
             error = raised(model, space, config)
             assert (type(error), str(error)) == expected
     assert caught == []
-    assert multiprocessing.active_children() == []
+    assert_no_child()
 
 
 @needs_fork
@@ -446,4 +454,4 @@ def test_a_dead_child_fails_the_command_with_code_3(force_parts, monkeypatch, tm
             "--override", "n_particles=6", "--out", str(tmp_path)]
     assert cli.main(argv) == 3
     assert "worker part 1 ended with no result, exit code 7" in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
+    assert_no_child()

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -438,6 +439,24 @@ def test_sigmoid_optional_noise():
     noisy = make_sigmoid_problem(SigmoidProblemSpec(n=50, seed=1, noise_std=0.1))
     np.testing.assert_array_equal(clean.x, noisy.x)
     assert not np.array_equal(clean.y, noisy.y)
+    rng = np.random.default_rng(1)
+    rng.uniform(size=50)  # the draw of x
+    assert noisy.y.tobytes() == (clean.y + rng.normal(0.0, 0.1, size=50)).tobytes()
+
+
+@pytest.mark.parametrize("noise_std, draws", [(0.0, 0), (0.1, 1)])
+def test_sigmoid_data_is_built_in_the_arrays_it_keeps(noise_std, draws):
+    """make_sigmoid_problem peaks within 64 KB of what it keeps, x and y,
+    with no n-length temporary; a noise draw is one more n-array."""
+    spec = SigmoidProblemSpec(noise_std=noise_std)
+    tracemalloc.start()
+    try:
+        problem = make_sigmoid_problem(spec)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept >= problem.x.nbytes + problem.y.nbytes
+    assert peak - kept <= 64 * 1024 + draws * problem.y.nbytes
 
 
 # ---------------------------------------------------------------------------
