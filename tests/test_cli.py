@@ -576,8 +576,8 @@ def test_scipy_is_never_imported(tmp_path):
             f"--profile sigmoid-5.2 {small} --override algorithm=psgd"]
     done = subprocess.run([sys.executable, "-c", LOADS_SCIPY, *runs], env=env, cwd=tmp_path,
                           capture_output=True, text=True, check=True)
-    *timings, quiet, multiprocessing, loaded = done.stdout.splitlines()
+    *timings, quiet, mp_modules, loaded = done.stdout.splitlines()
     parts = 2 if quiet == "True" else 1
     assert [line.split()[-1] for line in timings] == [f"parts={parts}"] * 2  # the two psmco runs
-    assert multiprocessing == "[]"
+    assert mp_modules == "[]"
     assert loaded == str([False] * 4)
